@@ -9,13 +9,15 @@ and nothing is seeded from the clock.
 
 Exit codes: 0 success, 2 validation failure (one-line diagnostic on
 stderr), 3 numerical non-convergence (partial record still emitted,
-marked converged: false).
+marked converged: false).  A result with a non-finite number is such a
+failure: no NaN or infinity is ever written.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -24,7 +26,7 @@ from . import __version__
 from .plane import ConvergenceError, PlanePoint, QuadratureError, SkParams
 from . import cw_exact, hj_limit, sk_finite, sk_rs
 
-_NUMERICAL_ERRORS = (ConvergenceError, QuadratureError)
+_NUMERICAL_ERRORS = (ConvergenceError, QuadratureError, FloatingPointError)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -61,7 +63,7 @@ def _emit(payload, out_path, as_csv=False, columns=None) -> None:
         if as_csv:
             _write_csv(payload, columns, stream)
         else:
-            json.dump(payload, stream, indent=2)
+            json.dump(payload, stream, indent=2, allow_nan=False)
             stream.write("\n")
     finally:
         if close:
@@ -73,10 +75,28 @@ def _record(command: str, echo: dict) -> dict:
 
 
 def _start(args, command: str, echo: dict) -> dict:
-    # stashed on the namespace so a numerical failure can still emit the echo
+    # stashed on the namespace so a numerical failure can still emit the echo;
+    # a copy, so the results a handler adds to its record stay out of it
     record = _record(command, echo)
-    args.partial_record = record
+    args.partial_record = dict(record)
     return record
+
+
+def _non_finite(value, name=None) -> list:
+    """Names of the fields under `value` holding a NaN or an infinity."""
+    if isinstance(value, float):
+        return [] if math.isfinite(value) else [name]
+    if isinstance(value, dict):
+        return [bad for key, item in value.items() for bad in _non_finite(item, key)]
+    if isinstance(value, (list, tuple)):
+        return [bad for item in value for bad in _non_finite(item, name)]
+    return []
+
+
+def _require_finite(record: dict) -> None:
+    bad = _non_finite(record)
+    if bad:
+        raise FloatingPointError(f"non-finite result in {', '.join(dict.fromkeys(bad))}")
 
 
 # ---------------------------------------------------------------- point queries
@@ -275,6 +295,7 @@ def _cmd_sweep(args):
         for x in xs:
             try:
                 row = evaluator(x, t, args) if needs_x else evaluator(t, args)
+                _require_finite(row)
                 row["converged"] = True
             except (ValueError, *_NUMERICAL_ERRORS):
                 row = {"t": t, "converged": False}
@@ -444,6 +465,8 @@ def main(argv=None) -> int:
     out_path = getattr(args, "out", None)
     try:
         result = args.handler(args)
+        if not getattr(args, "raw", False):
+            _require_finite(result)
     except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

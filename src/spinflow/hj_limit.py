@@ -91,6 +91,8 @@ def _stationary_points(x: float, t: float) -> list[float]:
         return x + t * math.tanh(y) - y
 
     hi = abs(x) + t + 1.0
+    if not math.isfinite(hi):
+        raise ValueError(f"|x| + t overflows the root bracket at x={x}, t={t}")
     if t <= 1.0:
         return [brentq(g, -hi, hi, xtol=1e-15, rtol=8.9e-16, maxiter=200)]
     yc = math.acosh(math.sqrt(t))

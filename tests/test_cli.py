@@ -126,6 +126,43 @@ def test_numerical_failure_exits_3_with_partial_record(monkeypatch):
     assert "stalled" in record["error"]
 
 
+def strict_json(text):
+    def reject(token):
+        raise ValueError(f"non-finite number {token} in the output")
+    return json.loads(text, parse_constant=reject)
+
+
+def test_non_finite_point_result_is_a_numerical_failure():
+    code, out, _ = run_cli(["cw", "exact", "--x", "0.3", "--t", "1e308", "--n", "10"])
+    assert code == 3
+    record = strict_json(out)
+    assert record["converged"] is False
+    assert record["input"] == {"x": 0.3, "t": 1e308, "n": 10, "k_max": 4}
+    assert "phi" in record["error"]
+    assert "phi" not in record
+
+
+def test_non_finite_sweep_row_fails_alone():
+    code, out, _ = run_cli(["sweep", "--model", "cw", "--quantity", "exact",
+                            "--x-min", "0.3", "--x-max", "0.3", "--n-x", "1",
+                            "--t-min", "0.5", "--t-max", "1e308", "--n-t", "2",
+                            "--n", "10", "--format", "csv"])
+    assert code == 3
+    _, rows = parse_csv(out)
+    assert [r["converged"] for r in rows] == ["true", "false"]
+    assert float(rows[0]["phi"]) == exact_fields(PlanePoint(0.3, 0.5), 10).phi
+    assert rows[1]["t"] == "1e+308"
+    assert rows[1]["n"] == "10"
+
+
+def test_overflowing_limit_bracket_is_a_domain_error():
+    code, out, err = run_cli(["cw", "limit", "--x", "1e308", "--t", "1e308"])
+    assert code == 2
+    assert out == ""
+    assert "x=1e+308" in err and "t=1e+308" in err
+    assert "argmin" not in err
+
+
 def test_sweep_rows_are_t_major_and_csv_is_17g(tmp_path):
     argv = ["sweep", "--model", "cw", "--quantity", "limit",
             "--x-min", "-0.5", "--x-max", "0.5", "--n-x", "3",

@@ -16,6 +16,7 @@ from spinflow import (
     sk_identity_residuals,
     solve_qbar,
 )
+from spinflow.sk_finite import _sample_statistics
 
 
 def sample_hamiltonian_weights(sample: DisorderSample, params: SkParams):
@@ -196,6 +197,36 @@ def test_repeat_runs_are_bit_identical():
     a = quenched_overlap_moments(params, 6, 30, seed=13)
     b = quenched_overlap_moments(params, 6, 30, seed=13)
     assert a == b
+
+
+@pytest.mark.parametrize("n", [4, 8, 14])
+def test_sample_rows_do_not_depend_on_the_block(n):
+    params = SkParams(0.2, 0.9, 0.1)
+    count = 3 if n == 14 else 7
+    block = _sample_statistics(params, n, 19, range(count))
+    single = np.vstack([_sample_statistics(params, n, 19, [index]) for index in range(count)])
+    assert np.array_equal(block, single)
+
+
+@pytest.mark.parametrize("params", [SkParams(0.3, 0.8, 0.15), SkParams(0.05, 2.0, 0.0)])
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 9])
+def test_transform_statistics_match_brute_force_replicas(n, params):
+    rows = _sample_statistics(params, n, 27, range(2))
+    for index, row in enumerate(rows):
+        configs, prob = sample_hamiltonian_weights(draw_disorder(27, index, n), params)
+        expected = overlap_chain_moments(prob, configs, n)
+        assert np.max(np.abs(row - np.array(expected))) <= 1e-12
+
+
+def test_every_low_order_correlator_matches_the_enumeration():
+    params = SkParams(0.3, 0.8, 0.15)
+    sample = draw_disorder(11, 4, 5)
+    configs, prob = sample_hamiltonian_weights(sample, params)
+    omega = gibbs_correlators(sample, params)
+    for size in range(5):
+        for sites in itertools.combinations(range(5), size):
+            direct = float(np.dot(prob, np.prod(configs[:, list(sites)], axis=1)))
+            assert omega(sites) == pytest.approx(direct, abs=1e-14)
 
 
 def test_thread_count_does_not_change_results():
