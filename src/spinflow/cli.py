@@ -26,7 +26,7 @@ from . import __version__
 from .plane import ConvergenceError, PlanePoint, QuadratureError, SkParams
 from . import cw_exact, hj_limit, sk_finite, sk_rs
 
-_NUMERICAL_ERRORS = (ConvergenceError, QuadratureError, FloatingPointError)
+_NUMERICAL_ERRORS = (ConvergenceError, QuadratureError, FloatingPointError, OverflowError)
 
 
 class _Parser(argparse.ArgumentParser):

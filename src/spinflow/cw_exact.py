@@ -51,6 +51,12 @@ def _check_n(n: int):
 
 
 def _sector_log_weights(x: float, t: float, n: int):
+    # |log-weight| <= n (|t|/2 + |x| + log 2); twice that bounds the spread
+    # that the max shift of the callers subtracts.  Python floats, so that a
+    # numpy scalar from a sweep axis cannot warn while the bound is formed.
+    if not math.isfinite(2.0 * int(n) * (0.5 * abs(float(t)) + abs(float(x)) + 1.0)):
+        raise OverflowError(f"sector log-weights overflow at x={x}, t={t}, n={n}, "
+                            "so phi and its derivatives cannot be formed in double precision")
     k = np.arange(n + 1, dtype=np.float64)
     m = (2.0 * k - n) / n
     # summing the two factorial terms before subtracting keeps the weights

@@ -295,7 +295,8 @@ def spontaneous_magnetization(t: float) -> float:
     """
     if not math.isfinite(t) or t <= 1.0:
         raise ValueError(f"spontaneous magnetization needs t > 1, got {t}")
-    seed = math.sqrt(3.0 * (t - 1.0) / t**3)
+    # past t = 1e100, t**3 would overflow; there the seed is sqrt(3) / t to double precision
+    seed = math.sqrt(3.0 * (t - 1.0) / t**3) if t < 1e100 else math.sqrt(3.0) / t
     lo = 0.5 * min(seed, 1.0)
 
     def g(m):
@@ -323,14 +324,18 @@ def critical_line(t: float) -> float:
     """
     if not math.isfinite(t) or t <= 1.0:
         raise ValueError(f"critical line is defined for t > 1, got {t}")
-    return math.atanh(math.sqrt((t - 1.0) / t)) - math.sqrt(t * (t - 1.0))
+    return critical_launch_point(t) - math.sqrt(t) * math.sqrt(t - 1.0)
 
 
 def critical_launch_point(t: float) -> float:
-    """Marginal launch point x0_c(t) = arctanh(sqrt((t-1)/t)) whose characteristic touches the caustic at time t."""
+    """Marginal launch point x0_c(t) = arctanh(sqrt((t-1)/t)) whose characteristic touches the caustic at time t.
+
+    Evaluated as log(t) / 2 + log1p(sqrt((t-1)/t)), which stays finite
+    where sqrt((t-1)/t) rounds to 1 and arctanh would hit its pole.
+    """
     if not math.isfinite(t) or t <= 1.0:
         raise ValueError(f"critical launch point is defined for t > 1, got {t}")
-    return math.atanh(math.sqrt((t - 1.0) / t))
+    return 0.5 * math.log1p(t - 1.0) + math.log1p(math.sqrt((t - 1.0) / t))
 
 
 def characteristic(x0: float, t_max: float, n_points: int = 64) -> Characteristic:

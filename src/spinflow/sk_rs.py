@@ -11,10 +11,18 @@ the self-consistency equation
 Gaussian expectations are evaluated with fixed-order Gauss-Hermite
 quadrature (order 240, nodes computed once at import and shared
 read-only; 120 nodes leave a few 1e-9 of error on the widest cavity
-fields in play, 240 brings every case below a few 1e-12).  The caustic
-margin below is the replica-symmetric analogue of the
-characteristic-crossing criterion of ``hj_limit``: where it stays
-positive, the glassy characteristics do not cross.
+fields in play, 240 brings every case below a few 1e-12).  Gaussian
+integration by parts gives the slope of the map exactly,
+
+    d/dq E_g tanh^2(beta_h + g sqrt(x + t q)) = t (3 E_g sech^4 - 2 E_g sech^2),
+
+so one pass over the nodes yields the map and its slope, and the
+overlap is solved by bracketed Newton with that slope rather than by a
+damped fixed-point iteration.  The caustic margin below is the
+replica-symmetric analogue of the characteristic-crossing criterion of
+``hj_limit``: where it stays positive, the glassy characteristics do
+not cross.  It is exactly (1 - slope) / 3 at the fixed point, so the
+margin vanishes where the map stops being a contraction.
 """
 
 from __future__ import annotations
@@ -32,9 +40,8 @@ _GH_ORDER = 240
 _GH_NODES, _GH_WEIGHTS = np.polynomial.hermite.hermgauss(_GH_ORDER)
 _GH_NORM = 1.0 / math.sqrt(math.pi)
 
-_FIXED_POINT_DAMPING = 0.5
 _FIXED_POINT_TOL = 1e-12
-_FIXED_POINT_MAX_ITER = 10_000
+_NEWTON_MAX_ITER = 100
 
 
 def _log_cosh(s):
@@ -98,93 +105,87 @@ class RsSolution:
         return -self.q_bar
 
 
-def _overlap_map(params: SkParams, q: float) -> float:
-    return gaussian_expectation("tanh_sq", params.beta_h, params.x + params.t * q)
+def _map_and_slope(params: SkParams, q: float) -> tuple[float, float]:
+    """The overlap map E tanh^2 at q and its exact slope, from one node pass.
+
+    sech^2 is formed as 1 - tanh^2, so the map keeps full relative
+    precision at small variance, where the symmetric root sits just
+    above t = 1.  The degenerate variance v = 0 collapses exactly.
+    """
+    v = params.x + params.t * q
+    if v == 0.0:
+        mapped = math.tanh(params.beta_h) ** 2
+        e2 = 1.0 - mapped
+        e4 = e2 * e2
+    else:
+        th2 = np.tanh(params.beta_h + math.sqrt(2.0 * v) * _GH_NODES) ** 2
+        s2 = 1.0 - th2
+        mapped = float(np.dot(_GH_WEIGHTS, th2) * _GH_NORM)
+        e2 = float(np.dot(_GH_WEIGHTS, s2) * _GH_NORM)
+        e4 = float(np.dot(_GH_WEIGHTS, s2 * s2) * _GH_NORM)
+    return mapped, params.t * (3.0 * e4 - 2.0 * e2)
 
 
 def solve_qbar(params: SkParams) -> float:
-    """Self-consistent overlap by damped fixed-point iteration.
+    """Self-consistent overlap by bracketed Newton with the exact slope.
 
-    Starts from the zero-coupling value E_g tanh^2(beta_h + g sqrt(x)) and
-    relaxes with damping 1/2 until the residual |q - map(q)| < 1e-12.  At
-    beta_h = 0, x = 0 the equation always admits q = 0; that root is
-    returned for t <= 1, while for t > 1 the iteration descends from
-    q = 1 onto the positive root.
+    Solves r(q) = map(q) - q = 0 on [0, 1], where r(0) >= 0 >= r(1),
+    starting from the zero-coupling value E_g tanh^2(beta_h + g sqrt(x)).
+    Each step uses the slope t (3 E_g sech^4 - 2 E_g sech^2) of the map,
+    and falls back to bisection whenever it would leave the bracket.
+    At beta_h = 0, x = 0 the equation always admits q = 0; that root is
+    returned for t <= 1, while for t > 1 Newton descends from q = 1 on
+    the bracket [1e-30, 1], which excludes the trivial root.
 
-    Very close to the critical point the fixed-point map loses its
-    contraction and the plain iteration slows to an algebraic crawl; when
-    stagnation is detected the solver switches to safeguarded Newton on
-    the residual, which converges on the same root.  The returned value
-    always satisfies |q - map(q)| < 1e-12.
+    Close to the critical point the slope tends to 1 and the root to 0;
+    Newton from q = 1 then halves q per step until it reaches the root
+    and converges quadratically, so a solve costs tens of node passes.
+    There a residual below 1e-12 does not yet bound the error in q, so
+    the iteration stops only once the Newton step is below 2.5e-13 as
+    well.  The returned value satisfies |q - map(q)| < 1e-12, measured with
+    ``gaussian_expectation("tanh_sq", ...)``; otherwise ConvergenceError
+    is raised with that residual.
     """
     symmetric = params.beta_h == 0.0 and params.x == 0.0
     if symmetric:
         if params.t <= 1.0:
             return 0.0
-        q = 1.0
+        lo, q = 1e-30, 1.0
     else:
-        q = _overlap_map(params, 0.0)
-    window_residual = math.inf
-    for iteration in range(_FIXED_POINT_MAX_ITER):
-        mapped = _overlap_map(params, q)
-        residual = abs(mapped - q)
-        if residual < _FIXED_POINT_TOL:
-            return q
-        if iteration % 64 == 63:
-            if residual > 0.97 * window_residual:
-                break
-            window_residual = residual
-        q = (1.0 - _FIXED_POINT_DAMPING) * q + _FIXED_POINT_DAMPING * mapped
-    q = _newton_qbar(params, symmetric, q)
-    residual = abs(_overlap_map(params, q) - q)
+        lo, q = 0.0, _map_and_slope(params, 0.0)[0]
+    hi = 1.0
+    for _ in range(_NEWTON_MAX_ITER):
+        mapped, slope = _map_and_slope(params, q)
+        r = mapped - q
+        # a flat residual sends the step off the bracket, hence to bisection
+        step = r / (1.0 - slope) if slope != 1.0 else math.inf
+        # near t = 1 the slope nears 1, where a small residual alone can sit
+        # far from the root; the step bounds the distance to it
+        if abs(r) < 0.25 * _FIXED_POINT_TOL and abs(step) < 0.25 * _FIXED_POINT_TOL:
+            break
+        if r > 0.0:
+            lo = q
+        else:
+            hi = q
+        q = q + step if lo < q + step < hi else 0.5 * (lo + hi)
+    residual = abs(gaussian_expectation("tanh_sq", params.beta_h, params.x + params.t * q) - q)
     if residual >= _FIXED_POINT_TOL:
         raise ConvergenceError(
             f"overlap fixed point did not reach {_FIXED_POINT_TOL} at {params}", residual=residual)
     return q
 
 
-def _newton_qbar(params: SkParams, symmetric: bool, q_start: float) -> float:
-    # Residual root on (0, 1]; the lower edge stays strictly positive so the
-    # bracket cannot collapse onto the trivial root of the symmetric case.
-    lo = 1e-30 if symmetric else 0.0
-    hi = 1.0
-
-    def residual(q):
-        return _overlap_map(params, q) - q
-
-    r_lo = residual(lo)
-    q = min(max(q_start, lo), hi)
-    for _ in range(300):
-        r = residual(q)
-        if abs(r) < 0.25 * _FIXED_POINT_TOL or hi - lo < 1e-18:
-            return q
-        if (r > 0) == (r_lo > 0):
-            lo, r_lo = q, r
-        else:
-            hi = q
-        step = 1e-7 * (1.0 + abs(q))
-        slope = (residual(q + step) - r) / step
-        if slope != 0.0:
-            q_new = q - r / slope
-            if lo < q_new < hi:
-                q = q_new
-                continue
-        q = 0.5 * (lo + hi)
-    return q
-
-
 def _caustic_margin_at(params: SkParams, q_bar: float) -> float:
-    v = params.x + params.t * q_bar
-    e2 = gaussian_expectation("sech_sq", params.beta_h, v)
-    e4 = gaussian_expectation("sech_4", params.beta_h, v)
-    return 1.0 / 3.0 + (2.0 / 3.0) * params.t * e2 - params.t * e4
+    return (1.0 - _map_and_slope(params, q_bar)[1]) / 3.0
 
 
 def caustic_margin(params: SkParams) -> float:
     """Slack in the no-crossing inequality for glassy characteristics.
 
     Returns (1/3 + (2/3) t E_g sech^2 - t E_g sech^4) evaluated at the
-    self-consistent overlap.  Positive margin means characteristics
+    self-consistent overlap, which is (1 - map'(qbar)) / 3 for the slope
+    map' of the overlap map; it comes from the same node pass as the
+    Newton slope of ``solve_qbar``.  Positive margin means characteristics
     through this point do not cross; the margin vanishes at the critical
     point (x = 0, beta_h = 0, t = 1) and is a tangential zero there: it
     is positive on both sides along the t axis.
@@ -279,16 +280,15 @@ def rs_action(params: SkParams) -> RsSolution:
     y* = x + t qbar, with the boundary datum carrying doubled log 2 and
     log cosh weights so that the t = 0 slice reproduces the one-body
     pressure and -d_x phi(x, 0) = E_g tanh^2(beta_h + g sqrt(x)).  On
-    the x = 0 section the thermodynamic pressure is filled in via
-    ``rs_pressure``.
+    the x = 0 section the thermodynamic pressure is filled in from the
+    same overlap, by the closed form of ``rs_pressure``.
     """
     q_bar = solve_qbar(params)
     phi = _phi_rs_at(params, q_bar)
     pressure = None
     if params.x == 0.0:
         if params.t > 0.0:
-            pressure, _ = rs_pressure_detail(
-                math.sqrt(params.t), params.beta_h / math.sqrt(params.t))
+            pressure, _ = _pressure_at(params, q_bar, phi)
         else:
             # zero-coupling limit of the reconstruction, beta -> 0 at fixed beta*h
             pressure = 0.5 * phi
@@ -313,10 +313,14 @@ def rs_pressure_detail(beta: float, h: float) -> tuple[float, float]:
         return LOG2, 0.0
     params = SkParams(x=0.0, t=beta * beta, beta_h=beta * h)
     q_bar = solve_qbar(params)
+    return _pressure_at(params, q_bar, _phi_rs_at(params, q_bar))
+
+
+def _pressure_at(params: SkParams, q_bar: float, phi: float) -> tuple[float, float]:
+    # closed-form pressure on the x = 0 section, and its gap to phi / 2 + t / 4
     e_log_cosh = gaussian_expectation("log_cosh", params.beta_h, params.t * q_bar)
     closed = LOG2 + e_log_cosh + 0.25 * params.t * (1.0 - q_bar) ** 2
-    reconstructed = 0.5 * _phi_rs_at(params, q_bar) + 0.25 * params.t
-    return closed, abs(reconstructed - closed)
+    return closed, abs(0.5 * phi + 0.25 * params.t - closed)
 
 
 def rs_pressure(beta: float, h: float) -> float:

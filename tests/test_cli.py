@@ -163,6 +163,20 @@ def test_overflowing_limit_bracket_is_a_domain_error():
     assert "argmin" not in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["cw", "shock", "--t", "1e308"],
+    ["convergence", "--model", "cw-velocity", "--x", "0.3", "--t", "1e308",
+     "--n-list", "10,20,40"],
+    ["cw", "critical-line", "--t", "1e308"],
+])
+def test_extreme_coupling_ends_cleanly(argv):
+    code, out, err = run_cli(argv)
+    assert code in (0, 3)
+    record = strict_json(out)
+    assert record["converged"] is (code == 0)
+    assert "Traceback" not in err
+
+
 def test_sweep_rows_are_t_major_and_csv_is_17g(tmp_path):
     argv = ["sweep", "--model", "cw", "--quantity", "limit",
             "--x-min", "-0.5", "--x-max", "0.5", "--n-x", "3",

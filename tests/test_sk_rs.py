@@ -20,6 +20,7 @@ from spinflow import (
     rs_pressure_detail,
     solve_qbar,
 )
+from spinflow import sk_rs
 
 LOG2 = math.log(2.0)
 
@@ -101,6 +102,51 @@ def test_qbar_satisfies_its_fixed_point(x, t, beta_h):
     image = gaussian_expectation("tanh_sq", beta_h, x + t * q)
     assert q == pytest.approx(image, abs=1e-11)
     assert 0.0 <= q <= 1.0
+
+
+@pytest.mark.parametrize("x,t,beta_h,q", [(0.3, 1.2, 0.2, 0.34), (0.0, 2.0, 0.5, 0.4),
+                                          (1.0, 0.7, 0.0, 0.6)])
+def test_map_slope_matches_a_central_difference(x, t, beta_h, q):
+    params = SkParams(x, t, beta_h)
+    mapped, slope = sk_rs._map_and_slope(params, q)
+    assert mapped == pytest.approx(gaussian_expectation("tanh_sq", beta_h, x + t * q), abs=1e-15)
+    h = 1e-5
+    difference = (gaussian_expectation("tanh_sq", beta_h, x + t * (q + h))
+                  - gaussian_expectation("tanh_sq", beta_h, x + t * (q - h))) / (2.0 * h)
+    assert slope == pytest.approx(difference, rel=1e-7)
+
+
+@pytest.mark.parametrize("x,t,beta_h", [(0.3, 1.2, 0.2), (0.0, 0.6, 0.0), (0.0, 1.5, 0.0),
+                                        (0.2, 1.3, 0.25)])
+def test_caustic_margin_is_the_newton_slope_gap(x, t, beta_h):
+    params = SkParams(x, t, beta_h)
+    _, slope = sk_rs._map_and_slope(params, solve_qbar(params))
+    assert 1.0 - slope == pytest.approx(3.0 * caustic_margin(params), abs=1e-14)
+
+
+@pytest.mark.parametrize("t", [1.0001, 1.001, 1.01])
+def test_near_critical_solve_takes_tens_of_node_passes(monkeypatch, t):
+    calls = []
+    helper = sk_rs._map_and_slope
+
+    def counted(params, q):
+        calls.append(q)
+        return helper(params, q)
+
+    monkeypatch.setattr(sk_rs, "_map_and_slope", counted)
+    q = solve_qbar(SkParams(0.0, t, 0.0))
+    assert q > 0.0
+    assert abs(q - gaussian_expectation("tanh_sq", 0.0, t * q)) < 1e-12
+    assert len(calls) <= 40
+
+
+@pytest.mark.parametrize("eps", [1e-6, 1e-8])
+def test_near_critical_root_follows_its_expansion(eps):
+    # q = (t - 1)/2 + O((t - 1)^2) and margin = (t - 1)/3 + O((t - 1)^2): a residual
+    # below 1e-12 alone is met as far out as q ~ 3e-7 at these t
+    params = SkParams(0.0, 1.0 + eps, 0.0)
+    assert solve_qbar(params) == pytest.approx(eps / 2.0, rel=1e-4)
+    assert caustic_margin(params) == pytest.approx(eps / 3.0, rel=1e-4)
 
 
 def test_qbar_grows_with_cavity_strength():
