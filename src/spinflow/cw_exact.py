@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln, logsumexp
 
 from .plane import PlanePoint
 
@@ -57,6 +56,8 @@ def _sector_log_weights(x: float, t: float, n: int):
     if not math.isfinite(2.0 * int(n) * (0.5 * abs(float(t)) + abs(float(x)) + 1.0)):
         raise OverflowError(f"sector log-weights overflow at x={x}, t={t}, n={n}, "
                             "so phi and its derivatives cannot be formed in double precision")
+    from scipy.special import gammaln
+
     k = np.arange(n + 1, dtype=np.float64)
     m = (2.0 * k - n) / n
     # summing the two factorial terms before subtracting keeps the weights
@@ -67,6 +68,8 @@ def _sector_log_weights(x: float, t: float, n: int):
 
 def log_partition(p: PlanePoint, n: int) -> float:
     """Log-partition per spin, (1/N) log Z(x, t), via a stable log-sum-exp."""
+    from scipy.special import logsumexp
+
     _check_n(n)
     _, logw = _sector_log_weights(p.x, p.t, n)
     return float(logsumexp(logw)) / n
@@ -94,9 +97,12 @@ def exact_fields(p: PlanePoint, n: int, k_max: int = 4) -> ExactCwFields:
     m_lo = m[lo]
 
     moments = np.empty(k_max, dtype=np.float64)
+    # powers as a running product: numpy's m**3 and m**4 go through libm pow
+    m_j = np.ones_like(m_lo)
     for j in range(1, k_max + 1):
+        m_j = m_j * m_lo
         paired = w_lo - w_hi if j % 2 else w_lo + w_hi
-        moments[j - 1] = float(np.dot(m_lo**j, paired) / z)
+        moments[j - 1] = float(np.dot(m_j, paired) / z)
 
     phi = -(shift + math.log(z)) / n
     u = -moments[0]

@@ -20,8 +20,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.optimize import brentq
 
 from .plane import ConvergenceError, PlanePoint, QuadratureError
 
@@ -81,11 +79,15 @@ def _log_cosh(y: float) -> float:
 
 
 def _objective(y: float, x: float, t: float) -> float:
-    return (x - y) ** 2 / (2.0 * t) - LOG2 - _log_cosh(y)
+    try:
+        return (x - y) ** 2 / (2.0 * t) - LOG2 - _log_cosh(y)
+    except OverflowError:
+        raise OverflowError(f"Lax-Oleinik objective overflows at x={x}, t={t} (y={y})") from None
 
 
 def _stationary_points(x: float, t: float) -> list[float]:
     """All roots of y = x + t tanh(y), each found on a monotone bracket."""
+    from scipy.optimize import brentq
 
     def g(y):
         return x + t * math.tanh(y) - y
@@ -152,14 +154,19 @@ def _integration_window(x: float, t: float, n: int, g_min: float):
     # Grow the window until the shifted integrand is negligible at both ends.
     for _ in range(60):
         lo, hi = x - half, x + half
-        if (-n * (_objective(lo, x, t) - g_min) < -40.0
-                and -n * (_objective(hi, x, t) - g_min) < -40.0):
+        try:
+            ends = _objective(lo, x, t), _objective(hi, x, t)
+        except OverflowError as err:
+            raise OverflowError(f"kernel window overflows at x={x}, t={t}, n={n}: {err}") from None
+        if -n * (ends[0] - g_min) < -40.0 and -n * (ends[1] - g_min) < -40.0:
             return lo, hi
         half *= 1.5
     raise QuadratureError(f"could not bracket the kernel integrand at x={x}, t={t}, n={n}")
 
 
 def _kernel_integrals(x: float, t: float, n: int, with_velocity: bool):
+    from scipy.integrate import quad
+
     roots = _stationary_points(x, t)
     g_min = min(_objective(y, x, t) for y in roots)
     lo, hi = _integration_window(x, t, n, g_min)
@@ -295,6 +302,8 @@ def spontaneous_magnetization(t: float) -> float:
     """
     if not math.isfinite(t) or t <= 1.0:
         raise ValueError(f"spontaneous magnetization needs t > 1, got {t}")
+    from scipy.optimize import brentq
+
     # past t = 1e100, t**3 would overflow; there the seed is sqrt(3) / t to double precision
     seed = math.sqrt(3.0 * (t - 1.0) / t**3) if t < 1e100 else math.sqrt(3.0) / t
     lo = 0.5 * min(seed, 1.0)

@@ -47,7 +47,8 @@ _NEWTON_MAX_ITER = 100
 def _log_cosh(s):
     s = np.asarray(s, dtype=np.float64)
     a = np.abs(s)
-    return a + np.log1p(np.exp(-2.0 * a)) - LOG2
+    # exp(-2a) is already 0.0 at a = 400; the clamp keeps -2a from overflowing
+    return a + np.log1p(np.exp(-2.0 * np.minimum(a, 400.0))) - LOG2
 
 
 def _sech_sq(s):
@@ -70,7 +71,8 @@ def gaussian_expectation(kind: str, beta_h: float, v: float) -> float:
     """E_g f(beta_h + g sqrt(v)) for a standard Gaussian g.
 
     ``kind`` selects f among log_cosh, tanh_sq, sech_sq, sech_4.  The
-    degenerate case v = 0 collapses to f(beta_h) exactly.
+    degenerate case v = 0 collapses to f(beta_h) exactly.  OverflowError
+    is raised when the log_cosh sum would overflow.
     """
     try:
         f = _INTEGRANDS[kind]
@@ -82,6 +84,12 @@ def gaussian_expectation(kind: str, beta_h: float, v: float) -> float:
         raise ValueError(f"variance v must be >= 0, got {v}")
     if v == 0.0:
         return float(f(beta_h))
+    if kind == "log_cosh":
+        # log cosh s <= |s| and the weights sum to sqrt(pi) < 2, so this bounds the
+        # weighted sum; Python floats, so that forming the bound cannot warn
+        largest = abs(float(beta_h)) + math.sqrt(2.0 * float(v)) * float(_GH_NODES[-1])
+        if not math.isfinite(2.0 * largest):
+            raise OverflowError(f"E log cosh overflows at beta_h={beta_h}, v={v}")
     values = f(beta_h + math.sqrt(2.0 * v) * _GH_NODES)
     return float(np.dot(_GH_WEIGHTS, values) * _GH_NORM)
 
@@ -144,8 +152,13 @@ def solve_qbar(params: SkParams) -> float:
     the iteration stops only once the Newton step is below 2.5e-13 as
     well.  The returned value satisfies |q - map(q)| < 1e-12, measured with
     ``gaussian_expectation("tanh_sq", ...)``; otherwise ConvergenceError
-    is raised with that residual.
+    is raised with that residual.  OverflowError is raised when the
+    variance x + t q can overflow on the bracket.
     """
+    # the root is 1 to double precision wherever x + t overflows, so v = x + t q_bar would too
+    if not math.isfinite(float(params.x) + float(params.t)):
+        raise OverflowError(f"overlap variance x + t q overflows at x={params.x}, t={params.t}, "
+                            f"beta_h={params.beta_h}")
     symmetric = params.beta_h == 0.0 and params.x == 0.0
     if symmetric:
         if params.t <= 1.0:

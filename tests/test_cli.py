@@ -4,9 +4,15 @@ import contextlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import spinflow
 from spinflow import PlanePoint, SkParams, cli, exact_fields, lax_action, rs_action
@@ -168,6 +174,9 @@ def test_overflowing_limit_bracket_is_a_domain_error():
     ["convergence", "--model", "cw-velocity", "--x", "0.3", "--t", "1e308",
      "--n-list", "10,20,40"],
     ["cw", "critical-line", "--t", "1e308"],
+    ["sk", "rs", "--x", "1e308", "--t", "1e308", "--beta-h", "1e308"],
+    ["sk", "rs", "--x", "0", "--t", "0", "--beta-h", "9e307"],
+    ["sk", "rs", "--x", "0", "--t", "1", "--beta-h", "1e308"],
 ])
 def test_extreme_coupling_ends_cleanly(argv):
     code, out, err = run_cli(argv)
@@ -175,6 +184,83 @@ def test_extreme_coupling_ends_cleanly(argv):
     record = strict_json(out)
     assert record["converged"] is (code == 0)
     assert "Traceback" not in err
+
+
+def test_overflow_names_the_stage_and_the_point():
+    code, out, _ = run_cli(["convergence", "--model", "cw-velocity", "--x", "0.3", "--t", "1e308",
+                            "--n-list", "10,20,40"])
+    assert code == 3
+    error = strict_json(out)["error"]
+    assert "Lax-Oleinik objective" in error
+    assert "x=0.3" in error and "t=1e+308" in error
+
+
+_COLD_START = """
+import contextlib, io, json, sys
+import spinflow.cli as cli
+
+def loaded(argv):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0, argv
+    return sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
+
+sk = [loaded(argv) for argv in (
+    ["sk", "rs", "--x", "0.1", "--t", "1.5", "--beta-h", "0.2"],
+    ["sk", "caustic", "--x", "0", "--t", "0.9", "--beta-h", "0.1"],
+    ["sk", "finite", "--x", "0", "--t", "0.5", "--n", "6", "--samples", "4", "--seed", "1"],
+    ["convergence", "--model", "sk-identities", "--x", "0", "--t", "0.36",
+     "--n-list", "4,5,6", "--samples", "4", "--seed", "1"],
+)]
+cw = loaded(["cw", "exact", "--x", "0.2", "--t", "0.5", "--n", "10"])
+print(json.dumps({"sk": sk, "cw": cw}))
+"""
+
+
+def test_cold_start_loads_only_the_scipy_a_command_calls():
+    # a fresh interpreter: this test module has imported scipy itself
+    src = os.path.dirname(os.path.dirname(spinflow.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", _COLD_START], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    loaded = json.loads(done.stdout)
+    assert loaded["sk"] == [[], [], [], []]
+    assert "scipy.special" in loaded["cw"]
+    assert not any(name.startswith(("scipy.integrate", "scipy.optimize")) for name in loaded["cw"])
+
+
+_FLOATS = st.one_of(st.floats(-3.0, 3.0), st.floats(allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def point_commands(draw):
+    command = draw(st.sampled_from(["cw exact", "cw limit", "cw shock", "cw critical-line",
+                                    "cw identities", "sk rs", "sk caustic"]))
+    argv = command.split()
+    # the --flag=value form, so that argparse cannot read a negative value as a flag
+    if command not in ("cw shock", "cw critical-line"):
+        argv.append(f"--x={draw(_FLOATS)!r}")
+    argv.append(f"--t={draw(_FLOATS)!r}")
+    if command in ("cw exact", "cw identities"):
+        argv.append(f"--n={draw(st.integers(-2, 3000))}")
+    if command.startswith("sk"):
+        argv.append(f"--beta-h={draw(_FLOATS)!r}")
+    return argv
+
+
+@given(argv=point_commands())
+@settings(max_examples=300, deadline=None)
+def test_point_commands_end_cleanly_at_any_finite_input(argv):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run_cli(argv)
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)], argv
+    assert code in (0, 2, 3), argv
+    if code == 2:
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+    else:
+        assert strict_json(out)["converged"] is (code == 0)
+        assert err == ""
 
 
 def test_sweep_rows_are_t_major_and_csv_is_17g(tmp_path):

@@ -76,6 +76,29 @@ def test_moments_at_zero_coupling_match_binomial_oracle(x, n):
         assert fields.moments[power - 1] == pytest.approx(expected, abs=1e-13)
 
 
+def fsum_moments(x: float, t: float, n: int) -> list[float]:
+    # sector sum in correctly rounded sums, weights shifted by their largest log
+    logs = [math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
+            + n * (0.5 * t * ((2 * k - n) / n) ** 2 + x * (2 * k - n) / n) for k in range(n + 1)]
+    top = max(logs)
+    weights = [math.exp(v - top) for v in logs]
+    z = math.fsum(weights)
+    return [math.fsum(w * ((2 * k - n) / n) ** j for k, w in enumerate(weights)) / z
+            for j in range(1, 5)]
+
+
+@pytest.mark.parametrize("x,t,n", [(0.3, 0.5, 10), (-0.7, 1.5, 101), (0.05, 2.0, 400),
+                                   (1.0, 0.9, 2500), (0.0, 0.5, 37), (0.0, 2.0, 400)])
+def test_moments_match_an_fsum_sector_sum(x, t, n):
+    moments = exact_fields(PlanePoint(x, t), n).moments
+    expected = fsum_moments(x, t, n)
+    for j in (1, 2, 3, 4):
+        if x == 0.0 and j % 2:
+            assert moments[j - 1] == 0.0
+        else:
+            assert moments[j - 1] == pytest.approx(expected[j - 1], rel=1e-14)
+
+
 def test_third_residual_frozen_binomial_value():
     # r3 = <m^4> - <m^2>^2 at t=0 from the binomial oracle
     _, _, r3 = conservation_residuals(PlanePoint(0.3, 0.0), 5)

@@ -19,6 +19,7 @@ from spinflow import (
     shock_jump,
     spontaneous_magnetization,
     symmetry_breaking_limit,
+    viscous_action,
 )
 
 LOG2 = math.log(2.0)
@@ -202,3 +203,9 @@ def test_finite_size_velocity_converges_to_the_limit():
     err_160 = abs(exact_fields(p, 160).u - target)
     # at worst square-root decay: quadrupling the size leaves at most 0.6x
     assert err_160 <= 0.6 * err_40
+
+
+def test_kernel_window_overflow_names_the_stage_and_the_point():
+    # the stationary points' objective is finite here; the window's growing ends overflow it
+    with pytest.raises(OverflowError, match=r"kernel window .* at x=0\.3, t=1e\+154, n=10"):
+        viscous_action(PlanePoint(0.3, 1e154), 10)
