@@ -49,9 +49,7 @@ from .sk_finite import (
     GibbsCorrelators,
     OverlapMoments,
     draw_disorder,
-    gibbs_correlators,
     quenched_overlap_moments,
-    sk_identity_residuals,
 )
 
 __version__ = "0.1.0"
@@ -94,8 +92,6 @@ __all__ = [
     "GibbsCorrelators",
     "OverlapMoments",
     "draw_disorder",
-    "gibbs_correlators",
     "quenched_overlap_moments",
-    "sk_identity_residuals",
     "__version__",
 ]

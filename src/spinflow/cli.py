@@ -157,7 +157,7 @@ def _cmd_sk_caustic(args):
 def _cmd_sk_finite(args):
     record = _start(args, "sk finite", {"x": args.x, "t": args.t, "beta_h": args.beta_h,
                                    "n": args.n, "samples": args.samples, "seed": args.seed})
-    moments = sk_finite.sk_identity_residuals(
+    moments = sk_finite.quenched_overlap_moments(
         SkParams(args.x, args.t, args.beta_h), args.n, args.samples, args.seed)
     record.update(converged=True, q1=moments.q1, q2=moments.q2,
                   poly_p1=moments.poly_p1, poly_p2=moments.poly_p2,
@@ -176,16 +176,12 @@ def _sweep_row_cw_limit(x, t, args):
 
 
 def _sweep_row_cw_exact(x, t, args):
-    if args.n is None:
-        raise ValueError("sweep quantity 'exact' requires --n")
     fields = cw_exact.exact_fields(PlanePoint(x, t), args.n)
     return {"t": t, "x": x, "n": args.n, "phi": fields.phi, "u": fields.u,
             "potential": fields.potential}
 
 
 def _sweep_row_cw_identities(x, t, args):
-    if args.n is None:
-        raise ValueError("sweep quantity 'identities' requires --n")
     r1, r2, r3 = cw_exact.conservation_residuals(PlanePoint(x, t), args.n)
     return {"t": t, "x": x, "n": args.n, "r1": r1, "r2": r2, "r3": r3}
 
@@ -212,10 +208,8 @@ def _sweep_row_sk_caustic(x, t, args):
 
 
 def _sweep_row_sk_finite(x, t, args):
-    if args.n is None or args.samples is None or args.seed is None:
-        raise ValueError("sk-finite sweeps require --n, --samples and --seed")
-    m = sk_finite.sk_identity_residuals(SkParams(x, t, args.beta_h),
-                                        args.n, args.samples, args.seed)
+    m = sk_finite.quenched_overlap_moments(SkParams(x, t, args.beta_h),
+                                           args.n, args.samples, args.seed)
     se = m.std_errors
     return {"t": t, "x": x, "beta_h": args.beta_h, "n": m.n,
             "n_samples": m.n_samples, "seed": m.seed,
@@ -269,7 +263,10 @@ def _axis(lo: float, hi: float, count: int, name: str):
         raise ValueError(f"{name} range must be finite")
     if count == 1:
         return [lo]
-    return list(np.linspace(lo, hi, count))
+    if not math.isfinite(hi - lo):
+        raise ValueError(f"{name} range spans more than the largest float")
+    # Python floats: numpy scalars would turn an overflow downstream into a warning
+    return np.linspace(lo, hi, count).tolist()
 
 
 def _cmd_sweep(args):
@@ -348,7 +345,7 @@ def _cmd_convergence(args):
         echo.update(beta_h=args.beta_h, samples=args.samples, seed=args.seed)
         params = SkParams(args.x, args.t, args.beta_h)
         for n in sizes:
-            m = sk_finite.sk_identity_residuals(params, n, args.samples, args.seed)
+            m = sk_finite.quenched_overlap_moments(params, n, args.samples, args.seed)
             entries.append({"n": n, "p4": m.poly_p4, "p4_std_error": m.std_errors[5],
                             "error": abs(m.poly_p4)})
         errors = [e["error"] for e in entries]

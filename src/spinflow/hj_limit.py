@@ -21,9 +21,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .plane import ConvergenceError, PlanePoint, QuadratureError
+from .plane import ConvergenceError, PlanePoint, QuadratureError, bracketed_newton
 
 LOG2 = math.log(2.0)
+
+# Newton stops once its step or bracket is below 2.5e-16 * max(1, |root|):
+# just above the unit roundoff 2^-52, so within about one float spacing
+_ROOT_TOL = 2.5e-16
 
 _BRANCHES = ("plus", "minus")
 
@@ -87,28 +91,33 @@ def _objective(y: float, x: float, t: float) -> float:
 
 def _stationary_points(x: float, t: float) -> list[float]:
     """All roots of y = x + t tanh(y), each found on a monotone bracket."""
-    from scipy.optimize import brentq
-
-    def g(y):
-        return x + t * math.tanh(y) - y
-
     hi = abs(x) + t + 1.0
     if not math.isfinite(hi):
         raise ValueError(f"|x| + t overflows the root bracket at x={x}, t={t}")
+
+    def f(y, sign=1.0):
+        th = math.tanh(y)
+        return sign * (y - (x + t * th)), sign * (1.0 - t * (1.0 - th * th))
+
+    # (bracket, orientation, Newton start) per monotone piece; the starts are
+    # the fixed-point images x + t tanh(x) and x -+ t, or the centre
     if t <= 1.0:
-        return [brentq(g, -hi, hi, xtol=1e-15, rtol=8.9e-16, maxiter=200)]
-    yc = math.acosh(math.sqrt(t))
-    nodes = [-hi, -yc, yc, hi]
+        pieces = [(-hi, hi, 1.0, x + t * math.tanh(x))]
+    else:
+        yc = math.acosh(math.sqrt(t))
+        pieces = [(-hi, -yc, 1.0, x - t), (-yc, yc, -1.0, 0.0), (yc, hi, 1.0, x + t)]
     roots = []
-    for a, b in zip(nodes[:-1], nodes[1:]):
-        ga, gb = g(a), g(b)
-        if ga == 0.0:
+    for a, b, sign, start in pieces:
+        fa, fb = f(a, sign)[0], f(b, sign)[0]
+        if fa == 0.0:
             roots.append(a)
-            continue
-        if ga * gb < 0:
-            roots.append(brentq(g, a, b, xtol=1e-15, rtol=8.9e-16, maxiter=200))
-    if g(hi) == 0.0:
+        elif fa < 0.0 < fb:
+            roots.append(bracketed_newton(lambda y: f(y, sign), a, b, start, _ROOT_TOL))
+    if f(hi)[0] == 0.0:
         roots.append(hi)
+    if not roots:
+        raise ValueError(f"|x| + t is beyond double precision for the root bracket"
+                         f" at x={x}, t={t}")
     # Deduplicate bracket-endpoint coincidences.
     out: list[float] = []
     for r in roots:
@@ -230,7 +239,8 @@ def self_consistent_magnetization(p: PlanePoint, side: str | None = None) -> flo
     branch continuous with sign(-x) is selected off the shock line, while
     exactly on it (x = 0, t > 1) the tie must be broken explicitly with
     side="plus" (u = -m*, the x -> 0+ limit) or side="minus" (u = +m*).
-    Solved by safeguarded Newton iteration with bisection fallback.
+    Each branch is a bracketed Newton solve on a piece where u + tanh(x - u t)
+    is monotone.
     """
     if side is not None and side not in _BRANCHES:
         raise ValueError(f"side must be one of {_BRANCHES}, got {side!r}")
@@ -240,11 +250,9 @@ def self_consistent_magnetization(p: PlanePoint, side: str | None = None) -> flo
     if x == 0.0 and t <= 1.0:
         return 0.0
 
-    def f(u):
-        return u + math.tanh(x - u * t)
-
-    def fprime(u):
-        return 1.0 - t / math.cosh(x - u * t) ** 2
+    def f(u, sign=1.0):
+        th = math.tanh(x - u * t)
+        return sign * (u + th), sign * (1.0 - t * (1.0 - th * th))
 
     # Split (-1, 1) at the points where f' changes sign, so each piece is monotone.
     cuts = [-1.0, 1.0]
@@ -254,10 +262,14 @@ def self_consistent_magnetization(p: PlanePoint, side: str | None = None) -> flo
             if -1.0 < c < 1.0:
                 cuts.append(c)
     cuts = sorted(cuts)
-    brackets = [(a, b) for a, b in zip(cuts[:-1], cuts[1:]) if f(a) * f(b) < 0.0]
-    roots = [_safeguarded_newton(f, fprime, a, b) for a, b in brackets]
+    roots = []
+    for a, b in zip(cuts[:-1], cuts[1:]):
+        fa, fb = f(a)[0], f(b)[0]
+        if fa * fb < 0.0:
+            sign = 1.0 if fa < 0.0 else -1.0
+            roots.append(bracketed_newton(lambda u: f(u, sign), a, b, 0.5 * (a + b), _ROOT_TOL))
     for c in cuts[1:-1]:
-        if f(c) == 0.0:
+        if f(c)[0] == 0.0:
             roots.append(c)
     if not roots:
         raise ConvergenceError(f"no self-consistent velocity found at x={x}, t={t}")
@@ -270,48 +282,24 @@ def self_consistent_magnetization(p: PlanePoint, side: str | None = None) -> flo
     return roots[0] if x > 0 else roots[-1]
 
 
-def _safeguarded_newton(f, fprime, a: float, b: float) -> float:
-    fa = f(a)
-    u = 0.5 * (a + b)
-    for _ in range(200):
-        fu = f(u)
-        if fu == 0.0 or b - a < 4e-16:
-            return u
-        if (fu > 0) == (fa > 0):
-            a, fa = u, fu
-        else:
-            b = u
-        d = fprime(u)
-        if d != 0.0:
-            step = fu / d
-            u_new = u - step
-            if a < u_new < b:
-                if abs(step) < 1e-16 * (1.0 + abs(u)):
-                    return u_new
-                u = u_new
-                continue
-        u = 0.5 * (a + b)
-    return u
-
-
 def spontaneous_magnetization(t: float) -> float:
     """Positive root m* of m = tanh(t m) for t > 1.
 
-    Bracketed with the small-supercriticality seed m**2 ~ 3(t-1)/t**3 so
-    the root finder cannot collapse onto the trivial root at m = 0.
+    Newton starts from the small-supercriticality seed m**2 ~ 3(t-1)/t**3,
+    on a bracket from half the seed that keeps it off the trivial root m = 0.
     """
     if not math.isfinite(t) or t <= 1.0:
         raise ValueError(f"spontaneous magnetization needs t > 1, got {t}")
-    from scipy.optimize import brentq
-
     # past t = 1e100, t**3 would overflow; there the seed is sqrt(3) / t to double precision
     seed = math.sqrt(3.0 * (t - 1.0) / t**3) if t < 1e100 else math.sqrt(3.0) / t
-    lo = 0.5 * min(seed, 1.0)
 
-    def g(m):
-        return math.tanh(t * m) - m
+    def f(m):
+        th = math.tanh(t * m)
+        return m - th, 1.0 - t * (1.0 - th * th)
 
-    return brentq(g, lo, 1.0, xtol=1e-16, rtol=8.9e-16, maxiter=200)
+    # m = 1 is the root to double precision once tanh(t) rounds to 1; the
+    # bracket reaches past it so that a Newton step can land there
+    return bracketed_newton(f, 0.5 * min(seed, 1.0), 2.0, seed, _ROOT_TOL)
 
 
 def shock_jump(t: float) -> tuple[float, float]:

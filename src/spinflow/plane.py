@@ -1,4 +1,4 @@
-"""Shared parameter types and error classes for the interaction half-plane.
+"""Shared parameter types, error classes and the scalar root finder.
 
 Every solver in this package works on the half-plane whose coordinates are
 a one-body field strength ``x`` (space-like) and a two-body interaction
@@ -10,6 +10,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+# the slowest root in use, a near-triple one at t = 1, takes under 50
+_NEWTON_MAX_ITER = 100
 
 
 class ConvergenceError(RuntimeError):
@@ -26,6 +29,38 @@ class QuadratureError(RuntimeError):
     def __init__(self, message: str, error_estimate: float | None = None):
         super().__init__(message)
         self.error_estimate = error_estimate
+
+
+def bracketed_newton(f, lo: float, hi: float, x0: float, tol: float,
+                     residual_tol: float = math.inf) -> float:
+    """Root of f on [lo, hi] by Newton steps kept inside a shrinking bracket.
+
+    ``f(x)`` returns (value, slope), oriented by the caller so that
+    f(lo) < 0 < f(hi); the sign of each iterate replaces one end of the
+    bracket.  A step that would leave the open bracket, or a slope that is
+    not positive, bisects instead.  Stops at an exact zero, or once |f| <
+    ``residual_tol`` and the step or the bracket is below tol * max(1, |x|)
+    (tol must exceed the float spacing), returning the current iterate.
+    Raises ConvergenceError with the last |f| after 100 iterations.
+    """
+    x = x0
+    for _ in range(_NEWTON_MAX_ITER):
+        value, slope = f(x)
+        if value == 0.0:
+            return x
+        if value < 0.0:
+            lo = x
+        else:
+            hi = x
+        step = -value / slope if slope > 0.0 else math.inf
+        scale = tol * max(1.0, abs(x))
+        if abs(value) < residual_tol and (abs(step) < scale or hi - lo < scale):
+            return x
+        # halves taken apart, so that the midpoint of two huge ends cannot overflow
+        x = x + step if lo < x + step < hi else 0.5 * lo + 0.5 * hi
+    raise ConvergenceError(
+        f"bracketed Newton did not converge in {_NEWTON_MAX_ITER} iterations on [{lo}, {hi}]",
+        residual=abs(value))
 
 
 @dataclass(frozen=True)

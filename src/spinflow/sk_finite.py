@@ -177,14 +177,6 @@ class GibbsCorrelators:
         return float(self.correlators[mask])
 
 
-def gibbs_correlators(sample: DisorderSample, params: SkParams,
-                      n: int | None = None) -> GibbsCorrelators:
-    """Build the exact correlator oracle for one sample; n <= 14 guarded."""
-    if n is not None and n != sample.n:
-        raise ValueError(f"requested n={n} but sample carries n={sample.n}")
-    return GibbsCorrelators(sample, params)
-
-
 def _sample_statistics(params: SkParams, n: int, seed: int, indices) -> np.ndarray:
     """Replica-factorized overlap statistics, one row per disorder sample.
 
@@ -263,22 +255,27 @@ def _jackknife(loo_values: np.ndarray) -> float:
 
 
 def quenched_overlap_moments(params: SkParams, n: int, n_samples: int,
-                             seed: int, n_jobs: int = 1) -> OverlapMoments:
-    """Average the per-sample overlap statistics over quenched disorder.
+                             seed: int) -> OverlapMoments:
+    """Overlap moments and identity polynomials averaged over quenched disorder.
 
     Each sample is keyed by (seed, index) and enumerated by the
     Walsh-Hadamard engine in O(n 2^n); samples go through in blocks of
     max(1, 2^13 >> n).  A sample's statistics depend on its key alone,
     not on the block it falls in or on n_samples, so every output bit is
-    fixed by (params, n, n_samples, seed).  n_jobs is accepted for
-    compatibility and must be >= 1, but it has no effect: the engine
-    runs in the calling thread.
+    fixed by (params, n, n_samples, seed).
+
+    The identity polynomials are the conservation-law and gauge
+    residuals: p1 and p2 are the momentum and energy streaming
+    relations, p3 their combination with the squared first moment, and
+    p4 the bare quartic combination whose decay holds only with no
+    external field.  All are disorder averages of thermal polynomials in
+    the replica overlaps and are expected to shrink like 1/n in the
+    high-temperature phase; v_n is half the full overlap variance, the
+    potential term whose vanishing defines the replica-symmetric regime.
     """
     _check_site_count(n)
     if not isinstance(n_samples, (int, np.integer)) or n_samples < 2:
         raise ValueError(f"need at least 2 disorder samples, got {n_samples}")
-    if n_jobs < 1:
-        raise ValueError(f"n_jobs must be >= 1, got {n_jobs}")
 
     block = max(1, _BLOCK_ENTRIES >> n)
     table = np.empty((n_samples, 5))
@@ -312,22 +309,3 @@ def quenched_overlap_moments(params: SkParams, n: int, n_samples: int,
         std_errors=(float(sem[0]), float(sem[1]), float(p1_se),
                     float(p2_se), float(p3_se), float(sem[4])),
         v_n=float(v_n), v_n_std_error=float(v_n_se))
-
-
-def sk_identity_residuals(params: SkParams, n: int, n_samples: int,
-                          seed: int, n_jobs: int = 1) -> OverlapMoments:
-    """Conservation-law and gauge polynomial residuals at finite size.
-
-    p1 and p2 are the momentum and energy streaming relations, p3 their
-    combination with the squared first moment, and p4 the bare quartic
-    combination whose decay holds only with no external field.  All are
-    disorder averages of thermal polynomials in the replica overlaps
-    and are expected to shrink like 1/n in the high-temperature phase;
-    v_n is half the full overlap variance, the potential term whose
-    vanishing defines the replica-symmetric regime.
-
-    Identical to quenched_overlap_moments; this entry point exists so
-    callers asking for the identity report do not need to know the
-    moments carry it.
-    """
-    return quenched_overlap_moments(params, n, n_samples, seed, n_jobs=n_jobs)

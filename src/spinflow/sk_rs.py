@@ -28,11 +28,11 @@ margin vanishes where the map stops being a contraction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .plane import ConvergenceError, SkParams
+from .plane import ConvergenceError, SkParams, bracketed_newton
 
 LOG2 = math.log(2.0)
 
@@ -41,7 +41,6 @@ _GH_NODES, _GH_WEIGHTS = np.polynomial.hermite.hermgauss(_GH_ORDER)
 _GH_NORM = 1.0 / math.sqrt(math.pi)
 
 _FIXED_POINT_TOL = 1e-12
-_NEWTON_MAX_ITER = 100
 
 
 def _log_cosh(s):
@@ -151,9 +150,10 @@ def solve_qbar(params: SkParams) -> float:
     There a residual below 1e-12 does not yet bound the error in q, so
     the iteration stops only once the Newton step is below 2.5e-13 as
     well.  The returned value satisfies |q - map(q)| < 1e-12, measured with
-    ``gaussian_expectation("tanh_sq", ...)``; otherwise ConvergenceError
-    is raised with that residual.  OverflowError is raised when the
-    variance x + t q can overflow on the bracket.
+    ``gaussian_expectation("tanh_sq", ...)``; otherwise, or when the
+    Newton budget runs out, ConvergenceError is raised with the residual.
+    OverflowError is raised when the variance x + t q can overflow on the
+    bracket.
     """
     # the root is 1 to double precision wherever x + t overflows, so v = x + t q_bar would too
     if not math.isfinite(float(params.x) + float(params.t)):
@@ -166,25 +166,23 @@ def solve_qbar(params: SkParams) -> float:
         lo, q = 1e-30, 1.0
     else:
         lo, q = 0.0, _map_and_slope(params, 0.0)[0]
-    hi = 1.0
-    for _ in range(_NEWTON_MAX_ITER):
+
+    def excess(q):
+        # q - map(q): negative below the root, positive above it
         mapped, slope = _map_and_slope(params, q)
-        r = mapped - q
-        # a flat residual sends the step off the bracket, hence to bisection
-        step = r / (1.0 - slope) if slope != 1.0 else math.inf
-        # near t = 1 the slope nears 1, where a small residual alone can sit
-        # far from the root; the step bounds the distance to it
-        if abs(r) < 0.25 * _FIXED_POINT_TOL and abs(step) < 0.25 * _FIXED_POINT_TOL:
-            break
-        if r > 0.0:
-            lo = q
-        else:
-            hi = q
-        q = q + step if lo < q + step < hi else 0.5 * (lo + hi)
+        return q - mapped, 1.0 - slope
+
+    # near t = 1 the slope nears 1, where a small residual alone can sit
+    # far from the root; the Newton step bounds the distance to it
+    stop = 0.25 * _FIXED_POINT_TOL
+    failure = f"overlap fixed point did not reach {_FIXED_POINT_TOL} at {params}"
+    try:
+        q = bracketed_newton(excess, lo, 1.0, q, stop, residual_tol=stop)
+    except ConvergenceError as err:
+        raise ConvergenceError(failure, residual=err.residual) from None
     residual = abs(gaussian_expectation("tanh_sq", params.beta_h, params.x + params.t * q) - q)
     if residual >= _FIXED_POINT_TOL:
-        raise ConvergenceError(
-            f"overlap fixed point did not reach {_FIXED_POINT_TOL} at {params}", residual=residual)
+        raise ConvergenceError(failure, residual=residual)
     return q
 
 
@@ -210,11 +208,14 @@ def caustic_root(beta_h: float, x: float = 0.0, t_lo: float = 1e-6, t_hi: float 
                  tol: float = 1e-9) -> float:
     """Locate a zero of the caustic margin along the t axis.
 
-    Scans a coarse grid for a sign change and bisects it if one exists.
-    Because the margin can touch zero without crossing (it does at
-    beta_h = 0, x = 0), a tangential zero is located instead by
-    golden-section minimization; if the minimum value stays above ``tol``
-    there is no zero in the bracket and ConvergenceError is raised.
+    The margin (1 - map'(qbar)) / 3 never goes negative: by the
+    Latala-Guerra lemma (Talagrand, Spin Glasses: A Challenge for
+    Mathematicians, 2003), E_g tanh^2(beta_h + g sqrt(w)) / w strictly
+    decreases in w, so map' < 1 wherever qbar > 0.  A zero can only be
+    tangential, as at beta_h = 0, x = 0, t = 1, so it is located as the
+    golden-section minimum of the margin over [t_lo, t_hi]; if that
+    minimum stays above ``tol`` there is no zero in the bracket and
+    ConvergenceError is raised with the minimum as residual.
     """
     if t_lo <= 0 or t_hi <= t_lo:
         raise ValueError(f"need 0 < t_lo < t_hi, got t_lo={t_lo}, t_hi={t_hi}")
@@ -222,40 +223,12 @@ def caustic_root(beta_h: float, x: float = 0.0, t_lo: float = 1e-6, t_hi: float 
     def margin(t):
         return caustic_margin(SkParams(x=x, t=t, beta_h=beta_h))
 
-    grid = np.linspace(t_lo, t_hi, 97)
-    values = np.array([margin(t) for t in grid])
-    signs = np.sign(values)
-    for i in range(grid.size - 1):
-        if signs[i] == 0.0:
-            return float(grid[i])
-        if signs[i] * signs[i + 1] < 0:
-            return _bisect_root(margin, grid[i], grid[i + 1])
-    # No sign change: hunt for a tangential zero near the grid minimum.
-    j = int(np.argmin(values))
-    a = grid[max(j - 1, 0)]
-    b = grid[min(j + 1, grid.size - 1)]
-    t_min, v_min = _golden_min(margin, a, b)
+    t_min, v_min = _golden_min(margin, t_lo, t_hi)
     if v_min > tol:
         raise ConvergenceError(
             f"caustic margin has no zero in [{t_lo}, {t_hi}] at beta_h={beta_h}, x={x};"
             f" minimum {v_min:.3e} at t={t_min:.6f}", residual=v_min)
     return t_min
-
-
-def _bisect_root(f, a: float, b: float) -> float:
-    fa = f(a)
-    for _ in range(200):
-        mid = 0.5 * (a + b)
-        if b - a < 1e-13:
-            return mid
-        fm = f(mid)
-        if fm == 0.0:
-            return mid
-        if (fm > 0) == (fa > 0):
-            a, fa = mid, fm
-        else:
-            b = mid
-    return 0.5 * (a + b)
 
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -318,15 +291,21 @@ def rs_pressure_detail(beta: float, h: float) -> tuple[float, float]:
     reconstruction phi(0, beta^2) / 2 + beta^2 / 4; the two agree
     analytically, and the returned discrepancy is the numerical gap.
     """
+    return _pressure_checks(beta, h)[:2]
+
+
+def _pressure_checks(beta: float, h: float) -> tuple[float, float, float]:
+    # closed-form pressure with the gaps of its reconstruction and envelope checks
     if not (math.isfinite(beta) and math.isfinite(h)):
         raise ValueError(f"beta and h must be finite, got beta={beta}, h={h}")
     if beta < 0:
         raise ValueError(f"inverse temperature beta must be >= 0, got {beta}")
     if beta == 0.0:
-        return LOG2, 0.0
+        return LOG2, 0.0, 0.0
     params = SkParams(x=0.0, t=beta * beta, beta_h=beta * h)
     q_bar = solve_qbar(params)
-    return _pressure_at(params, q_bar, _phi_rs_at(params, q_bar))
+    phi = _phi_rs_at(params, q_bar)
+    return (*_pressure_at(params, q_bar, phi), _envelope_gap(params, q_bar, phi))
 
 
 def _pressure_at(params: SkParams, q_bar: float, phi: float) -> tuple[float, float]:
@@ -336,17 +315,32 @@ def _pressure_at(params: SkParams, q_bar: float, phi: float) -> tuple[float, flo
     return closed, abs(0.5 * phi + 0.25 * params.t - closed)
 
 
+def _envelope_gap(params: SkParams, q_bar: float, phi: float) -> float:
+    # |d_x phi_rs + qbar| at fixed qbar, by a second-order forward difference
+    # (x - dx leaves the domain where qbar = 0); the difference floor is about 1e-8
+    dx = 1e-5 * (1.0 + params.x + params.t * q_bar)
+    f1, f2 = (_phi_rs_at(replace(params, x=params.x + k * dx), q_bar) for k in (1, 2))
+    return abs((4.0 * f1 - 3.0 * phi - f2) / (2.0 * dx) + q_bar)
+
+
 def rs_pressure(beta: float, h: float) -> float:
     """Replica-symmetric pressure at inverse temperature beta and field h.
 
-    Verifies the half-action reconstruction to 1e-10 as a self-check and
-    raises ConvergenceError if the two routes disagree.
+    Raises ConvergenceError unless the half-action reconstruction holds to
+    1e-10 and the envelope identity d_x phi_rs = -qbar to 1e-6.  The first
+    shares E_g log cosh between its routes; the second ties it to the
+    overlap map, and fails from about beta = 4 on, where the Gauss-Hermite
+    sums lose accuracy at wide variance.
     """
-    pressure, discrepancy = rs_pressure_detail(beta, h)
+    pressure, discrepancy, envelope = _pressure_checks(beta, h)
     if discrepancy > 1e-10:
         raise ConvergenceError(
             f"pressure reconstruction mismatch {discrepancy:.3e} at beta={beta}, h={h}",
             residual=discrepancy)
+    if envelope > 1e-6:
+        raise ConvergenceError(
+            f"envelope identity d_x phi = -qbar off by {envelope:.3e} at beta={beta}, h={h}",
+            residual=envelope)
     return pressure
 
 

@@ -29,7 +29,6 @@ from spinflow import (
     rs_pressure_detail,
     self_consistent_magnetization,
     shock_jump,
-    sk_identity_residuals,
     solve_qbar,
     viscous_action,
     viscous_velocity,
@@ -187,7 +186,7 @@ def test_08_glassy_criticality_and_pressure_reconstruction():
 
 def test_09_boundary_overlap_within_monte_carlo_error():
     start = time.perf_counter()
-    moments = quenched_overlap_moments(SkParams(0.4, 0.0, 0.2), 8, 2000, seed=42, n_jobs=4)
+    moments = quenched_overlap_moments(SkParams(0.4, 0.0, 0.2), 8, 2000, seed=42)
     elapsed = time.perf_counter() - start
     target = gaussian_expectation("tanh_sq", 0.2, 0.4)
     pull = (moments.q1 - target) / moments.std_errors[0]
@@ -197,8 +196,8 @@ def test_09_boundary_overlap_within_monte_carlo_error():
 
 def test_10_identity_polynomial_shrinks_with_size():
     params = SkParams(0.0, 0.36, 0.0)
-    small = sk_identity_residuals(params, 6, 300, seed=5, n_jobs=4)
-    large = sk_identity_residuals(params, 12, 300, seed=5, n_jobs=4)
+    small = quenched_overlap_moments(params, 6, 300, seed=5)
+    large = quenched_overlap_moments(params, 12, 300, seed=5)
     combined = math.hypot(small.std_errors[5], large.std_errors[5])
     shrink_ok = abs(large.poly_p4) < abs(small.poly_p4) - 2.0 * combined
 

@@ -204,15 +204,28 @@ def loaded(argv):
         assert cli.main(argv) == 0, argv
     return sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
 
-sk = [loaded(argv) for argv in (
+# scipy-free commands first: sys.modules only grows
+free = [loaded(argv) for argv in (
     ["sk", "rs", "--x", "0.1", "--t", "1.5", "--beta-h", "0.2"],
     ["sk", "caustic", "--x", "0", "--t", "0.9", "--beta-h", "0.1"],
     ["sk", "finite", "--x", "0", "--t", "0.5", "--n", "6", "--samples", "4", "--seed", "1"],
     ["convergence", "--model", "sk-identities", "--x", "0", "--t", "0.36",
      "--n-list", "4,5,6", "--samples", "4", "--seed", "1"],
+    ["cw", "limit", "--x", "0.3", "--t", "2.0"],
+    ["cw", "limit", "--x", "0", "--t", "2.0", "--branch", "minus"],
+    ["cw", "shock", "--t", "2.0"],
+    ["cw", "critical-line", "--t", "2.0"],
+    ["sweep", "--model", "cw", "--quantity", "limit", "--x-min", "-1", "--x-max", "1",
+     "--n-x", "3", "--t-min", "0", "--t-max", "2", "--n-t", "3"],
 )]
 cw = loaded(["cw", "exact", "--x", "0.2", "--t", "0.5", "--n", "10"])
-print(json.dumps({"sk": sk, "cw": cw}))
+every = [loaded(argv) for argv in (
+    ["cw", "identities", "--x", "0.2", "--t", "0.5", "--n", "10"],
+    ["convergence", "--model", "cw-action", "--x", "0.3", "--t", "0.5", "--n-list", "10,20,40"],
+    ["convergence", "--model", "cw-velocity", "--x", "0.3", "--t", "0.5",
+     "--n-list", "10,20,40"],
+)][-1]
+print(json.dumps({"free": free, "cw": cw, "every": every}))
 """
 
 
@@ -224,9 +237,12 @@ def test_cold_start_loads_only_the_scipy_a_command_calls():
                           text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     loaded = json.loads(done.stdout)
-    assert loaded["sk"] == [[], [], [], []]
+    # every sk command, and cw limit, shock and critical-line, load no scipy at all
+    assert loaded["free"] == [[]] * 9
     assert "scipy.special" in loaded["cw"]
-    assert not any(name.startswith(("scipy.integrate", "scipy.optimize")) for name in loaded["cw"])
+    # no command loads the root finders or the quadrature of scipy
+    assert not any(name.startswith(("scipy.integrate", "scipy.optimize"))
+                   for name in loaded["every"])
 
 
 _FLOATS = st.one_of(st.floats(-3.0, 3.0), st.floats(allow_nan=False, allow_infinity=False))
@@ -261,6 +277,52 @@ def test_point_commands_end_cleanly_at_any_finite_input(argv):
     else:
         assert strict_json(out)["converged"] is (code == 0)
         assert err == ""
+
+
+# axis ends: the extremes make linspace points whose doubling overflows
+_AXIS_ENDS = st.one_of(_FLOATS, st.sampled_from([0.0, 1e308, -1e308]))
+_SWEEPS = {"cw": ["limit", "exact", "identities", "shock", "critical-line"],
+           "sk-rs": ["rs", "caustic"], "sk-finite": ["identities"]}
+
+
+@st.composite
+def sweep_commands(draw):
+    model = draw(st.sampled_from(sorted(_SWEEPS)))
+    argv = ["sweep", "--model", model, "--quantity", draw(st.sampled_from(_SWEEPS[model])),
+            "--format", "csv"]
+    for axis in ("x", "t"):
+        argv += [f"--{axis}-min={draw(_AXIS_ENDS)!r}", f"--{axis}-max={draw(_AXIS_ENDS)!r}",
+                 f"--n-{axis}={draw(st.integers(0, 3))}"]
+    argv.append(f"--beta-h={draw(_FLOATS)!r}")
+    # small sizes keep the sector sums and the 2^n enumeration cheap
+    for flag, values in (("n", st.integers(-1, 8)), ("samples", st.integers(-1, 4)),
+                         ("seed", st.integers(-1, 3))):
+        if draw(st.booleans()):
+            argv.append(f"--{flag}={draw(values)}")
+    return argv
+
+
+@given(argv=sweep_commands())
+@settings(max_examples=200, deadline=None)
+def test_sweeps_end_cleanly_at_any_finite_input(argv):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run_cli(argv)
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)], argv
+    assert code in (0, 2, 3), argv
+    if code == 2:
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+        return
+    assert err == ""
+    header, rows = parse_csv(out)
+    assert header[-1] == "converged" and rows
+    assert all(line.count(",") == len(header) - 1 for line in out.splitlines())
+    for row in rows:
+        assert row["converged"] in ("true", "false")
+        for column in header[:-1]:
+            if column != "on_shock":
+                float(row[column])
+    assert (code == 0) is all(row["converged"] == "true" for row in rows)
 
 
 def test_sweep_rows_are_t_major_and_csv_is_17g(tmp_path):

@@ -1,0 +1,50 @@
+"""The shared bracketed Newton root finder."""
+
+import math
+
+import pytest
+
+from spinflow.plane import ConvergenceError, bracketed_newton
+
+
+def test_converges_from_both_orientations():
+    # cos is decreasing through its root on [0, 3]; the caller flips its sign
+    rising = bracketed_newton(lambda x: (x * x - 2.0, 2.0 * x), 0.0, 2.0, 1.9, 1e-15)
+    falling = bracketed_newton(lambda x: (-math.cos(x), math.sin(x)), 0.0, 3.0, 0.5, 1e-15)
+    assert rising == pytest.approx(math.sqrt(2.0), abs=4e-16)
+    assert falling == pytest.approx(math.pi / 2.0, abs=4e-16)
+
+
+def test_bisects_when_a_newton_step_would_leave_the_bracket():
+    steps = []
+
+    def f(x):
+        steps.append(x)
+        return math.atan(x - 0.3), 1.0 / (1.0 + (x - 0.3) ** 2)
+
+    # from x = 5 the Newton step for atan lands far below the bracket
+    root = bracketed_newton(f, -1.0, 6.0, 5.0, 1e-15)
+    assert root == pytest.approx(0.3, abs=1e-15)
+    assert steps[1] == 0.5 * (-1.0) + 0.5 * 5.0
+
+
+def test_a_slope_of_the_wrong_sign_bisects_instead_of_stopping():
+    # m = tanh(t m) at t = 1e50 from a seed near 0: the slope there is about
+    # -1e49, so the Newton step is tiny but points away from the root at 1
+    t = 1e50
+
+    def f(m):
+        th = math.tanh(t * m)
+        return m - th, 1.0 - t * (1.0 - th * th)
+
+    assert bracketed_newton(f, 1e-50, 2.0, 1.7e-50, 2.5e-16) == 1.0
+
+
+def test_raises_with_the_residual_when_it_cannot_converge():
+    # a sign change with no zero: bisection pins the jump, the residual stays 1
+    def jump(x):
+        return (1.0 if x > 1.0 / 3.0 else -1.0), 1.0
+
+    with pytest.raises(ConvergenceError) as excinfo:
+        bracketed_newton(jump, 0.0, 1.0, 0.5, 0.0)
+    assert excinfo.value.residual == 1.0

@@ -11,11 +11,11 @@ from spinflow import (
     DisorderSample,
     draw_disorder,
     gaussian_expectation,
-    gibbs_correlators,
+    GibbsCorrelators,
     quenched_overlap_moments,
-    sk_identity_residuals,
     solve_qbar,
 )
+from spinflow import sk_finite
 from spinflow.sk_finite import _sample_statistics
 
 
@@ -59,7 +59,7 @@ def test_disorder_stream_validation():
 def test_free_spins_have_one_body_correlators():
     params = SkParams(0.0, 0.0, 0.4)
     sample = draw_disorder(1, 0, 5)
-    omega = gibbs_correlators(sample, params)
+    omega = GibbsCorrelators(sample, params)
     for i in range(5):
         assert omega((i,)) == pytest.approx(math.tanh(0.4), abs=1e-14)
 
@@ -67,7 +67,7 @@ def test_free_spins_have_one_body_correlators():
 def test_cavity_fields_factorize_per_site_at_zero_coupling():
     params = SkParams(0.9, 0.0, 0.2)
     sample = draw_disorder(3, 1, 6)
-    omega = gibbs_correlators(sample, params)
+    omega = GibbsCorrelators(sample, params)
     for i in range(6):
         expected = math.tanh(0.2 + math.sqrt(0.9) * sample.site_fields[i])
         assert omega((i,)) == pytest.approx(expected, abs=1e-14)
@@ -77,7 +77,7 @@ def test_correlators_match_a_hand_rolled_enumeration():
     params = SkParams(0.3, 0.8, 0.15)
     sample = draw_disorder(11, 2, 4)
     configs, prob = sample_hamiltonian_weights(sample, params)
-    omega = gibbs_correlators(sample, params)
+    omega = GibbsCorrelators(sample, params)
     for sites in [(0,), (2,), (0, 1), (1, 3), (0, 1, 2), (0, 1, 2, 3), (1, 1), (2, 2, 3)]:
         direct = float(np.dot(prob, np.prod(configs[:, sites], axis=1)))
         assert omega(sites) == pytest.approx(direct, abs=1e-14)
@@ -86,9 +86,6 @@ def test_correlators_match_a_hand_rolled_enumeration():
 
 
 def test_cost_guard_and_parameter_checks():
-    sample = draw_disorder(0, 0, 4)
-    with pytest.raises(ValueError):
-        gibbs_correlators(sample, SkParams(0.1, 0.1), n=5)
     with pytest.raises(ValueError):
         quenched_overlap_moments(SkParams(0.1, 0.1), 15, 10, seed=0)
     with pytest.raises(ValueError):
@@ -99,7 +96,7 @@ def test_gauge_symmetry_kills_odd_correlators():
     # with no external field the weight is even under a global spin flip
     params = SkParams(0.0, 0.7, 0.0)
     sample = draw_disorder(5, 0, 6)
-    omega = gibbs_correlators(sample, params)
+    omega = GibbsCorrelators(sample, params)
     for sites in [(0,), (3,), (0, 1, 2), (1, 4, 5)]:
         assert abs(omega(sites)) < 1e-12
 
@@ -222,18 +219,21 @@ def test_every_low_order_correlator_matches_the_enumeration():
     params = SkParams(0.3, 0.8, 0.15)
     sample = draw_disorder(11, 4, 5)
     configs, prob = sample_hamiltonian_weights(sample, params)
-    omega = gibbs_correlators(sample, params)
+    omega = GibbsCorrelators(sample, params)
     for size in range(5):
         for sites in itertools.combinations(range(5), size):
             direct = float(np.dot(prob, np.prod(configs[:, list(sites)], axis=1)))
             assert omega(sites) == pytest.approx(direct, abs=1e-14)
 
 
-def test_thread_count_does_not_change_results():
+def test_block_size_does_not_change_results(monkeypatch):
     params = SkParams(0.05, 1.1, 0.0)
-    serial = sk_identity_residuals(params, 7, 24, seed=4, n_jobs=1)
-    threaded = sk_identity_residuals(params, 7, 24, seed=4, n_jobs=4)
-    assert serial == threaded
+    # 2^13 >> 7 = 64 samples per block runs all 24 in one block
+    one_block = quenched_overlap_moments(params, 7, 24, seed=4)
+    # 2^9 >> 7 = 4 per block; 2^6 >> 7 = 0 falls back to one per block
+    for entries in (1 << 9, 1 << 6):
+        monkeypatch.setattr(sk_finite, "_BLOCK_ENTRIES", entries)
+        assert quenched_overlap_moments(params, 7, 24, seed=4) == one_block
 
 
 def test_boundary_overlap_matches_the_cavity_expectation():
@@ -255,7 +255,7 @@ def test_overlap_agrees_with_rs_solver_at_high_temperature():
 
 def test_identity_polynomials_fit_under_a_decay_envelope():
     params = SkParams(0.1, 0.25, 0.3)
-    results = {n: sk_identity_residuals(params, n, 400, seed=9, n_jobs=4)
+    results = {n: quenched_overlap_moments(params, n, 400, seed=9)
                for n in (4, 6, 8)}
     for value_of, se_index in ((lambda m: m.poly_p1, 2), (lambda m: m.poly_p2, 3)):
         scale = max(n * abs(value_of(results[n])) for n in results)

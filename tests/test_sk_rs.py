@@ -217,6 +217,23 @@ def test_pressure_reconstruction_identity():
         assert 0.5 * sol.phi_rs + beta * beta / 4.0 == pytest.approx(closed, abs=1e-10)
 
 
+def test_pressure_envelope_check_catches_a_wrong_log_cosh(monkeypatch):
+    # the reconstruction's two routes share one E log cosh, so scaling it leaves
+    # their gap at zero; the envelope identity d_x phi = -qbar ties it to the map
+    log_cosh = sk_rs._INTEGRANDS["log_cosh"]
+    monkeypatch.setitem(sk_rs._INTEGRANDS, "log_cosh", lambda s: 1.001 * log_cosh(s))
+    assert rs_pressure_detail(1.5, 0.1)[1] < 1e-10
+    with pytest.raises(ConvergenceError, match="envelope") as excinfo:
+        rs_pressure(1.5, 0.1)
+    assert excinfo.value.residual > 1e-4
+
+
+def test_pressure_refuses_where_the_node_sums_lose_the_envelope():
+    # at beta = 5 the 240-node sums put qbar about 2e-4 off; the envelope gap shows it
+    with pytest.raises(ConvergenceError, match="envelope"):
+        rs_pressure(5.0, 0.0)
+
+
 def test_pressure_frozen_value_and_high_temperature_form():
     assert rs_pressure(1.5, 0.1) == pytest.approx(1.246056068963174, rel=1e-9)
     # with no field and beta <= 1 the overlap vanishes and the pressure
