@@ -66,13 +66,19 @@ def _sector_log_weights(x: float, t: float, n: int):
     return m, log_binom + n * (0.5 * t * m * m + x * m)
 
 
-def log_partition(p: PlanePoint, n: int) -> float:
-    """Log-partition per spin, (1/N) log Z(x, t), via a stable log-sum-exp."""
-    from scipy.special import logsumexp
+def _shifted_weights(x: float, t: float, n: int):
+    # sector weights divided by the largest one: (m, w, sum of w, log of the divisor)
+    m, logw = _sector_log_weights(x, t, n)
+    shift = logw.max()
+    w = np.exp(logw - shift)
+    return m, w, w.sum(), shift
 
+
+def log_partition(p: PlanePoint, n: int) -> float:
+    """Log-partition per spin, (1/N) log Z(x, t), from the max-shifted sector sum."""
     _check_n(n)
-    _, logw = _sector_log_weights(p.x, p.t, n)
-    return float(logsumexp(logw)) / n
+    _, _, z, shift = _shifted_weights(p.x, p.t, n)
+    return float(shift + math.log(z)) / n
 
 
 def exact_fields(p: PlanePoint, n: int, k_max: int = 4) -> ExactCwFields:
@@ -86,10 +92,7 @@ def exact_fields(p: PlanePoint, n: int, k_max: int = 4) -> ExactCwFields:
     _check_n(n)
     if k_max < 4:
         raise ValueError(f"k_max must be >= 4 so conservation residuals are computable, got {k_max}")
-    m, logw = _sector_log_weights(p.x, p.t, n)
-    shift = logw.max()
-    w = np.exp(logw - shift)
-    z = w.sum()
+    m, w, z, shift = _shifted_weights(p.x, p.t, n)
 
     lo = np.arange((n + 1) // 2)
     w_lo = w[lo]

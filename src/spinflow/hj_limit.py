@@ -130,9 +130,13 @@ def lax_action(p: PlanePoint, branch: str | None = None) -> LaxSolution:
     """Lax-Oleinik solution: minimize the variational objective over y.
 
     Off the shock line the global minimizer is unique and ``branch`` is
-    ignored.  Exactly on the shock line (x = 0, t > 1) the two symmetric
-    minimizers tie and a branch must be requested explicitly: "plus" is
-    the x -> 0+ limit (y_star > 0, u = -m*), "minus" the mirror image.
+    ignored.  Since the objective g obeys g(y) - g(-y) = -2xy/t, it is the
+    outer stationary point on the side of x (a middle root lies on the
+    other side), so no objective values are compared: near x = 0 they tie
+    to rounding.  Exactly on the shock line (x = 0, t > 1) the two
+    symmetric minimizers tie and a branch must be requested explicitly:
+    "plus" is the x -> 0+ limit (y_star > 0, u = -m*), "minus" the mirror
+    image.
     """
     if branch is not None and branch not in _BRANCHES:
         raise ValueError(f"branch must be one of {_BRANCHES}, got {branch!r}")
@@ -152,9 +156,9 @@ def lax_action(p: PlanePoint, branch: str | None = None) -> LaxSolution:
         return LaxSolution(y_star=y, phi=_objective(y, 0.0, t), u=-y / t,
                            on_shock=True, branch=branch)
     roots = _stationary_points(x, t)
-    values = [_objective(y, x, t) for y in roots]
-    y_star = roots[int(np.argmin(values))]
-    return LaxSolution(y_star=y_star, phi=min(values), u=(x - y_star) / t,
+    # g(y) - g(-y) = -2xy/t: the minimizer is the outer root on the side of x
+    y_star = roots[-1] if x > 0.0 else roots[0]
+    return LaxSolution(y_star=y_star, phi=_objective(y_star, x, t), u=(x - y_star) / t,
                        on_shock=False, branch="unique")
 
 
@@ -268,7 +272,8 @@ def self_consistent_magnetization(p: PlanePoint, side: str | None = None) -> flo
         if fa * fb < 0.0:
             sign = 1.0 if fa < 0.0 else -1.0
             roots.append(bracketed_newton(lambda u: f(u, sign), a, b, 0.5 * (a + b), _ROOT_TOL))
-    for c in cuts[1:-1]:
+    # the end cuts too: u = -1 or u = 1 is the root once tanh rounds to -+1
+    for c in cuts:
         if f(c)[0] == 0.0:
             roots.append(c)
     if not roots:

@@ -401,6 +401,86 @@ def test_sweep_json_format_round_trips():
         assert row["q_bar"] == sol.q_bar
 
 
+# point subcommand, its sweep (model, quantity), a good input and the
+# overrides that make it fail
+_QUANTITIES = [
+    ("cw exact", "cw", "exact", {"x": 0.2, "t": 0.5, "n": 10}, {"t": 1e308}),
+    ("cw limit", "cw", "limit", {"x": 0.3, "t": 1.5}, {"t": 1e308}),
+    ("cw identities", "cw", "identities", {"x": 0.2, "t": 0.5, "n": 10}, {"t": 1e308}),
+    ("cw shock", "cw", "shock", {"t": 1.5}, {"t": 0.5}),
+    ("cw critical-line", "cw", "critical-line", {"t": 1.5}, {"t": 0.5}),
+    ("sk rs", "sk-rs", "rs", {"x": 0.3, "t": 1.2, "beta_h": 0.2},
+     {"x": 1e308, "t": 1e308, "beta_h": 1e308}),
+    ("sk caustic", "sk-rs", "caustic", {"x": 0.3, "t": 1.2, "beta_h": 0.2},
+     {"x": 1e308, "t": 1e308, "beta_h": 1e308}),
+    ("sk finite", "sk-finite", "identities",
+     {"x": 0.1, "t": 0.5, "beta_h": 0.2, "n": 5, "samples": 4, "seed": 3}, {"samples": 1}),
+]
+_OVERLAP = ("q1", "q2", "p1", "p2", "p3", "p4")
+# sweep column -> the point input it echoes
+_ECHOED = {"t": "t", "x": "x", "beta_h": "beta_h", "n": "n", "n_samples": "samples",
+           "seed": "seed"}
+
+
+def point_argv(command, inputs):
+    return command.split() + [f"--{k.replace('_', '-')}={v!r}" for k, v in inputs.items()]
+
+
+def sweep_argv(model, quantity, inputs):
+    argv = ["sweep", "--model", model, "--quantity", quantity, "--format", "json"]
+    for key, value in inputs.items():
+        if key in ("x", "t"):
+            argv += [f"--{key}-min={value!r}", f"--{key}-max={value!r}", f"--n-{key}=1"]
+        else:
+            argv.append(f"--{key.replace('_', '-')}={value!r}")
+    return argv
+
+
+def point_field(record, column):
+    """The field of a point record that a sweep column carries."""
+    if column in _ECHOED:
+        return record["input"][_ECHOED[column]]
+    if column.endswith("_std_error") and column[:2] in _OVERLAP:
+        return record["std_errors"][_OVERLAP.index(column[:2])]
+    return record[column] if column in record else record[f"poly_{column}"]
+
+
+@pytest.mark.parametrize("command, model, quantity, inputs, failing", _QUANTITIES)
+def test_point_record_agrees_with_its_sweep_row(command, model, quantity, inputs, failing):
+    code, out, _ = run_cli(point_argv(command, inputs))
+    assert code == 0
+    record = json.loads(out)
+    code, out, _ = run_cli(sweep_argv(model, quantity, inputs))
+    assert code == 0
+    (row,) = json.loads(out)
+    assert row["converged"] is True
+    for column, value in row.items():
+        assert value == point_field(record, column), column
+
+
+@pytest.mark.parametrize("command, model, quantity, inputs, failing", _QUANTITIES)
+def test_failing_point_fails_alike_in_its_sweep(command, model, quantity, inputs, failing):
+    inputs = {**inputs, **failing}
+    code, out, err = run_cli(point_argv(command, inputs))
+    if code == 3:
+        # the partial record keeps its input echo and carries no result field
+        record = json.loads(out)
+        assert set(record) == {"command", "version", "input", "converged", "error"}
+        assert record["converged"] is False
+        assert {k: record["input"][k] for k in inputs} == inputs
+    else:
+        assert (code, out) == (2, "") and err.startswith("error: ")
+    code, out, _ = run_cli(sweep_argv(model, quantity, inputs))
+    assert code == 3
+    (row,) = json.loads(out)
+    assert row["converged"] is False
+    for column, value in row.items():
+        if column in _ECHOED:
+            assert value == inputs[_ECHOED[column]], column
+        elif column != "converged":
+            assert value is None, column
+
+
 def test_convergence_report_action_rate():
     code, out, _ = run_cli(["convergence", "--model", "cw-action",
                             "--x", "0.3", "--t", "0.5", "--n-list", "50,100,200,400"])

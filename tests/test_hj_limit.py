@@ -209,3 +209,23 @@ def test_kernel_window_overflow_names_the_stage_and_the_point():
     # the stationary points' objective is finite here; the window's growing ends overflow it
     with pytest.raises(OverflowError, match=r"kernel window .* at x=0\.3, t=1e\+154, n=10"):
         viscous_action(PlanePoint(0.3, 1e154), 10)
+
+
+@pytest.mark.parametrize("x, t", [(30.0, 0.5), (-30.0, 0.5), (20.0, 0.5), (0.5, 30.0),
+                                  (-0.5, 30.0)])
+def test_saturated_velocity_is_found_at_the_end_of_the_interval(x, t):
+    # tanh(x + t) rounds to 1, so u = -1 solves u = -tanh(x - u t) exactly;
+    # at t = 30 an unstable middle root sits between the two saturated ones
+    u = self_consistent_magnetization(PlanePoint(x, t))
+    assert u == -math.copysign(1.0, x)
+    assert u == lax_action(PlanePoint(x, t)).u
+
+
+@pytest.mark.parametrize("x", [1.1e-16, -1.1e-16, 5e-324, -5e-324])
+@pytest.mark.parametrize("t", [1.05, 1.3, 1.5, 1.75, 2.0])
+def test_minimizer_sits_on_the_side_of_x_next_to_the_shock(x, t):
+    # the two outer objective values differ by 2|x| y*/t, below their rounding
+    sol = lax_action(PlanePoint(x, t))
+    assert sol.on_shock is False
+    assert sol.u == pytest.approx(-math.copysign(spontaneous_magnetization(t), x), abs=1e-12)
+    assert math.copysign(1.0, sol.y_star) == math.copysign(1.0, x)
