@@ -225,9 +225,13 @@ def _cmd_sweep(args):
     evaluator, columns = _SWEEP_TABLE[key]
     echo = {column: getattr(args, flag) for column, flag in _SWEEP_ECHO.items()}
     for column, flag in _SWEEP_ECHO.items():
-        if column in columns and echo[column] is None:
+        value = echo[column]
+        if column in columns and value is None:
             raise ValueError(
                 f"sweep {args.model}/{args.quantity} requires --{flag.replace('_', '-')}")
+        # the point query's refusal, before a row is written
+        if column in columns and isinstance(value, float) and not math.isfinite(value):
+            raise ValueError(f"{column} must be finite, got {value}")
     if args.t_min < 0:
         raise ValueError(f"t_min must be >= 0, got {args.t_min}")
     ts = _axis(args.t_min, args.t_max, args.n_t, "n_t")

@@ -50,28 +50,21 @@ def _log_cosh(s):
     return a + np.log1p(np.exp(-2.0 * np.minimum(a, 400.0))) - LOG2
 
 
-def _sech_sq(s):
-    s = np.asarray(s, dtype=np.float64)
-    out = np.zeros_like(s)
-    small = np.abs(s) < 350.0
-    out[small] = 1.0 / np.cosh(s[small]) ** 2
-    return out
-
-
 _INTEGRANDS = {
     "log_cosh": _log_cosh,
     "tanh_sq": lambda s: np.tanh(s) ** 2,
-    "sech_sq": _sech_sq,
-    "sech_4": lambda s: _sech_sq(s) ** 2,
+    "sech_sq": lambda s: 1.0 - np.tanh(s) ** 2,
+    "sech_4": lambda s: (1.0 - np.tanh(s) ** 2) ** 2,
 }
 
 
 def gaussian_expectation(kind: str, beta_h: float, v: float) -> float:
     """E_g f(beta_h + g sqrt(v)) for a standard Gaussian g.
 
-    ``kind`` selects f among log_cosh, tanh_sq, sech_sq, sech_4.  The
-    degenerate case v = 0 collapses to f(beta_h) exactly.  OverflowError
-    is raised when the log_cosh sum would overflow.
+    ``kind`` selects f among log_cosh, tanh_sq, sech_sq, sech_4; sech^2 is
+    formed as 1 - tanh^2, as in the overlap map.  The degenerate case
+    v = 0 collapses to f(beta_h) exactly.  OverflowError is raised when
+    the log_cosh sum would overflow.
     """
     try:
         f = _INTEGRANDS[kind]
@@ -140,9 +133,10 @@ def solve_qbar(params: SkParams) -> float:
     starting from the zero-coupling value E_g tanh^2(beta_h + g sqrt(x)).
     Each step uses the slope t (3 E_g sech^4 - 2 E_g sech^2) of the map,
     and falls back to bisection whenever it would leave the bracket.
-    At beta_h = 0, x = 0 the equation always admits q = 0; that root is
-    returned for t <= 1, while for t > 1 Newton descends from q = 1 on
-    the bracket [1e-30, 1], which excludes the trivial root.
+    At beta_h = 0, x = 0 the equation always admits q = 0.  For t <= 1
+    it is the root, and the start map(0) = 0 is already an exact zero of
+    the residual; for t > 1 Newton descends from q = 1 on the bracket
+    [1e-30, 1], which excludes the trivial root.
 
     Close to the critical point the slope tends to 1 and the root to 0;
     Newton from q = 1 then halves q per step until it reaches the root
@@ -159,10 +153,7 @@ def solve_qbar(params: SkParams) -> float:
     if not math.isfinite(float(params.x) + float(params.t)):
         raise OverflowError(f"overlap variance x + t q overflows at x={params.x}, t={params.t}, "
                             f"beta_h={params.beta_h}")
-    symmetric = params.beta_h == 0.0 and params.x == 0.0
-    if symmetric:
-        if params.t <= 1.0:
-            return 0.0
+    if params.beta_h == 0.0 and params.x == 0.0 and params.t > 1.0:
         lo, q = 1e-30, 1.0
     else:
         lo, q = 0.0, _map_and_slope(params, 0.0)[0]
@@ -204,29 +195,27 @@ def caustic_margin(params: SkParams) -> float:
     return _caustic_margin_at(params, solve_qbar(params))
 
 
-def caustic_root(beta_h: float, x: float = 0.0, t_lo: float = 1e-6, t_hi: float = 4.0,
-                 tol: float = 1e-9) -> float:
-    """Locate a zero of the caustic margin along the t axis.
+def caustic_root(beta_h: float) -> float:
+    """Locate a zero of the caustic margin along the t axis at x = 0.
 
     The margin (1 - map'(qbar)) / 3 never goes negative: by the
     Latala-Guerra lemma (Talagrand, Spin Glasses: A Challenge for
     Mathematicians, 2003), E_g tanh^2(beta_h + g sqrt(w)) / w strictly
     decreases in w, so map' < 1 wherever qbar > 0.  A zero can only be
     tangential, as at beta_h = 0, x = 0, t = 1, so it is located as the
-    golden-section minimum of the margin over [t_lo, t_hi]; if that
-    minimum stays above ``tol`` there is no zero in the bracket and
-    ConvergenceError is raised with the minimum as residual.
+    golden-section minimum of the margin over [1e-6, 4]; if that minimum
+    stays above 1e-9 there is no zero in the bracket and ConvergenceError
+    is raised with the minimum as residual.
     """
-    if t_lo <= 0 or t_hi <= t_lo:
-        raise ValueError(f"need 0 < t_lo < t_hi, got t_lo={t_lo}, t_hi={t_hi}")
+    t_lo, t_hi = 1e-6, 4.0
 
     def margin(t):
-        return caustic_margin(SkParams(x=x, t=t, beta_h=beta_h))
+        return caustic_margin(SkParams(x=0.0, t=t, beta_h=beta_h))
 
     t_min, v_min = _golden_min(margin, t_lo, t_hi)
-    if v_min > tol:
+    if v_min > 1e-9:
         raise ConvergenceError(
-            f"caustic margin has no zero in [{t_lo}, {t_hi}] at beta_h={beta_h}, x={x};"
+            f"caustic margin has no zero in [{t_lo}, {t_hi}] at beta_h={beta_h}, x=0.0;"
             f" minimum {v_min:.3e} at t={t_min:.6f}", residual=v_min)
     return t_min
 
@@ -271,13 +260,7 @@ def rs_action(params: SkParams) -> RsSolution:
     """
     q_bar = solve_qbar(params)
     phi = _phi_rs_at(params, q_bar)
-    pressure = None
-    if params.x == 0.0:
-        if params.t > 0.0:
-            pressure, _ = _pressure_at(params, q_bar, phi)
-        else:
-            # zero-coupling limit of the reconstruction, beta -> 0 at fixed beta*h
-            pressure = 0.5 * phi
+    pressure = _pressure_at(params, q_bar, phi)[0] if params.x == 0.0 else None
     return RsSolution(q_bar=q_bar, phi_rs=phi, pressure=pressure,
                       caustic_margin=_caustic_margin_at(params, q_bar),
                       y_star=params.x + params.t * q_bar)
@@ -300,8 +283,6 @@ def _pressure_checks(beta: float, h: float) -> tuple[float, float, float]:
         raise ValueError(f"beta and h must be finite, got beta={beta}, h={h}")
     if beta < 0:
         raise ValueError(f"inverse temperature beta must be >= 0, got {beta}")
-    if beta == 0.0:
-        return LOG2, 0.0, 0.0
     params = SkParams(x=0.0, t=beta * beta, beta_h=beta * h)
     q_bar = solve_qbar(params)
     phi = _phi_rs_at(params, q_bar)

@@ -352,6 +352,20 @@ def test_sweep_rows_are_t_major_and_csv_is_17g(tmp_path):
     assert out_path.read_text() == out
 
 
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("beta_h", ["inf", "-inf", "nan"])
+@pytest.mark.parametrize("model, quantity", [("sk-rs", "rs"), ("sk-rs", "caustic"),
+                                             ("sk-finite", "identities")])
+def test_sweep_refuses_a_non_finite_field_before_any_row(model, quantity, beta_h, fmt):
+    code, out, err = run_cli(["sweep", "--model", model, "--quantity", quantity,
+                              "--t-min", "0.5", "--t-max", "0.5", "--n-t", "1",
+                              f"--beta-h={beta_h}", "--n", "4", "--samples", "2", "--seed", "1",
+                              "--format", fmt])
+    assert code == 2
+    assert out == ""
+    assert err.splitlines() == [f"error: beta_h must be finite, got {float(beta_h)}"]
+
+
 def test_sweep_degrades_per_row_and_signals_failure():
     code, out, _ = run_cli(["sweep", "--model", "cw", "--quantity", "critical-line",
                             "--t-min", "0.5", "--t-max", "2", "--n-t", "4",

@@ -196,6 +196,19 @@ def test_on_shock_branch_handling():
     assert off.branch == "unique"
 
 
+@pytest.mark.parametrize("t", [0.3, 1.0])
+def test_origin_below_the_critical_point_is_the_free_state(t):
+    sol = lax_action(PlanePoint(0.0, t))
+    assert (sol.y_star, sol.u, sol.phi) == (0.0, 0.0, -LOG2)
+    assert not sol.on_shock and sol.branch == "unique"
+    assert self_consistent_magnetization(PlanePoint(0.0, t)) == 0.0
+
+
+def test_self_consistent_velocity_is_two_valued_on_the_shock():
+    with pytest.raises(ValueError, match="shock line"):
+        self_consistent_magnetization(PlanePoint(0.0, 2.0))
+
+
 def test_finite_size_velocity_converges_to_the_limit():
     p = PlanePoint(0.2, 2.0)
     target = lax_action(p).u

@@ -175,7 +175,7 @@ def test_rs_action_zero_coupling_limit():
     sol = rs_action(SkParams(0.0, 0.0, 0.3))
     expected_phi = 2.0 * (LOG2 + math.log(math.cosh(0.3)))
     assert sol.phi_rs == pytest.approx(expected_phi, rel=1e-12)
-    assert sol.pressure == pytest.approx(0.5 * sol.phi_rs, rel=1e-14)
+    assert sol.pressure == 0.5 * sol.phi_rs
 
 
 def test_caustic_margin_closed_form_below_transition():
@@ -240,6 +240,12 @@ def test_pressure_frozen_value_and_high_temperature_form():
     # collapses to log 2 + beta^2/4
     for beta in (0.4, 0.8, 1.0):
         assert rs_pressure(beta, 0.0) == pytest.approx(LOG2 + beta * beta / 4.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("h", [0.0, 2.0, -3.0])
+def test_pressure_at_infinite_temperature_is_log_2(h):
+    assert rs_pressure(0.0, h) == LOG2
+    assert rs_pressure_detail(0.0, h) == (LOG2, 0.0)
 
 
 def test_glassy_characteristics_slope_and_vertical_line():
