@@ -3,7 +3,9 @@
 The finite-size action of ``cw_exact`` solves a viscous Hamilton-Jacobi
 equation with viscosity 1/(2N).  A Cole-Hopf substitution maps it to the
 heat equation with initial datum ``(2 cosh x)**N``, whose kernel
-representation is evaluated here by adaptive quadrature (``viscous_*``).
+representation is evaluated here (``viscous_*``) by composite
+Gauss-Legendre quadrature on a window about its minimizers, with panels
+doubled until two levels agree and their gap kept as the error estimate.
 As N grows the action converges to the Lax-Oleinik variational solution
 
     phi(x, t) = min_y [ (x - y)**2 / (2 t) - log 2 - log cosh y ],
@@ -16,6 +18,7 @@ breaking limit along tilted approach lines.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -30,6 +33,21 @@ LOG2 = math.log(2.0)
 _ROOT_TOL = 2.5e-16
 
 _BRANCHES = ("plus", "minus")
+
+# z - tanh z = sum_k _TANH_SERIES[k] z**(2k + 3); below z = 0.1 these eight terms
+# are exact to double precision, where the difference z - tanh z loses its digits
+_TANH_SERIES = (1 / 3, -2 / 15, 17 / 315, -62 / 2835, 1382 / 155925, -21844 / 6081075,
+                929569 / 638512875, -6404582 / 10854718875)
+_TANH_SERIES_MAX = 0.1
+
+# Kernel quadrature: composite Gauss-Legendre of order 20.  The panel count
+# doubles, at most _MAX_DOUBLINGS times, until two levels agree to _QUAD_RTOL;
+# level-to-level gaps plateau near 5e-13 from summation rounding, so a 1e-13
+# stop would never settle.  The window ends where the weight is below e^-40.
+_GL_ORDER = 20
+_MAX_DOUBLINGS = 10
+_QUAD_RTOL = 2e-12
+_WINDOW_CUT = 40.0
 
 
 @dataclass(frozen=True)
@@ -160,40 +178,76 @@ def lax_action(p: PlanePoint, branch: str | None = None) -> LaxSolution:
                        on_shock=False, branch="unique")
 
 
-def _integration_window(x: float, t: float, n: int, g_min: float):
-    half = 10.0 / math.sqrt(n * min(1.0, 1.0 / t)) + abs(t) + 5.0
-    # Grow the window until the shifted integrand is negligible at both ends.
+def _window_end(x: float, t: float, n: int, g_min: float, y: float, direction: float) -> float:
+    # Grow from the narrowest Laplace half-width sqrt(2 cut t / n) (g'' = 1/t - sech^2 y
+    # <= 1/t) by x1.5 until the weight exp(-n (g - g_min)) falls below e^-cut.  Where
+    # g''(y) is smaller, near (0, 1) down to 0, the growth widens the window.
+    half = math.sqrt(2.0 * _WINDOW_CUT * t / n)
     for _ in range(60):
-        lo, hi = x - half, x + half
-        try:
-            ends = _objective(lo, x, t), _objective(hi, x, t)
-        except OverflowError as err:
-            raise OverflowError(f"kernel window overflows at x={x}, t={t}, n={n}: {err}") from None
-        if -n * (ends[0] - g_min) < -40.0 and -n * (ends[1] - g_min) < -40.0:
-            return lo, hi
+        end = y + direction * half
+        if n * (_objective(end, x, t) - g_min) > _WINDOW_CUT:
+            return end
         half *= 1.5
     raise QuadratureError(f"could not bracket the kernel integrand at x={x}, t={t}, n={n}")
 
 
-def _kernel_integrals(x: float, t: float, n: int, with_velocity: bool):
-    from scipy.integrate import quad
+@functools.cache
+def _gauss_legendre_rule() -> tuple[np.ndarray, np.ndarray]:
+    # built on first use, so that commands that never integrate do not build it;
+    # the n = 14 overlap enumeration is sensitive to what was allocated before it.
+    # Every caller shares the arrays, so they are read-only.
+    rule = np.polynomial.legendre.leggauss(_GL_ORDER)
+    for array in rule:
+        array.setflags(write=False)
+    return rule
 
+
+def _panel_sums(x: float, t: float, n: int, g_min: float, edges: np.ndarray, panels: int,
+                with_velocity: bool) -> np.ndarray:
+    # Gauss-Legendre sums over `panels` equal panels per segment of `edges`:
+    # (integral of the weight, of (x - y) / t times it, of |x - y| / t times it)
+    width = np.diff(edges) / panels
+    half = np.repeat(0.5 * width, panels)[:, None]
+    mid = (edges[:-1, None] + width[:, None] * (np.arange(panels) + 0.5)).reshape(-1, 1)
+    nodes, weights = _gauss_legendre_rule()
+    y = mid + half * nodes
+    a = np.abs(y)
+    g = (x - y) ** 2 / (2.0 * t) - LOG2 - (a + np.log1p(np.exp(-2.0 * a)) - LOG2)
+    w = np.exp(-n * (g - g_min)) * (half * weights)
+    if not with_velocity:
+        return np.array([w.sum(), 0.0, 0.0])
+    vw = (x - y) / t * w
+    return np.array([w.sum(), vw.sum(), np.abs(vw).sum()])
+
+
+def _kernel_integrals(x: float, t: float, n: int, with_velocity: bool):
     roots = _stationary_points(x, t)
     g_min = min(_objective(y, x, t) for y in roots)
-    lo, hi = _integration_window(x, t, n, g_min)
-    interior = [y for y in roots if lo < y < hi]
-
-    def weight(y):
-        return math.exp(-n * (_objective(y, x, t) - g_min))
-
-    i0, err0 = quad(weight, lo, hi, points=interior, limit=300, epsabs=1e-14, epsrel=1e-12)
+    # past 2**52 the exponent n * g is not even resolved to 1, let alone to the cut
+    if n * abs(g_min) > 2.0 ** 52:
+        raise OverflowError(f"kernel window overflows double precision at x={x}, t={t}, n={n}:"
+                            f" the exponent n*g = {n * g_min:.6g} rounds by more than 1")
+    # the window starts about the outer minimizers that carry weight; beyond one that
+    # does not, the weight stays below e^-cut, so it is left out
+    outer = [y for y in (roots[0], roots[-1]) if n * (_objective(y, x, t) - g_min) <= _WINDOW_CUT]
+    lo = _window_end(x, t, n, g_min, outer[0], -1.0)
+    hi = _window_end(x, t, n, g_min, outer[-1], 1.0)
+    edges = np.array([lo, *(y for y in roots if lo < y < hi), hi])
+    # double the panels until two levels agree; their gap is the error estimate
+    sums = _panel_sums(x, t, n, g_min, edges, 1, with_velocity)
+    gaps = np.full(2, math.inf)
+    for level in range(1, _MAX_DOUBLINGS + 1):
+        previous, sums = sums, _panel_sums(x, t, n, g_min, edges, 2 ** level, with_velocity)
+        gaps = np.abs(sums[:2] - previous[:2])
+        if gaps[0] <= _QUAD_RTOL * sums[0] and gaps[1] <= _QUAD_RTOL * sums[2]:
+            break
+    i0, i1, _ = (float(v) for v in sums)
+    err0, err1 = (float(v) for v in gaps)
     if i0 <= 0 or err0 > max(1e-10 * i0, 5e-13):
         raise QuadratureError(
             f"kernel normalization uncertain at x={x}, t={t}, n={n}", error_estimate=err0)
     if not with_velocity:
         return g_min, i0
-    i1, err1 = quad(lambda y: (x - y) / t * weight(y), lo, hi, points=interior,
-                    limit=300, epsabs=1e-14, epsrel=1e-12)
     if err1 > max(1e-9 * abs(i1), 1e-10 * i0):
         raise QuadratureError(
             f"velocity quadrature uncertain at x={x}, t={t}, n={n}", error_estimate=err1)
@@ -204,9 +258,12 @@ def viscous_action(p: PlanePoint, n: int) -> float:
     """Finite-size action from the heat-kernel representation.
 
     Evaluates -(1/N) log of the Gaussian smoothing of (2 cosh y)**N by
-    adaptive quadrature on a max-shifted integrand, with the stationary
-    points of the exponent as quadrature break points.  Agrees with the
-    sector sum of ``cw_exact`` to quadrature accuracy.
+    composite Gauss-Legendre quadrature (order 20) of the max-shifted
+    integrand.  The window starts about the outer minimizers that carry
+    weight and grows until the weight is below e^-40 at both ends; panels
+    split at the stationary points and double until two levels agree to
+    2e-12, and that gap is the error estimate carried by QuadratureError.
+    Agrees with the sector sum of ``cw_exact`` to quadrature accuracy.
     """
     if n < 1:
         raise ValueError(f"system size n must be a positive integer, got {n!r}")
@@ -219,8 +276,10 @@ def viscous_action(p: PlanePoint, n: int) -> float:
 def viscous_velocity(p: PlanePoint, n: int) -> float:
     """Finite-size velocity as a ratio of kernel integrals.
 
-    The weight is the same as in ``viscous_action``; the numerator carries
-    the factor (x - y) / t.  At x = 0 the integrand is odd around the
+    The weight and the Gauss-Legendre panels are those of
+    ``viscous_action``; the numerator carries the factor (x - y) / t, and
+    its doubling gap is measured against the integral of |x - y| / t times
+    the weight.  At x = 0 the integrand is odd around the
     origin and the velocity is returned as exactly zero; at t = 0 the
     closed boundary form -tanh(x) is returned.
     """
@@ -283,6 +342,9 @@ def spontaneous_magnetization(t: float) -> float:
 
     Newton starts from the small-supercriticality seed m**2 ~ 3(t-1)/t**3,
     on a bracket from half the seed that keeps it off the trivial root m = 0.
+    Just above t = 1, m - tanh(t m) cancels to far below the spacing of m,
+    so there it is formed as (z - tanh z) - (t - 1) m with z = t m and
+    z - tanh z from its series, and Newton stops relative to the seed.
     """
     if not math.isfinite(t) or t <= 1.0:
         raise ValueError(f"spontaneous magnetization needs t > 1, got {t}")
@@ -290,12 +352,24 @@ def spontaneous_magnetization(t: float) -> float:
     seed = math.sqrt(3.0 * (t - 1.0) / t**3) if t < 1e100 else math.sqrt(3.0) / t
 
     def f(m):
-        th = math.tanh(t * m)
-        return m - th, 1.0 - t * (1.0 - th * th)
+        z = t * m
+        th = math.tanh(z)
+        if z < _TANH_SERIES_MAX:
+            z2 = z * z
+            tail = 0.0
+            for c in reversed(_TANH_SERIES):
+                tail = tail * z2 + c
+            value = z * z2 * tail - (t - 1.0) * m
+        else:
+            value = m - th
+        return value, 1.0 - t * (1.0 - th * th)
 
+    # the helper's stop is absolute below |m| = 1; where m* is small it is scaled by the
+    # seed, which is then within 0.2 % of m*
+    tol = _ROOT_TOL * seed if t * seed < _TANH_SERIES_MAX else _ROOT_TOL
     # m = 1 is the root to double precision once tanh(t) rounds to 1; the
     # bracket reaches past it so that a Newton step can land there
-    return bracketed_newton(f, 0.5 * min(seed, 1.0), 2.0, seed, _ROOT_TOL)
+    return bracketed_newton(f, 0.5 * min(seed, 1.0), 2.0, seed, tol)
 
 
 def shock_jump(t: float) -> tuple[float, float]:

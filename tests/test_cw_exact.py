@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.special import gammaln
 from scipy.stats import binom
 
 from spinflow import (
@@ -19,6 +20,7 @@ from spinflow import (
     viscous_action,
     viscous_velocity,
 )
+from spinflow.cw_exact import _log_binomials, _sector_log_weights
 
 
 def brute_force_log_partition(x: float, t: float, n: int) -> float:
@@ -103,6 +105,55 @@ def test_third_residual_frozen_binomial_value():
     # r3 = <m^4> - <m^2>^2 at t=0 from the binomial oracle
     _, _, r3 = conservation_residuals(PlanePoint(0.3, 0.0), 5)
     assert r3 == pytest.approx(0.09336102926746369, rel=1e-13)
+
+
+def _binomial_spacing(n: int) -> float:
+    # the float spacing of log n!, the largest term that log C(n, k) cancels
+    return float(np.spacing(math.lgamma(n + 1.0)))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 255, 256, 257, 513, 1000, 25000, 250000])
+def test_log_binomials_match_gammaln(n):
+    k = np.arange(n + 1.0)
+    expected = gammaln(n + 1.0) - (gammaln(k + 1.0) + gammaln(n - k + 1.0))
+    got = _log_binomials(n)
+    assert got.shape == (n + 1,)
+    assert got[0] == got[n] == 0.0
+    assert np.max(np.abs(got - expected)) <= 6.0 * _binomial_spacing(n)
+
+
+# log C(n, k) to 40 digits (mpmath loggamma at 50 digits)
+_FROZEN_LOG_BINOMIALS = [
+    (1000, 1, 6.907755278982137052053974364053092622803),
+    (1000, 257, 566.3502639016177271832904225245806228911),
+    (1000, 333, 632.6620501769002568482484732956051659242),
+    (1000, 500, 689.4672615678511800755088551127224298143),
+    (25000, 1, 10.12663110385033780125549303050546790185),
+    (25000, 257, 1428.417475640067940892501713907369493269),
+    (25000, 8333, 15907.39293125685876944086393944713584533),
+    (25000, 12500, 17323.3903970940628417644788538708807184),
+    (250000, 1, 12.42921619684438348527348448518983210946),
+    (250000, 257, 2021.370578916403102638755527927950400643),
+    (250000, 83333, 159121.929515543113903382975046981023037),
+    (250000, 125000, 173280.3547395352604351356971913532151284),
+]
+
+
+@pytest.mark.parametrize("n, k, value", _FROZEN_LOG_BINOMIALS)
+def test_log_binomials_frozen_values(n, k, value):
+    # within three spacings of log n!; a running sum without anchors drifts by
+    # seven at n = 2.5e5
+    got = _log_binomials(n)
+    assert abs(got[k] - value) <= 3.0 * _binomial_spacing(n)
+    assert got[n - k] == got[k]
+
+
+@pytest.mark.parametrize("n", [1, 2, 9, 256, 257, 1000, 25001])
+@pytest.mark.parametrize("t", [0.0, 0.7, 2.0])
+def test_sector_log_weights_are_exactly_mirror_symmetric_at_zero_field(n, t):
+    m, log_w = _sector_log_weights(0.0, t, n)
+    assert np.array_equal(m, -m[::-1])
+    assert np.array_equal(log_w, log_w[::-1])
 
 
 def test_odd_moments_vanish_exactly_at_zero_field():

@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import quad
 
 from spinflow import (
     PlanePoint,
+    QuadratureError,
     characteristic,
     critical_launch_point,
     critical_line,
@@ -20,7 +22,9 @@ from spinflow import (
     spontaneous_magnetization,
     symmetry_breaking_limit,
     viscous_action,
+    viscous_velocity,
 )
+from spinflow import hj_limit
 
 LOG2 = math.log(2.0)
 
@@ -34,6 +38,27 @@ def test_spontaneous_magnetization_fixed_point():
     assert m == pytest.approx(0.9575040240772688, rel=1e-12)
     assert math.tanh(2.0 * m) == pytest.approx(m, abs=1e-13)
     assert m > 0.0
+
+
+# 50-digit roots of m = tanh(t m) at the double t (mpmath findroot at 70 digits)
+_FROZEN_M_STAR = [
+    (1.0 + 1e-15, 5.7711949142924145091943576119160189404942753476556e-8),
+    (1.0 + 1e-14, 1.7313584742877105129612046380974397598792023234865e-7),
+    (1.0 + 1e-13, 5.475036224982793227563406660185956213932074518067e-7),
+    (1.0 + 1e-12, 1.7321277960189952666377920345779320863137557730467e-6),
+    (1.0 + 1e-11, 5.4772258015961994739026111466444099927411545107456e-6),
+    (1.0 + 1e-10, 1.7320508790682544230808196829950542589717683959196e-5),
+    (1.0 + 1e-9, 5.4772257967159908858104577092765628416064500444097e-5),
+    (1.0 + 1e-8, 1.7320507867171760649353125772674691601632577585813e-4),
+    (1.0 + 1e-7, 5.477225083700394711773111678873694199428582447465e-4),
+    (1.0 + 1e-6, 1.7320492486534756543202071730838173629562881677421e-3),
+]
+
+
+@pytest.mark.parametrize("t, root", _FROZEN_M_STAR)
+def test_spontaneous_magnetization_just_above_the_critical_point(t, root):
+    # m - tanh(t m) cancels far below the spacing of m here; two ulp of the true root
+    assert spontaneous_magnetization(t) == pytest.approx(root, rel=4e-16, abs=0.0)
 
 
 def test_spontaneous_magnetization_needs_supercritical_coupling():
@@ -242,3 +267,52 @@ def test_minimizer_sits_on_the_side_of_x_next_to_the_shock(x, t):
     assert sol.on_shock is False
     assert sol.u == pytest.approx(-math.copysign(spontaneous_magnetization(t), x), abs=1e-12)
     assert math.copysign(1.0, sol.y_star) == math.copysign(1.0, x)
+
+
+def quad_kernel(x: float, t: float, n: int) -> tuple[float, float]:
+    """(action, velocity) of the heat kernel by scipy's adaptive quadrature.
+
+    On a fine grid, the exponent is shifted by its minimum, the interval is
+    where the shifted weight exceeds e^-60, and the local minima are break
+    points, so nothing is shared with the library route.
+    """
+    half = t + 8.0 + 10.0 * math.sqrt(t)
+    ys = np.linspace(x - half, x + half, 400001)
+    g = (x - ys) ** 2 / (2.0 * t) - np.logaddexp(ys, -ys)
+    minima = ys[1:-1][(g[1:-1] < g[:-2]) & (g[1:-1] <= g[2:])]
+    shift = float(g.min())
+    inside = ys[n * (g - shift) < 60.0]
+    lo, hi = inside[0] - (ys[1] - ys[0]), inside[-1] + (ys[1] - ys[0])
+
+    def weight(y):
+        return math.exp(-n * ((x - y) ** 2 / (2.0 * t) - np.logaddexp(y, -y) - shift))
+
+    points = minima[(lo < minima) & (minima < hi)]
+    i0, _ = quad(weight, lo, hi, points=points, limit=500, epsabs=1e-15, epsrel=1e-13)
+    # the numerator cancels next to the shock, so its error is absolute, relative to i0
+    i1, _ = quad(lambda y: (x - y) / t * weight(y), lo, hi, points=points, limit=500,
+                 epsabs=1e-13 * i0, epsrel=1e-13)
+    phi = shift - (0.5 * math.log(n / (2.0 * math.pi * t)) + math.log(i0)) / n
+    return phi, i1 / i0
+
+
+@pytest.mark.parametrize("x, t", [(0.3, 0.5), (-1.2, 0.9), (0.0, 1.0), (0.3, 2.0), (-0.2, 1.5),
+                                  (1e-12, 1.5), (-1e-12, 3.0)])
+@pytest.mark.parametrize("n", [1, 7, 50, 1000, 50000])
+def test_viscous_routes_agree_with_scipy_quadrature(x, t, n):
+    # t < 1, the critical point, three stationary points and x within 1e-12 of the shock
+    phi, u = quad_kernel(x, t, n)
+    assert viscous_action(PlanePoint(x, t), n) == pytest.approx(phi, rel=1e-13, abs=0.0)
+    assert viscous_velocity(PlanePoint(x, t), n) == pytest.approx(u, abs=1e-12)
+
+
+@pytest.mark.parametrize("route", [viscous_action, viscous_velocity])
+def test_quadrature_error_carries_the_doubling_gap_when_the_cap_runs_out(monkeypatch, route):
+    # next to the shock at n = 5e4 two narrow peaks sit at the ends of long panels
+    p = PlanePoint(1e-12, 2.0)
+    route(p, 50000)
+    monkeypatch.setattr(hj_limit, "_MAX_DOUBLINGS", 2)
+    with pytest.raises(QuadratureError, match="uncertain") as info:
+        route(p, 50000)
+    assert math.isfinite(info.value.error_estimate)
+    assert info.value.error_estimate > 1e-10
