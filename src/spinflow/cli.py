@@ -19,6 +19,7 @@ failure: no NaN or infinity is ever written.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -307,6 +308,7 @@ def _add_plane_flags(parser, with_x=True):
     parser.add_argument("--t", type=float, required=True, help="interaction-strength coordinate")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="spinflow",
                      description="mean-field spin thermodynamics as plane mechanics")

@@ -11,11 +11,14 @@ statistical only in the disorder average.  The enumeration is one fast
 Walsh-Hadamard transform (FWHT): a configuration's log-weight is a
 Walsh series on the one- and two-site subsets, and the Gibbs correlator
 of every site subset is the transform of the probability vector, so a
-sample costs O(n 2^n) with no per-size product tables.  Samples are
-processed in blocks of fixed size.  Disorder is drawn from a
-counter-based generator keyed by (seed, sample index), and every
-per-sample result depends on that key alone, never on how the samples
-are batched.
+sample costs O(n 2^n) with no per-size product tables.  The transform
+is self-sorting (Stockham): each stage reads adjacent pairs from one
+buffer and writes sums and differences to the two halves of another,
+so every stage runs over long rows, and its bits are those of the
+in-place butterflies.  Samples are processed in blocks of fixed size.
+Disorder is drawn from a counter-based generator keyed by (seed, sample
+index), and every per-sample result depends on that key alone, never on
+how the samples are batched.
 """
 
 from __future__ import annotations
@@ -67,24 +70,33 @@ def _walsh_masks(n: int):
     return sites, pairs, by_size
 
 
-def _fwht(a: np.ndarray) -> np.ndarray:
-    """Unnormalized Walsh-Hadamard transform over the last axis, in place.
+def _fwht(a: np.ndarray, work: np.ndarray) -> np.ndarray:
+    """Unnormalized Walsh-Hadamard transform over the last axis.
 
     Entry S of a transformed row is sum_c a[c] (-1)^popcount(S & c).
-    `a` must be C-contiguous.  Every entry is built from its own row by
-    the same butterflies, so a row's bits do not depend on the others.
+    Self-sorting radix-2 stages alternate between the two buffers: each
+    reads the pairs (2i, 2i + 1) of a row and writes their sum to i and
+    their difference to i + size/2 of the other buffer.  That rotates
+    the index right by one bit per stage, so after log2(size) stages it
+    is back in natural order.  Bits are combined low bit first, and each
+    output has the same operands in the same order as the in-place
+    butterflies on pairs (c, c + h), h = 1, 2, 4, ..., so the result is
+    bitwise identical to theirs, row by row.
+
+    `a` and `work` must be C-contiguous of the same shape; both are
+    overwritten.  Returns the buffer that holds the result: `a` when
+    log2(size) is even, `work` when it is odd.
     """
     size = a.shape[-1]
-    rows = a.reshape(-1, size)
-    h = 1
-    while h < size:
-        pairs = rows.reshape(rows.shape[0], size // (2 * h), 2, h)
-        lo, hi = pairs[:, :, 0], pairs[:, :, 1]
-        diff = lo - hi
-        lo += hi
-        hi[...] = diff
-        h *= 2
-    return a
+    half = size // 2
+    stages = size.bit_length() - 1
+    src, dst = a.reshape(-1, size), work.reshape(-1, size)
+    for _ in range(stages):
+        pairs = src.reshape(src.shape[0], half, 2)
+        np.add(pairs[:, :, 0], pairs[:, :, 1], out=dst[:, :half])
+        np.subtract(pairs[:, :, 0], pairs[:, :, 1], out=dst[:, half:])
+        src, dst = dst, src
+    return work if stages % 2 else a
 
 
 @dataclass(frozen=True)
@@ -105,6 +117,34 @@ class DisorderSample:
         return self.site_fields.shape[0]
 
 
+def _check_key(name: str, value) -> None:
+    if not isinstance(value, (int, np.integer)) or value < 0 or value >= 2 ** 64:
+        raise ValueError(f"{name} must be an integer in [0, 2^64), got {value!r}")
+
+
+def _disorder_draws(seed: int, indices, n: int) -> np.ndarray:
+    """Standard normal draws of samples `indices` of the stream `seed`.
+
+    Row r holds what Generator(Philox(key=[seed, indices[r]])) draws
+    first: the n(n-1)/2 pair couplings, then the n site fields.  One
+    generator serves the block; before each row its state is set to
+    exactly that of a fresh Philox with that key (counter 0, output
+    buffer empty), which gives the same draws without building a
+    generator per sample.
+    """
+    bitgen = np.random.Philox(0)
+    rng = np.random.Generator(bitgen)
+    draws = np.empty((len(indices), n * (n + 1) // 2))
+    zero = np.zeros(4, dtype=np.uint64)
+    for row, index in zip(draws, indices):
+        bitgen.state = {
+            "bit_generator": "Philox",
+            "state": {"counter": zero, "key": np.array([seed, index], dtype=np.uint64)},
+            "buffer": zero, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+        rng.standard_normal(out=row)
+    return draws
+
+
 def draw_disorder(seed: int, index: int, n: int) -> DisorderSample:
     """Draw sample number `index` of the stream identified by `seed`.
 
@@ -113,36 +153,41 @@ def draw_disorder(seed: int, index: int, n: int) -> DisorderSample:
     does not depend on how many other samples were drawn before it.
     """
     _check_site_count(n)
-    for name, value in (("seed", seed), ("index", index)):
-        if not isinstance(value, (int, np.integer)) or value < 0 or value >= 2 ** 64:
-            raise ValueError(f"{name} must be an integer in [0, 2^64), got {value!r}")
-    rng = np.random.Generator(np.random.Philox(key=np.array([seed, index], dtype=np.uint64)))
+    _check_key("seed", seed)
+    _check_key("index", index)
+    draws = _disorder_draws(seed, [index], n)[0]
     n_pairs = n * (n - 1) // 2
-    draws = rng.standard_normal(n_pairs + n)
     return DisorderSample(seed=int(seed), index=int(index),
                           couplings=draws[:n_pairs], site_fields=draws[n_pairs:])
 
 
-def _gibbs_states(samples, params: SkParams):
+def _gibbs_states(couplings: np.ndarray, site_fields: np.ndarray, params: SkParams):
     """Normalized Boltzmann weights and all correlators for a block of samples.
 
-    Row r of `prob` holds the probabilities of the 2^n configurations of
-    samples[r] (bit i of a configuration is site i, bit value 0 mapped
-    to +1), for log-weights sqrt(t/n) sum_{i<j} J_ij s_i s_j
-    + sum_i (beta_h + sqrt(x) J_i) s_i.  Row r of `correlators` holds
-    <prod_{i in S} s_i> at index S (a bit mask of sites).
+    Row r of `couplings` and `site_fields` is one disorder sample.  Row r
+    of `prob` holds the probabilities of its 2^n configurations (bit i
+    of a configuration is site i, bit value 0 mapped to +1), for
+    log-weights sqrt(t/n) sum_{i<j} J_ij s_i s_j + sum_i (beta_h +
+    sqrt(x) J_i) s_i.  Row r of `correlators` holds <prod_{i in S} s_i>
+    at index S (a bit mask of sites).
     """
-    n = samples[0].n
+    rows, n = site_fields.shape
     sites, pairs, _ = _walsh_masks(n)
-    prob = np.zeros((len(samples), 1 << n))
-    prob[:, pairs] = math.sqrt(params.t / n) * np.stack([s.couplings for s in samples])
-    prob[:, sites] = params.beta_h + math.sqrt(params.x) * np.stack(
-        [s.site_fields for s in samples])
-    _fwht(prob)
+    walsh = np.zeros((rows, 1 << n))
+    walsh[:, pairs] = math.sqrt(params.t / n) * couplings
+    walsh[:, sites] = params.beta_h + math.sqrt(params.x) * site_fields
+    work = np.empty_like(walsh)
+    prob = _fwht(walsh, work)
     prob -= prob.max(axis=1, keepdims=True)
     np.exp(prob, out=prob)
     prob /= prob.sum(axis=1, keepdims=True)
-    return prob, _fwht(prob.copy())
+    # the transform overwrites both its buffers, so it runs on a copy of
+    # the weights in the buffer that the log-weights left free.  A fresh
+    # copy there instead left a hole in the heap that lifted the n = 14
+    # footprint over glibc's trim threshold: 234 minor faults per sample.
+    free = work if prob is walsh else walsh
+    np.copyto(free, prob)
+    return prob, _fwht(free, np.empty_like(free))
 
 
 class GibbsCorrelators:
@@ -161,7 +206,8 @@ class GibbsCorrelators:
         _check_site_count(n)
         if sample.couplings.shape != (n * (n - 1) // 2,):
             raise ValueError("couplings length does not match the site count")
-        prob, correlators = _gibbs_states([sample], params)
+        prob, correlators = _gibbs_states(sample.couplings[None], sample.site_fields[None],
+                                          params)
         self.n = n
         self.sample = sample
         self.params = params
@@ -200,7 +246,9 @@ def _sample_statistics(params: SkParams, n: int, seed: int, indices) -> np.ndarr
     e2 = O(q12^4 - 4 q12^2 q23^2 + 3 q12^2 q34^2),
     with O the thermal average at fixed disorder.
     """
-    prob, corr = _gibbs_states([draw_disorder(seed, index, n) for index in indices], params)
+    n_pairs = n * (n - 1) // 2
+    draws = _disorder_draws(seed, indices, n)
+    prob, corr = _gibbs_states(draws[:, :n_pairs], draws[:, n_pairs:], params)
     sites, pairs, by_size = _walsh_masks(n)
     g0, g1, g2, g3, g4 = (np.square(np.take(corr, masks, axis=1)).sum(axis=1)
                           for masks in by_size)
@@ -213,7 +261,7 @@ def _sample_statistics(params: SkParams, n: int, seed: int, indices) -> np.ndarr
     series[0][:, sites] = np.take(corr, sites, axis=1)
     series[1][:, 0] = n * corr[:, 0]
     series[1][:, pairs] = 2.0 * np.take(corr, pairs, axis=1)
-    linear, quadratic = _fwht(series)
+    linear, quadratic = _fwht(series, np.empty_like(series))
     q_q23 = (prob * linear * linear).sum(axis=1) / n ** 2
     q_q23sq = (prob * quadratic * linear).sum(axis=1) / n ** 3
     q2_q23sq = (prob * quadratic * quadratic).sum(axis=1) / n ** 4
@@ -276,6 +324,7 @@ def quenched_overlap_moments(params: SkParams, n: int, n_samples: int,
     _check_site_count(n)
     if not isinstance(n_samples, (int, np.integer)) or n_samples < 2:
         raise ValueError(f"need at least 2 disorder samples, got {n_samples}")
+    _check_key("seed", seed)
 
     block = max(1, _BLOCK_ENTRIES >> n)
     table = np.empty((n_samples, 5))

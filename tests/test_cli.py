@@ -95,6 +95,19 @@ def test_finite_point_record_is_seed_stable():
     assert len(record["std_errors"]) == 6
 
 
+def test_the_cached_parser_keeps_no_state_between_calls():
+    # one parser serves every call in a process; a failing parse and
+    # --version in between must not change the next run of the same argv
+    argv = ["sweep", "--model", "cw", "--quantity", "exact", "--x-min", "0", "--x-max", "0.5",
+            "--n-x", "2", "--t-min", "0.5", "--t-max", "0.5", "--n-t", "1", "--n", "10"]
+    first = run_cli(argv)
+    assert first[0] == 0
+    assert run_cli(["sweep", "--model", "cw", "--quantity", "exact", "--n-x", "2"])[0] == 2
+    assert run_cli(["--version"])[0] == 0
+    assert run_cli(argv) == first
+    assert cli.build_parser() is cli.build_parser()
+
+
 def test_validation_failures_exit_2_with_one_line():
     cases = [
         ["cw", "exact", "--x", "0.2", "--t", "-1", "--n", "10"],

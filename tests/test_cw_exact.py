@@ -98,13 +98,13 @@ def test_moments_match_an_fsum_sector_sum(x, t, n):
         if x == 0.0 and j % 2:
             assert moments[j - 1] == 0.0
         else:
-            assert moments[j - 1] == pytest.approx(expected[j - 1], rel=1e-14)
+            assert moments[j - 1] == pytest.approx(expected[j - 1], rel=1e-14, abs=0)
 
 
 def test_third_residual_frozen_binomial_value():
     # r3 = <m^4> - <m^2>^2 at t=0 from the binomial oracle
     _, _, r3 = conservation_residuals(PlanePoint(0.3, 0.0), 5)
-    assert r3 == pytest.approx(0.09336102926746369, rel=1e-13)
+    assert r3 == pytest.approx(0.09336102926746369, rel=1e-13, abs=0)
 
 
 def _binomial_spacing(n: int) -> float:
@@ -171,9 +171,9 @@ def test_mirror_symmetry():
     for x in (0.15, 0.6, 1.2):
         plus = exact_fields(PlanePoint(x, 1.7), 33)
         minus = exact_fields(PlanePoint(-x, 1.7), 33)
-        assert plus.phi == pytest.approx(minus.phi, rel=1e-14)
-        assert plus.u == pytest.approx(-minus.u, rel=1e-14)
-        assert plus.potential == pytest.approx(minus.potential, rel=1e-13)
+        assert plus.phi == pytest.approx(minus.phi, rel=1e-14, abs=0)
+        assert plus.u == pytest.approx(-minus.u, rel=1e-14, abs=0)
+        assert plus.potential == pytest.approx(minus.potential, rel=1e-13, abs=0)
 
 
 @given(

@@ -181,12 +181,106 @@ def test_free_spin_polynomials_have_closed_values():
         moments = quenched_overlap_moments(SkParams(0.0, 0.0, 0.0), n, 8, seed=2)
         assert moments.q1 == 0.0
         assert moments.poly_p1 == 0.0
-        assert moments.q2 == pytest.approx(1.0 / n, rel=1e-14)
+        assert moments.q2 == pytest.approx(1.0 / n, rel=1e-14, abs=0)
         closed = 2.0 * (n - 1.0) / n ** 3
-        assert moments.poly_p2 == pytest.approx(closed, rel=1e-13)
-        assert moments.poly_p3 == pytest.approx(closed, rel=1e-13)
-        assert moments.poly_p4 == pytest.approx(closed, rel=1e-13)
-        assert moments.v_n == pytest.approx(0.5 / n, rel=1e-14)
+        assert moments.poly_p2 == pytest.approx(closed, rel=1e-13, abs=0)
+        assert moments.poly_p3 == pytest.approx(closed, rel=1e-13, abs=0)
+        assert moments.poly_p4 == pytest.approx(closed, rel=1e-13, abs=0)
+        assert moments.v_n == pytest.approx(0.5 / n, rel=1e-14, abs=0)
+
+
+def in_place_butterflies(a):
+    """The engine's former transform: in-place butterflies on (c, c + h), h = 1, 2, 4, ..."""
+    size = a.shape[-1]
+    rows = a.reshape(-1, size)
+    h = 1
+    while h < size:
+        pairs = rows.reshape(rows.shape[0], size // (2 * h), 2, h)
+        lo, hi = pairs[:, :, 0], pairs[:, :, 1]
+        diff = lo - hi
+        lo += hi
+        hi[...] = diff
+        h *= 2
+    return a
+
+
+def transform_inputs(n):
+    rng = np.random.default_rng(n)
+    for shape in ((1, 1 << n), (max(1, 8192 >> n), 1 << n), (2, max(1, 8192 >> n), 1 << n)):
+        yield np.exp(rng.uniform(-5.0, 5.0, shape)) * rng.choice((-1.0, 1.0), shape)
+
+
+@pytest.mark.parametrize("n", range(1, 15))
+def test_transform_is_bitwise_the_in_place_butterflies(n):
+    for data in transform_inputs(n):
+        a, work = data.copy(), np.empty_like(data)
+        result = sk_finite._fwht(a, work)
+        assert result is (work if n % 2 else a)
+        expected = in_place_butterflies(data.copy())
+        assert np.array_equal(result.view(np.uint64), expected.view(np.uint64))
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_transform_is_the_hadamard_matrix_product(n):
+    hadamard = np.ones((1, 1))
+    for _ in range(n):
+        hadamard = np.block([[hadamard, hadamard], [hadamard, -hadamard]])
+    for data in transform_inputs(n):
+        result = sk_finite._fwht(data.copy(), np.empty_like(data))
+        expected = data @ hadamard
+        scale = np.abs(data).sum(axis=-1, keepdims=True)
+        assert np.all(np.abs(result - expected) <= 1e-14 * scale)
+
+
+# quenched_overlap_moments at (x, t, beta_h) = (0.3, 0.8, 0.15), frozen as
+# float.hex: (q1, q2, poly_p1..p4, v_n, v_n_std_error, *std_errors)
+FROZEN_MOMENTS = {
+    (5, 40, 3): (
+        "0x1.0f72485e1a6c4p-2", "0x1.58018447745c4p-2", "-0x1.6c6243309a560p-11",
+        "0x1.78f81a1679c0ep-5", "0x1.7775bb6695cd4p-5", "0x1.a2622036d8135p-5",
+        "0x1.100cba38834edp-3", "0x1.1c1bd580a692ep-8", "0x1.8605d312cf0a6p-6",
+        "0x1.c2666471f29d3p-7", "0x1.05d6b878d760bp-8", "0x1.15d071624207cp-8",
+        "0x1.4c75fecdc7739p-8", "0x1.522319ebfd7e9p-8"),
+    (5, 40, 2 ** 64 - 1): (
+        "0x1.eaf083548c0dap-3", "0x1.6483e116430f5p-2", "-0x1.68ab6afb8e1bcp-8",
+        "0x1.5d64fe1ce2c8dp-5", "0x1.5296524ae04c4p-5", "0x1.7e462f1ab1e74p-5",
+        "0x1.29ac078ae06ebp-3", "0x1.7dee9b080edfap-8", "0x1.a61eb248338e5p-6",
+        "0x1.0fa7333a93ed0p-6", "0x1.2f0cb1b32b1fcp-8", "0x1.835fae0f03ef4p-8",
+        "0x1.c2be12fdc008ap-8", "0x1.b0a23e0881a6bp-8"),
+    (14, 3, 3): (
+        "0x1.352b9ad7c0617p-2", "0x1.becd1caf11dbdp-3", "0x1.02634b808e8edp-7",
+        "0x1.24fc866012e42p-6", "0x1.4bfe42033e190p-6", "0x1.7789f9d7efef5p-6",
+        "0x1.041bf711f594cp-4", "0x1.d28430eb7d830p-7", "0x1.9d7a1a0010359p-5",
+        "0x1.626dd2f3fcb71p-6", "0x1.73537f236edfep-8", "0x1.f063071f7bc74p-8",
+        "0x1.1c25c4fb77524p-7", "0x1.5f8374a7b0241p-7"),
+    (14, 3, 2 ** 64 - 1): (
+        "0x1.9eda2c9a7f657p-2", "0x1.0f53ee5095309p-2", "0x1.19c6e0c82075ep-8",
+        "0x1.45c10c19eb545p-7", "0x1.7ed50498d4c18p-7", "0x1.93ef58cb2ce1bp-7",
+        "0x1.9d09570ea1cfcp-5", "0x1.e778d6ac9f3f5p-10", "0x1.7c136feab9c2dp-4",
+        "0x1.24393d3b4e773p-4", "0x1.3d427a32d583dp-9", "0x1.d2b7ac9f88f41p-9",
+        "0x1.048832765f3b9p-8", "0x1.275ba7fe061d9p-8"),
+}
+
+
+@pytest.mark.parametrize("key", sorted(FROZEN_MOMENTS))
+def test_overlap_moments_keep_their_frozen_bits(key):
+    n, n_samples, seed = key
+    m = quenched_overlap_moments(SkParams(0.3, 0.8, 0.15), n, n_samples, seed=seed)
+    values = (m.q1, m.q2, m.poly_p1, m.poly_p2, m.poly_p3, m.poly_p4,
+              m.v_n, m.v_n_std_error, *m.std_errors)
+    assert values == tuple(float.fromhex(h) for h in FROZEN_MOMENTS[key])
+
+
+@pytest.mark.parametrize("seed", [0, 2 ** 64 - 1])
+@pytest.mark.parametrize("n", [1, 5, 14])
+def test_block_draws_are_fresh_generator_draws(seed, n):
+    indices = [2, 2 ** 64 - 1, 0, 1]
+    draws = sk_finite._disorder_draws(seed, indices, n)
+    for row, index in zip(draws, indices):
+        fresh = np.random.Generator(np.random.Philox(key=np.array([seed, index], dtype=np.uint64)))
+        assert np.array_equal(row, fresh.standard_normal(n * (n + 1) // 2))
+        sample = draw_disorder(seed, index, n)
+        assert np.array_equal(np.concatenate((sample.couplings, sample.site_fields)), row)
 
 
 def test_repeat_runs_are_bit_identical():
