@@ -1,6 +1,6 @@
 """Command-line front end: point queries, sweeps, convergence reports.
 
-Each quantity has one evaluator, ``(x, t, args) -> result fields``,
+Each quantity has one evaluator, ``(x, t, flags) -> result fields``,
 around one library call.  A point query echoes its flags and adds the
 evaluator's fields at one plane point; a sweep calls the same evaluator
 on a grid, one row per point; a convergence report calls it along a
@@ -19,6 +19,7 @@ failure: no NaN or infinity is ever written.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import math
@@ -50,36 +51,17 @@ def _csv_cell(value) -> str:
     return str(value)
 
 
-def _write_csv(rows, columns, stream) -> None:
-    stream.write(",".join(columns) + "\n")
-    for row in rows:
-        stream.write(",".join(_csv_cell(row.get(c)) for c in columns) + "\n")
-
-
-def _emit(payload, out_path, as_csv=False, columns=None) -> None:
-    if out_path is None:
-        stream = sys.stdout
-        close = False
-    else:
-        stream = open(out_path, "w")
-        close = True
-    try:
-        if as_csv:
-            _write_csv(payload, columns, stream)
-        else:
+def _emit(payload, out_path, columns=None) -> None:
+    """Write `payload` as JSON, or as CSV rows under `columns`, to `out_path` or stdout."""
+    with contextlib.ExitStack() as stack:
+        stream = sys.stdout if out_path is None else stack.enter_context(open(out_path, "w"))
+        if columns is None:
             json.dump(payload, stream, indent=2, allow_nan=False)
             stream.write("\n")
-    finally:
-        if close:
-            stream.close()
-
-
-def _start(args, command: str, echo: dict) -> dict:
-    # stashed on the namespace so a numerical failure can still emit the echo;
-    # a copy, so the results a handler adds to its record stay out of it
-    record = {"command": command, "version": __version__, "input": echo}
-    args.partial_record = dict(record)
-    return record
+        else:
+            stream.write(",".join(columns) + "\n")
+            for row in payload:
+                stream.write(",".join(_csv_cell(row.get(c)) for c in columns) + "\n")
 
 
 def _non_finite(value, name=None) -> list:
@@ -100,59 +82,60 @@ def _require_finite(record: dict) -> None:
 
 
 # ------------------------------------------------------------------ evaluators
-# Library calls stay attribute lookups at call time, so a patched module
-# attribute reaches every command.
+# An evaluator reads the flags it needs from a mapping of flag names to
+# values.  Library calls stay attribute lookups at call time, so a patched
+# module attribute reaches every command.
 
-def _cw_exact(x, t, args):
-    fields = cw_exact.exact_fields(PlanePoint(x, t), args.n, k_max=args.k_max)
+def _cw_exact(x, t, flags):
+    fields = cw_exact.exact_fields(PlanePoint(x, t), flags["n"], k_max=flags["k_max"])
     return {"phi": fields.phi, "u": fields.u, "potential": fields.potential,
             "moments": list(fields.moments)}
 
 
-def _cw_limit(x, t, args):
-    sol = hj_limit.lax_action(PlanePoint(x, t), branch=args.branch)
+def _cw_limit(x, t, flags):
+    sol = hj_limit.lax_action(PlanePoint(x, t), branch=flags["branch"])
     return {"phi": sol.phi, "u": sol.u, "y_star": sol.y_star, "on_shock": sol.on_shock,
             "branch": sol.branch}
 
 
-def _cw_shock(x, t, args):
+def _cw_shock(x, t, flags):
     u_minus, u_plus = hj_limit.shock_jump(t)
     return {"u_minus": u_minus, "u_plus": u_plus}
 
 
-def _cw_critical_line(x, t, args):
+def _cw_critical_line(x, t, flags):
     return {"x_c": hj_limit.critical_line(t)}
 
 
-def _cw_identities(x, t, args):
-    r1, r2, r3 = cw_exact.conservation_residuals(PlanePoint(x, t), args.n)
+def _cw_identities(x, t, flags):
+    r1, r2, r3 = cw_exact.conservation_residuals(PlanePoint(x, t), flags["n"])
     return {"r1": r1, "r2": r2, "r3": r3}
 
 
-def _sk_rs(x, t, args):
-    sol = sk_rs.rs_action(SkParams(x, t, args.beta_h))
+def _sk_rs(x, t, flags):
+    sol = sk_rs.rs_action(SkParams(x, t, flags["beta_h"]))
     return {"q_bar": sol.q_bar, "u": sol.u, "phi_rs": sol.phi_rs, "pressure": sol.pressure,
             "caustic_margin": sol.caustic_margin, "y_star": sol.y_star}
 
 
-def _sk_caustic(x, t, args):
-    return {"margin": sk_rs.caustic_margin(SkParams(x, t, args.beta_h))}
+def _sk_caustic(x, t, flags):
+    return {"margin": sk_rs.caustic_margin(SkParams(x, t, flags["beta_h"]))}
 
 
 _OVERLAP_NAMES = ("q1", "q2", "p1", "p2", "p3", "p4")
 
 
-def _sk_finite(x, t, args):
-    m = sk_finite.quenched_overlap_moments(SkParams(x, t, args.beta_h),
-                                           args.n, args.samples, args.seed)
+def _sk_finite(x, t, flags):
+    m = sk_finite.quenched_overlap_moments(SkParams(x, t, flags["beta_h"]),
+                                           flags["n"], flags["samples"], flags["seed"])
     return {"q1": m.q1, "q2": m.q2, "poly_p1": m.poly_p1, "poly_p2": m.poly_p2,
             "poly_p3": m.poly_p3, "poly_p4": m.poly_p4, "std_errors": list(m.std_errors),
             "v_n": m.v_n, "v_n_std_error": m.v_n_std_error}
 
 
-def _sk_finite_flat(x, t, args):
+def _sk_finite_flat(x, t, flags):
     # sweep rows are flat: poly_pk becomes pk, and each moment gets a std-error column
-    fields = _sk_finite(x, t, args)
+    fields = _sk_finite(x, t, flags)
     for name in _OVERLAP_NAMES[2:]:
         fields[name] = fields.pop(f"poly_{name}")
     for name, error in zip(_OVERLAP_NAMES, fields.pop("std_errors")):
@@ -160,18 +143,60 @@ def _sk_finite_flat(x, t, args):
     return fields
 
 
-# ---------------------------------------------------------------- point queries
+# ------------------------------------------------------------- point queries
 
-# namespace entries that are not flags of a point subcommand
-_NOT_ECHOED = ("command", "subcommand", "handler", "evaluator")
+# the flags of the point queries, each declared once; sweeps and convergence
+# reports take some of them too.  A flag without a default is required by
+# the point queries that take it.
+_FLAGS = {
+    "x": dict(type=float, help="cavity-strength coordinate"),
+    "t": dict(type=float, help="interaction-strength coordinate"),
+    "beta_h": dict(type=float, default=0.0, help="external field combination"),
+    "n": dict(type=int, help="system size (<= 14 for sk finite)"),
+    "k_max": dict(type=int, default=4, help="number of moments (>= 4)"),
+    "branch": dict(choices=["plus", "minus"], default="plus",
+                   help="branch selector on the shock line"),
+    "samples": dict(type=int, help="number of disorder samples"),
+    "seed": dict(type=int, help="stream seed (no clock seeding)"),
+}
+
+# point command -> (help, evaluator, flags in echo order)
+_POINTS = {
+    "cw exact": ("finite-size action, velocity and moments", _cw_exact,
+                 ("x", "t", "n", "k_max")),
+    "cw limit": ("variational limit solution", _cw_limit, ("x", "t", "branch")),
+    "cw shock": ("velocity jump across the shock line", _cw_shock, ("t",)),
+    "cw critical-line": ("boundary of the characteristic-crossing region", _cw_critical_line,
+                         ("t",)),
+    "cw identities": ("finite-size conservation residuals", _cw_identities, ("x", "t", "n")),
+    "sk rs": ("self-consistent action and overlap", _sk_rs, ("x", "t", "beta_h")),
+    "sk caustic": ("characteristic-crossing stability margin", _sk_caustic,
+                   ("x", "t", "beta_h")),
+    "sk finite": ("quenched overlap moments and identity polynomials", _sk_finite,
+                  ("x", "t", "beta_h", "n", "samples", "seed")),
+}
+_GROUPS = {"cw": "ferromagnetic model commands", "sk": "glassy model commands"}
 
 
-def _cmd_point(args):
-    # argparse sets every flag of the subcommand, in the order they were added
-    echo = {k: v for k, v in vars(args).items() if k not in _NOT_ECHOED}
-    record = _start(args, f"{args.command} {args.subcommand}", echo)
-    record.update(converged=True, **args.evaluator(getattr(args, "x", None), args.t, args))
-    return record
+def _report(command: str, echo: dict, evaluate) -> int:
+    """Emit the echo and the fields of ``evaluate()`` as one record.
+
+    On a numerical failure the record keeps its echo, is marked
+    converged: false with the error, and the exit code is 3.
+    """
+    record = {"command": command, "version": __version__, "input": echo}
+    try:
+        result = {**record, "converged": True, **evaluate()}
+        _require_finite(result)
+    except _NUMERICAL_ERRORS as err:
+        result = {**record, "converged": False, "error": str(err)}
+    _emit(result, None)
+    return 0 if result["converged"] else 3
+
+
+def _cmd_point(command, evaluator, flags, args) -> int:
+    echo = {flag: getattr(args, flag) for flag in flags}
+    return _report(command, echo, lambda: evaluator(echo.get("x"), echo["t"], echo))
 
 
 # --------------------------------------------------------------------- sweeps
@@ -201,6 +226,8 @@ _QUANTITY_HELP = "; ".join(f"{model}: " + "|".join(q for m, q in _SWEEP_TABLE if
 # echo column -> the flag it repeats; a sweep writing such a column needs
 # the flag before it starts (exit 2), and a failed row keeps it
 _SWEEP_ECHO = {"beta_h": "beta_h", "n": "n", "n_samples": "samples", "seed": "seed"}
+# the flags a sweep shares with the point queries, all optional there
+_SWEEP_FLAGS = (*_SWEEP_ECHO.values(), "branch")
 
 
 def _axis(lo: float, hi: float, count: int, name: str):
@@ -216,7 +243,7 @@ def _axis(lo: float, hi: float, count: int, name: str):
     return np.linspace(lo, hi, count).tolist()
 
 
-def _cmd_sweep(args):
+def _cmd_sweep(args) -> int:
     key = (args.model, args.quantity)
     if key not in _SWEEP_TABLE:
         allowed = sorted(q for (m, q) in _SWEEP_TABLE if m == args.model)
@@ -224,7 +251,8 @@ def _cmd_sweep(args):
             f"quantity {args.quantity!r} not available for model {args.model!r};"
             f" choose from {allowed}")
     evaluator, columns = _SWEEP_TABLE[key]
-    echo = {column: getattr(args, flag) for column, flag in _SWEEP_ECHO.items()}
+    flags = vars(args)
+    echo = {column: flags[flag] for column, flag in _SWEEP_ECHO.items()}
     for column, flag in _SWEEP_ECHO.items():
         value = echo[column]
         if column in columns and value is None:
@@ -246,14 +274,14 @@ def _cmd_sweep(args):
         for x in xs:
             point = {"t": t, "x": x, **echo}
             try:
-                row = keep({**point, **evaluator(x, t, args), "converged": True})
+                row = keep({**point, **evaluator(x, t, flags), "converged": True})
                 _require_finite(row)
             except (ValueError, *_NUMERICAL_ERRORS):
                 row = keep({**point, "converged": False})
             rows.append(row)
 
-    _emit(rows, args.out, as_csv=args.format == "csv", columns=columns)
-    return None if all(row["converged"] for row in rows) else 3
+    _emit(rows, args.out, columns if args.format == "csv" else None)
+    return 0 if all(row["converged"] for row in rows) else 3
 
 
 # -------------------------------------------------------------- convergence
@@ -270,42 +298,44 @@ def _parse_n_list(text: str):
     return values
 
 
-def _cmd_convergence(args):
-    sizes = _parse_n_list(args.n_list)
-    echo = {"model": args.model, "x": args.x, "t": args.t, "n_list": sizes}
-    record = _start(args, "convergence", echo)
-    entries = []
-    if args.model in ("cw-action", "cw-velocity"):
-        field = "phi" if args.model == "cw-action" else "u"
-        target = _cw_limit(args.x, args.t, argparse.Namespace(branch="plus"))[field]
+def _convergence(echo):
+    x, t, sizes = echo["x"], echo["t"], echo["n_list"]
+    if echo["model"] == "sk-identities":
+        entries = []
         for n in sizes:
-            value = _cw_exact(args.x, args.t, argparse.Namespace(n=n, k_max=4))[field]
-            entries.append({"n": n, "error": abs(value - target)})
-    else:
-        if args.samples is None or args.seed is None:
-            raise ValueError("sk-identities convergence requires --samples and --seed")
-        echo.update(beta_h=args.beta_h, samples=args.samples, seed=args.seed)
-        for n in sizes:
-            m = _sk_finite(args.x, args.t, argparse.Namespace(
-                beta_h=args.beta_h, n=n, samples=args.samples, seed=args.seed))
+            m = _sk_finite(x, t, {**echo, "n": n})
             entries.append({"n": n, "p4": m["poly_p4"], "p4_std_error": m["std_errors"][5],
                             "error": abs(m["poly_p4"])})
+    else:
+        field = "phi" if echo["model"] == "cw-action" else "u"
+        target = _cw_limit(x, t, {"branch": "plus"})[field]
+        entries = [{"n": n, "error": abs(_cw_exact(x, t, {"n": n, "k_max": 4})[field] - target)}
+                   for n in sizes]
     errors = [e["error"] for e in entries]
 
     if any(err == 0.0 for err in errors):
         raise ValueError("zero error in the sequence makes the log-log fit undefined")
     slope = float(np.polyfit(np.log(sizes), np.log(errors), 1)[0])
     ratios = [b / a for a, b in zip(errors, errors[1:])]
-    record.update(converged=True, entries=entries, slope=slope, ratios=ratios)
-    return record
+    return {"entries": entries, "slope": slope, "ratios": ratios}
+
+
+def _cmd_convergence(args) -> int:
+    echo = {"model": args.model, "x": args.x, "t": args.t, "n_list": _parse_n_list(args.n_list)}
+    if args.model == "sk-identities":
+        if args.samples is None or args.seed is None:
+            raise ValueError("sk-identities convergence requires --samples and --seed")
+        echo.update(beta_h=args.beta_h, samples=args.samples, seed=args.seed)
+    return _report("convergence", echo, lambda: _convergence(echo))
 
 
 # ------------------------------------------------------------------- parser
 
-def _add_plane_flags(parser, with_x=True):
-    if with_x:
-        parser.add_argument("--x", type=float, required=True, help="cavity-strength coordinate")
-    parser.add_argument("--t", type=float, required=True, help="interaction-strength coordinate")
+def _add_flags(parser, names, optional=False):
+    for name in names:
+        spec = _FLAGS[name]
+        parser.add_argument("--" + name.replace("_", "-"),
+                            required=not optional and "default" not in spec, **spec)
 
 
 @functools.cache
@@ -315,54 +345,14 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     top = parser.add_subparsers(dest="command", required=True)
 
-    cw = top.add_parser("cw", help="ferromagnetic model commands")
-    cw_sub = cw.add_subparsers(dest="subcommand", required=True)
-
-    q = cw_sub.add_parser("exact", help="finite-size action, velocity and moments")
-    _add_plane_flags(q)
-    q.add_argument("--n", type=int, required=True, help="system size")
-    q.add_argument("--k-max", type=int, default=4, help="number of moments (>= 4)")
-    q.set_defaults(handler=_cmd_point, evaluator=_cw_exact)
-
-    q = cw_sub.add_parser("limit", help="variational limit solution")
-    _add_plane_flags(q)
-    q.add_argument("--branch", choices=["plus", "minus"], default="plus",
-                   help="branch selector on the shock line")
-    q.set_defaults(handler=_cmd_point, evaluator=_cw_limit)
-
-    q = cw_sub.add_parser("shock", help="velocity jump across the shock line")
-    q.add_argument("--t", type=float, required=True)
-    q.set_defaults(handler=_cmd_point, evaluator=_cw_shock)
-
-    q = cw_sub.add_parser("critical-line", help="boundary of the characteristic-crossing region")
-    q.add_argument("--t", type=float, required=True)
-    q.set_defaults(handler=_cmd_point, evaluator=_cw_critical_line)
-
-    q = cw_sub.add_parser("identities", help="finite-size conservation residuals")
-    _add_plane_flags(q)
-    q.add_argument("--n", type=int, required=True)
-    q.set_defaults(handler=_cmd_point, evaluator=_cw_identities)
-
-    sk = top.add_parser("sk", help="glassy model commands")
-    sk_sub = sk.add_subparsers(dest="subcommand", required=True)
-
-    q = sk_sub.add_parser("rs", help="self-consistent action and overlap")
-    _add_plane_flags(q)
-    q.add_argument("--beta-h", type=float, default=0.0, help="external field combination")
-    q.set_defaults(handler=_cmd_point, evaluator=_sk_rs)
-
-    q = sk_sub.add_parser("caustic", help="characteristic-crossing stability margin")
-    _add_plane_flags(q)
-    q.add_argument("--beta-h", type=float, default=0.0)
-    q.set_defaults(handler=_cmd_point, evaluator=_sk_caustic)
-
-    q = sk_sub.add_parser("finite", help="quenched overlap moments and identity polynomials")
-    _add_plane_flags(q)
-    q.add_argument("--beta-h", type=float, default=0.0)
-    q.add_argument("--n", type=int, required=True, help="site count (<= 14)")
-    q.add_argument("--samples", type=int, required=True, help="number of disorder samples")
-    q.add_argument("--seed", type=int, required=True, help="stream seed (no clock seeding)")
-    q.set_defaults(handler=_cmd_point, evaluator=_sk_finite)
+    groups = {group: top.add_parser(group, help=text).add_subparsers(dest="subcommand",
+                                                                     required=True)
+              for group, text in _GROUPS.items()}
+    for command, (text, evaluator, flags) in _POINTS.items():
+        group, name = command.split()
+        q = groups[group].add_parser(name, help=text)
+        _add_flags(q, flags)
+        q.set_defaults(handler=functools.partial(_cmd_point, command, evaluator, flags))
 
     q = top.add_parser("sweep", help="rectangular grid evaluation, one row per point")
     q.add_argument("--model", choices=_SWEEP_MODELS, required=True)
@@ -373,49 +363,30 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--t-min", type=float, required=True)
     q.add_argument("--t-max", type=float, required=True)
     q.add_argument("--n-t", type=int, required=True)
-    q.add_argument("--beta-h", type=float, default=0.0)
-    q.add_argument("--n", type=int, default=None)
-    q.add_argument("--samples", type=int, default=None)
-    q.add_argument("--seed", type=int, default=None)
-    q.add_argument("--branch", choices=["plus", "minus"], default="plus")
+    _add_flags(q, _SWEEP_FLAGS, optional=True)
     q.add_argument("--format", choices=["json", "csv"], default="json")
     q.add_argument("--out", default=None, help="output path (default: standard output)")
     # no --k-max: exact rows carry the four moments the identities need
-    q.set_defaults(handler=_cmd_sweep, raw=True, k_max=4)
+    q.set_defaults(handler=_cmd_sweep, k_max=4)
 
     q = top.add_parser("convergence", help="error decay against the limit solver")
     q.add_argument("--model", choices=["cw-action", "cw-velocity", "sk-identities"],
                    required=True)
-    _add_plane_flags(q)
-    q.add_argument("--beta-h", type=float, default=0.0)
+    _add_flags(q, ("x", "t", "beta_h"))
     q.add_argument("--n-list", required=True, help="strictly increasing sizes, e.g. 50,100,200")
-    q.add_argument("--samples", type=int, default=None)
-    q.add_argument("--seed", type=int, default=None)
+    _add_flags(q, ("samples", "seed"), optional=True)
     q.set_defaults(handler=_cmd_convergence)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    out_path = getattr(args, "out", None)
+    args = build_parser().parse_args(argv)
     try:
-        result = args.handler(args)
-        if not getattr(args, "raw", False):
-            _require_finite(result)
+        return args.handler(args)
     except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    except _NUMERICAL_ERRORS as err:
-        record = args.partial_record
-        record.update(converged=False, error=str(err))
-        _emit(record, out_path)
-        return 3
-    if getattr(args, "raw", False):
-        return result or 0
-    _emit(result, out_path)
-    return 0
 
 
 if __name__ == "__main__":

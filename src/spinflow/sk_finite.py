@@ -122,17 +122,16 @@ def _check_key(name: str, value) -> None:
         raise ValueError(f"{name} must be an integer in [0, 2^64), got {value!r}")
 
 
-def _disorder_draws(seed: int, indices, n: int) -> np.ndarray:
+def _disorder_draws(bitgen: np.random.Philox, seed: int, indices, n: int) -> np.ndarray:
     """Standard normal draws of samples `indices` of the stream `seed`.
 
     Row r holds what Generator(Philox(key=[seed, indices[r]])) draws
-    first: the n(n-1)/2 pair couplings, then the n site fields.  One
-    generator serves the block; before each row its state is set to
-    exactly that of a fresh Philox with that key (counter 0, output
-    buffer empty), which gives the same draws without building a
-    generator per sample.
+    first: the n(n-1)/2 pair couplings, then the n site fields.  `bitgen`
+    serves every row: before each row its state is set to exactly that of
+    a fresh Philox with that key (counter 0, output buffer empty), which
+    gives the same draws without building a generator per sample (a build
+    costs about twice what rekeying and drawing an n = 14 sample do).
     """
-    bitgen = np.random.Philox(0)
     rng = np.random.Generator(bitgen)
     draws = np.empty((len(indices), n * (n + 1) // 2))
     zero = np.zeros(4, dtype=np.uint64)
@@ -155,7 +154,7 @@ def draw_disorder(seed: int, index: int, n: int) -> DisorderSample:
     _check_site_count(n)
     _check_key("seed", seed)
     _check_key("index", index)
-    draws = _disorder_draws(seed, [index], n)[0]
+    draws = _disorder_draws(np.random.Philox(0), seed, [index], n)[0]
     n_pairs = n * (n - 1) // 2
     return DisorderSample(seed=int(seed), index=int(index),
                           couplings=draws[:n_pairs], site_fields=draws[n_pairs:])
@@ -173,6 +172,18 @@ def _gibbs_states(couplings: np.ndarray, site_fields: np.ndarray, params: SkPara
     """
     rows, n = site_fields.shape
     sites, pairs, _ = _walsh_masks(n)
+    # A row's log-weights, and every partial sum of their transform, are at
+    # most its absolute coefficient sum in size, and the max shift below
+    # subtracts up to twice that.  `bound` is at least that sum in every row
+    # of the block; only beta_h can bring it near the largest double, since
+    # the terms in J stay below 1e157.  Python floats, so that forming the
+    # bound cannot warn; 2^-40 of slack covers rounding.
+    largest = max(float(np.abs(couplings).max(initial=0.0)), float(np.abs(site_fields).max()))
+    bound = n * abs(params.beta_h) + largest * (
+        len(pairs) * math.sqrt(params.t / n) + n * math.sqrt(params.x))
+    if not math.isfinite(2.0 * (1.0 + 2.0 ** -40) * bound):
+        raise OverflowError(f"log-weights overflow at n={n}, x={params.x}, t={params.t}, "
+                            f"beta_h={params.beta_h}, so the 2^n enumeration cannot be formed")
     walsh = np.zeros((rows, 1 << n))
     walsh[:, pairs] = math.sqrt(params.t / n) * couplings
     walsh[:, sites] = params.beta_h + math.sqrt(params.x) * site_fields
@@ -223,10 +234,11 @@ class GibbsCorrelators:
         return float(self.correlators[mask])
 
 
-def _sample_statistics(params: SkParams, n: int, seed: int, indices) -> np.ndarray:
+def _sample_statistics(params: SkParams, n: int, draws: np.ndarray) -> np.ndarray:
     """Replica-factorized overlap statistics, one row per disorder sample.
 
-    Samples `indices` of the stream `seed` are enumerated as one block.
+    The samples, one row of `draws` each (from `_disorder_draws`), are
+    enumerated as one block.
     With c(S) the correlators, the overlap power moments are sums of
     squared correlators weighted by the number of site walks whose
     odd-multiplicity set is S:
@@ -238,7 +250,7 @@ def _sample_statistics(params: SkParams, n: int, seed: int, indices) -> np.ndarr
     C_ij = c({i, j}) and C_ii = c({}): <q12 q23> = <L^2>/n^2,
     <q12 q23^2> = <A L>/n^3 and <q12^2 q23^2> = <A^2>/n^4.  Cost is
     O(n 2^n) per sample.  Reductions run along contiguous rows, so each
-    row depends only on (params, n, seed, index).
+    row depends only on (params, n) and its draws.
 
     Columns are (q1, q2, o1, e1, e2) where q1 = O(q12), q2 = O(q12^2),
     o1 = O(q12^2 - 4 q12 q23 + 3 q12 q34),
@@ -247,7 +259,6 @@ def _sample_statistics(params: SkParams, n: int, seed: int, indices) -> np.ndarr
     with O the thermal average at fixed disorder.
     """
     n_pairs = n * (n - 1) // 2
-    draws = _disorder_draws(seed, indices, n)
     prob, corr = _gibbs_states(draws[:, :n_pairs], draws[:, n_pairs:], params)
     sites, pairs, by_size = _walsh_masks(n)
     g0, g1, g2, g3, g4 = (np.square(np.take(corr, masks, axis=1)).sum(axis=1)
@@ -320,6 +331,8 @@ def quenched_overlap_moments(params: SkParams, n: int, n_samples: int,
     the replica overlaps and are expected to shrink like 1/n in the
     high-temperature phase; v_n is half the full overlap variance, the
     potential term whose vanishing defines the replica-symmetric regime.
+    OverflowError, naming the point, is raised when the log-weights of a
+    sample could overflow.
     """
     _check_site_count(n)
     if not isinstance(n_samples, (int, np.integer)) or n_samples < 2:
@@ -328,9 +341,11 @@ def quenched_overlap_moments(params: SkParams, n: int, n_samples: int,
 
     block = max(1, _BLOCK_ENTRIES >> n)
     table = np.empty((n_samples, 5))
+    bitgen = np.random.Philox(0)
     for first in range(0, n_samples, block):
         last = min(first + block, n_samples)
-        table[first:last] = _sample_statistics(params, n, seed, range(first, last))
+        draws = _disorder_draws(bitgen, seed, range(first, last), n)
+        table[first:last] = _sample_statistics(params, n, draws)
 
     mean = table.mean(axis=0)
     m_q1, m_q2, m_o1, m_e1, m_e2 = mean

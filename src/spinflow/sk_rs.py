@@ -11,7 +11,8 @@ the self-consistency equation
 Gaussian expectations are evaluated with fixed-order Gauss-Hermite
 quadrature (order 240, nodes computed once at import and shared
 read-only; 120 nodes leave a few 1e-9 of error on the widest cavity
-fields in play, 240 brings every case below a few 1e-12).  Gaussian
+fields in play, 240 brings every case below a few 1e-12 while the
+variance v stays below about 2; at v = 4 sech^4 is off by 2e-7).  Gaussian
 integration by parts gives the slope of the map exactly,
 
     d/dq E_g tanh^2(beta_h + g sqrt(x + t q)) = t (3 E_g sech^4 - 2 E_g sech^2),
@@ -242,10 +243,12 @@ def _golden_min(f, a: float, b: float) -> tuple[float, float]:
     return float(t), float(min(fc, fd))
 
 
-def _phi_rs_at(params: SkParams, q_bar: float) -> float:
+def _phi_rs_at(params: SkParams, q_bar: float) -> tuple[float, float]:
+    # the action and the E log cosh it holds; on the x = 0 section that is the
+    # pressure's E log cosh too, at the same variance t q_bar
     y_star = params.x + params.t * q_bar
     e_log_cosh = gaussian_expectation("log_cosh", params.beta_h, y_star)
-    return 0.5 * params.t * q_bar * q_bar + 2.0 * LOG2 + 2.0 * e_log_cosh - y_star
+    return 0.5 * params.t * q_bar * q_bar + 2.0 * LOG2 + 2.0 * e_log_cosh - y_star, e_log_cosh
 
 
 def rs_action(params: SkParams) -> RsSolution:
@@ -259,8 +262,8 @@ def rs_action(params: SkParams) -> RsSolution:
     same overlap, by the closed form of ``rs_pressure``.
     """
     q_bar = solve_qbar(params)
-    phi = _phi_rs_at(params, q_bar)
-    pressure = _pressure_at(params, q_bar, phi)[0] if params.x == 0.0 else None
+    phi, e_log_cosh = _phi_rs_at(params, q_bar)
+    pressure = _pressure_at(params, q_bar, phi, e_log_cosh)[0] if params.x == 0.0 else None
     return RsSolution(q_bar=q_bar, phi_rs=phi, pressure=pressure,
                       caustic_margin=_caustic_margin_at(params, q_bar),
                       y_star=params.x + params.t * q_bar)
@@ -285,13 +288,13 @@ def _pressure_checks(beta: float, h: float) -> tuple[float, float, float]:
         raise ValueError(f"inverse temperature beta must be >= 0, got {beta}")
     params = SkParams(x=0.0, t=beta * beta, beta_h=beta * h)
     q_bar = solve_qbar(params)
-    phi = _phi_rs_at(params, q_bar)
-    return (*_pressure_at(params, q_bar, phi), _envelope_gap(params, q_bar, phi))
+    phi, e_log_cosh = _phi_rs_at(params, q_bar)
+    return (*_pressure_at(params, q_bar, phi, e_log_cosh), _envelope_gap(params, q_bar, phi))
 
 
-def _pressure_at(params: SkParams, q_bar: float, phi: float) -> tuple[float, float]:
+def _pressure_at(params: SkParams, q_bar: float, phi: float,
+                 e_log_cosh: float) -> tuple[float, float]:
     # closed-form pressure on the x = 0 section, and its gap to phi / 2 + t / 4
-    e_log_cosh = gaussian_expectation("log_cosh", params.beta_h, params.t * q_bar)
     closed = LOG2 + e_log_cosh + 0.25 * params.t * (1.0 - q_bar) ** 2
     return closed, abs(0.5 * phi + 0.25 * params.t - closed)
 
@@ -300,7 +303,7 @@ def _envelope_gap(params: SkParams, q_bar: float, phi: float) -> float:
     # |d_x phi_rs + qbar| at fixed qbar, by a second-order forward difference
     # (x - dx leaves the domain where qbar = 0); the difference floor is about 1e-8
     dx = 1e-5 * (1.0 + params.x + params.t * q_bar)
-    f1, f2 = (_phi_rs_at(replace(params, x=params.x + k * dx), q_bar) for k in (1, 2))
+    f1, f2 = (_phi_rs_at(replace(params, x=params.x + k * dx), q_bar)[0] for k in (1, 2))
     return abs((4.0 * f1 - 3.0 * phi - f2) / (2.0 * dx) + q_bar)
 
 
@@ -310,8 +313,9 @@ def rs_pressure(beta: float, h: float) -> float:
     Raises ConvergenceError unless the half-action reconstruction holds to
     1e-10 and the envelope identity d_x phi_rs = -qbar to 1e-6.  The first
     shares E_g log cosh between its routes; the second ties it to the
-    overlap map, and fails from about beta = 4 on, where the Gauss-Hermite
-    sums lose accuracy at wide variance.
+    overlap map, and fails from beta = 3.36 on at h = 0 (3.38 at h = 0.1,
+    3.49 at h = 0.3, 3.66 at h = 1), where the Gauss-Hermite sums lose
+    accuracy at wide variance.
     """
     pressure, discrepancy, envelope = _pressure_checks(beta, h)
     if discrepancy > 1e-10:

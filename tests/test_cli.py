@@ -11,7 +11,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import spinflow
@@ -93,6 +93,26 @@ def test_finite_point_record_is_seed_stable():
     record = json.loads(first[1])
     assert record["input"]["seed"] == 9
     assert len(record["std_errors"]) == 6
+
+
+@pytest.mark.parametrize("argv, echo", [
+    ("cw exact --n 10 --t 0.5 --x 0.2", {"x": 0.2, "t": 0.5, "n": 10, "k_max": 4}),
+    ("cw limit --branch minus --t 2 --x 0", {"x": 0.0, "t": 2.0, "branch": "minus"}),
+    ("cw shock --t 1.5", {"t": 1.5}),
+    ("cw critical-line --t 1.5", {"t": 1.5}),
+    ("cw identities --n 10 --t 0.5 --x 0.2", {"x": 0.2, "t": 0.5, "n": 10}),
+    ("sk rs --t 1.2 --x 0.3", {"x": 0.3, "t": 1.2, "beta_h": 0.0}),
+    ("sk caustic --beta-h 0.2 --t 1.2 --x 0.3", {"x": 0.3, "t": 1.2, "beta_h": 0.2}),
+    ("sk finite --seed 3 --samples 4 --n 5 --t 0.5 --x 0.1",
+     {"x": 0.1, "t": 0.5, "beta_h": 0.0, "n": 5, "samples": 4, "seed": 3}),
+])
+def test_point_records_echo_exactly_their_flags_in_order(argv, echo):
+    # flags given in reverse: the echo follows the subcommand's flags, not the argv
+    code, out, err = run_cli(argv.split())
+    assert (code, err) == (0, "")
+    record = json.loads(out)
+    assert record["command"] == " ".join(argv.split()[:2])
+    assert list(record["input"].items()) == list(echo.items())
 
 
 def test_the_cached_parser_keeps_no_state_between_calls():
@@ -190,6 +210,10 @@ def test_overflowing_limit_bracket_is_a_domain_error():
     ["sk", "rs", "--x", "1e308", "--t", "1e308", "--beta-h", "1e308"],
     ["sk", "rs", "--x", "0", "--t", "0", "--beta-h", "9e307"],
     ["sk", "rs", "--x", "0", "--t", "1", "--beta-h", "1e308"],
+    ["sk", "finite", "--x", "0", "--t", "0", "--beta-h", "3e307", "--n", "4",
+     "--samples", "2", "--seed", "0"],
+    ["sk", "finite", "--x", "0", "--t", "0", "--beta-h", "1e308", "--n", "4",
+     "--samples", "2", "--seed", "0"],
 ])
 def test_extreme_coupling_ends_cleanly(argv):
     code, out, err = run_cli(argv)
@@ -206,6 +230,26 @@ def test_overflow_names_the_stage_and_the_point():
     error = strict_json(out)["error"]
     assert "Lax-Oleinik objective" in error
     assert "x=0.3" in error and "t=1e+308" in error
+
+
+@pytest.mark.parametrize("argv, echo", [
+    (["convergence", "--model", "cw-velocity", "--x", "0.3", "--t", "1e308",
+      "--n-list", "10,20,40"],
+     {"model": "cw-velocity", "x": 0.3, "t": 1e308, "n_list": [10, 20, 40]}),
+    (["convergence", "--model", "sk-identities", "--x", "0", "--t", "0", "--beta-h", "3e307",
+      "--n-list", "2,3,4", "--samples", "2", "--seed", "0"],
+     {"model": "sk-identities", "x": 0.0, "t": 0.0, "n_list": [2, 3, 4], "beta_h": 3e307,
+      "samples": 2, "seed": 0}),
+])
+def test_failing_convergence_report_keeps_its_echo(argv, echo):
+    code, out, err = run_cli(argv)
+    assert (code, err) == (3, "")
+    record = strict_json(out)
+    assert list(record) == ["command", "version", "input", "converged", "error"]
+    assert record["command"] == "convergence"
+    assert list(record["input"].items()) == list(echo.items())
+    assert record["converged"] is False
+    assert "overflow" in record["error"]
 
 
 _COLD_START = """
@@ -255,7 +299,7 @@ _FLOATS = st.one_of(st.floats(-3.0, 3.0), st.floats(allow_nan=False, allow_infin
 @st.composite
 def point_commands(draw):
     command = draw(st.sampled_from(["cw exact", "cw limit", "cw shock", "cw critical-line",
-                                    "cw identities", "sk rs", "sk caustic"]))
+                                    "cw identities", "sk rs", "sk caustic", "sk finite"]))
     argv = command.split()
     # the --flag=value form, so that argparse cannot read a negative value as a flag
     if command not in ("cw shock", "cw critical-line"):
@@ -265,10 +309,16 @@ def point_commands(draw):
         argv.append(f"--n={draw(st.integers(-2, 3000))}")
     if command.startswith("sk"):
         argv.append(f"--beta-h={draw(_FLOATS)!r}")
+    if command == "sk finite":
+        # small sizes keep the 2^n enumeration cheap
+        argv += [f"--n={draw(st.integers(-1, 8))}", f"--samples={draw(st.integers(-1, 4))}",
+                 f"--seed={draw(st.integers(-1, 3))}"]
     return argv
 
 
 @given(argv=point_commands())
+@example(argv=["sk", "finite", "--x=0.0", "--t=0.0", "--beta-h=3e+307", "--n=4", "--samples=2",
+               "--seed=0"])
 @settings(max_examples=300, deadline=None)
 def test_point_commands_end_cleanly_at_any_finite_input(argv):
     with warnings.catch_warnings(record=True) as caught:
@@ -307,6 +357,10 @@ def sweep_commands(draw):
 
 
 @given(argv=sweep_commands())
+# the largest field whose log-weights overflowed in the enumeration
+@example(argv=["sweep", "--model", "sk-finite", "--quantity", "identities", "--format", "csv",
+               "--x-min=0.0", "--x-max=0.0", "--n-x=1", "--t-min=0.0", "--t-max=0.0", "--n-t=1",
+               "--beta-h=8.98846567431158e+307", "--n=1", "--samples=2", "--seed=0"])
 @settings(max_examples=200, deadline=None)
 def test_sweeps_end_cleanly_at_any_finite_input(argv):
     with warnings.catch_warnings(record=True) as caught:
@@ -327,6 +381,16 @@ def test_sweeps_end_cleanly_at_any_finite_input(argv):
             if column != "on_shock":
                 float(row[column])
     assert (code == 0) is all(row["converged"] == "true" for row in rows)
+
+
+def test_sweep_help_lists_the_sweep_table(monkeypatch):
+    # a wide terminal, so that argparse does not wrap the help lines
+    monkeypatch.setenv("COLUMNS", "400")
+    code, out, _ = run_cli(["sweep", "--help"])
+    assert code == 0
+    assert f"--model {{{','.join(_SWEEPS)}}}" in out
+    assert "; ".join(f"{model}: " + "|".join(q) for model, q in _SWEEPS.items()) in out
+    assert list(cli._SWEEP_TABLE) == [(model, q) for model, qs in _SWEEPS.items() for q in qs]
 
 
 def test_sweep_rows_are_t_major_and_csv_is_17g(tmp_path):

@@ -16,7 +16,12 @@ from spinflow import (
     solve_qbar,
 )
 from spinflow import sk_finite
-from spinflow.sk_finite import _sample_statistics
+
+
+def block_statistics(params, n, seed, indices):
+    """The engine's statistics rows for samples `indices` enumerated as one block."""
+    draws = sk_finite._disorder_draws(np.random.Philox(0), seed, indices, n)
+    return sk_finite._sample_statistics(params, n, draws)
 
 
 def sample_hamiltonian_weights(sample: DisorderSample, params: SkParams):
@@ -90,6 +95,27 @@ def test_cost_guard_and_parameter_checks():
         quenched_overlap_moments(SkParams(0.1, 0.1), 15, 10, seed=0)
     with pytest.raises(ValueError):
         quenched_overlap_moments(SkParams(0.1, 0.1), 4, 1, seed=0)
+
+
+@pytest.mark.parametrize("n, beta_h", [(1, 8.98846567431158e+307), (4, 3e307), (4, 1e308),
+                                       (14, 1e307)])
+def test_overflowing_log_weights_raise_and_name_the_point(n, beta_h):
+    params = SkParams(0.0, 0.0, beta_h)
+    with pytest.raises(OverflowError) as err:
+        quenched_overlap_moments(params, n, 2, seed=0)
+    for part in (f"n={n}", "x=0.0", "t=0.0", f"beta_h={beta_h}"):
+        assert part in str(err.value)
+    with pytest.raises(OverflowError):
+        GibbsCorrelators(draw_disorder(0, 0, n), params)
+
+
+@pytest.mark.parametrize("n, params", [(1, SkParams(0.0, 0.0, 8.9e307)),
+                                       (4, SkParams(0.0, 0.0, -2.2e307)),
+                                       (4, SkParams(1e300, 1e308, 2e307))])
+def test_strongest_fields_below_the_overflow_bound_enumerate(n, params):
+    # fields this strong pin every spin, so the overlap is 1
+    m = quenched_overlap_moments(params, n, 2, seed=0)
+    assert m.q1 == 1.0
 
 
 def test_gauge_symmetry_kills_odd_correlators():
@@ -275,7 +301,7 @@ def test_overlap_moments_keep_their_frozen_bits(key):
 @pytest.mark.parametrize("n", [1, 5, 14])
 def test_block_draws_are_fresh_generator_draws(seed, n):
     indices = [2, 2 ** 64 - 1, 0, 1]
-    draws = sk_finite._disorder_draws(seed, indices, n)
+    draws = sk_finite._disorder_draws(np.random.Philox(0), seed, indices, n)
     for row, index in zip(draws, indices):
         fresh = np.random.Generator(np.random.Philox(key=np.array([seed, index], dtype=np.uint64)))
         assert np.array_equal(row, fresh.standard_normal(n * (n + 1) // 2))
@@ -294,15 +320,15 @@ def test_repeat_runs_are_bit_identical():
 def test_sample_rows_do_not_depend_on_the_block(n):
     params = SkParams(0.2, 0.9, 0.1)
     count = 3 if n == 14 else 7
-    block = _sample_statistics(params, n, 19, range(count))
-    single = np.vstack([_sample_statistics(params, n, 19, [index]) for index in range(count)])
+    block = block_statistics(params, n, 19, range(count))
+    single = np.vstack([block_statistics(params, n, 19, [index]) for index in range(count)])
     assert np.array_equal(block, single)
 
 
 @pytest.mark.parametrize("params", [SkParams(0.3, 0.8, 0.15), SkParams(0.05, 2.0, 0.0)])
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 9])
 def test_transform_statistics_match_brute_force_replicas(n, params):
-    rows = _sample_statistics(params, n, 27, range(2))
+    rows = block_statistics(params, n, 27, range(2))
     for index, row in enumerate(rows):
         configs, prob = sample_hamiltonian_weights(draw_disorder(27, index, n), params)
         expected = overlap_chain_moments(prob, configs, n)
