@@ -51,17 +51,25 @@ def _csv_cell(value) -> str:
     return str(value)
 
 
-def _emit(payload, out_path, columns=None) -> None:
-    """Write `payload` as JSON, or as CSV rows under `columns`, to `out_path` or stdout."""
-    with contextlib.ExitStack() as stack:
-        stream = sys.stdout if out_path is None else stack.enter_context(open(out_path, "w"))
-        if columns is None:
-            json.dump(payload, stream, indent=2, allow_nan=False)
-            stream.write("\n")
-        else:
-            stream.write(",".join(columns) + "\n")
-            for row in payload:
-                stream.write(",".join(_csv_cell(row.get(c)) for c in columns) + "\n")
+def _output(path):
+    """Standard output, or `path` opened for writing; an unwritable path is invalid input."""
+    if path is None:
+        return contextlib.nullcontext(sys.stdout)
+    try:
+        return open(path, "w")
+    except OSError as err:
+        raise ValueError(f"cannot write --out {path}: {err.strerror}") from None
+
+
+def _emit(payload, stream, columns=None) -> None:
+    """Write `payload` to `stream` as JSON, or as CSV rows under `columns`."""
+    if columns is None:
+        json.dump(payload, stream, indent=2, allow_nan=False)
+        stream.write("\n")
+    else:
+        stream.write(",".join(columns) + "\n")
+        for row in payload:
+            stream.write(",".join(_csv_cell(row.get(c)) for c in columns) + "\n")
 
 
 def _non_finite(value, name=None) -> list:
@@ -190,7 +198,7 @@ def _report(command: str, echo: dict, evaluate) -> int:
         _require_finite(result)
     except _NUMERICAL_ERRORS as err:
         result = {**record, "converged": False, "error": str(err)}
-    _emit(result, None)
+    _emit(result, sys.stdout)
     return 0 if result["converged"] else 3
 
 
@@ -269,18 +277,19 @@ def _cmd_sweep(args) -> int:
     def keep(row):
         return {c: row.get(c) for c in columns}
 
-    rows = []
-    for t in ts:
-        for x in xs:
-            point = {"t": t, "x": x, **echo}
-            try:
-                row = keep({**point, **evaluator(x, t, flags), "converged": True})
-                _require_finite(row)
-            except (ValueError, *_NUMERICAL_ERRORS):
-                row = keep({**point, "converged": False})
-            rows.append(row)
-
-    _emit(rows, args.out, columns if args.format == "csv" else None)
+    # opened before any row is evaluated, so that a bad --out fails at once
+    with _output(args.out) as stream:
+        rows = []
+        for t in ts:
+            for x in xs:
+                point = {"t": t, "x": x, **echo}
+                try:
+                    row = keep({**point, **evaluator(x, t, flags), "converged": True})
+                    _require_finite(row)
+                except (ValueError, *_NUMERICAL_ERRORS):
+                    row = keep({**point, "converged": False})
+                rows.append(row)
+        _emit(rows, stream, columns if args.format == "csv" else None)
     return 0 if all(row["converged"] for row in rows) else 3
 
 

@@ -18,13 +18,12 @@ breaking limit along tilted approach lines.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .plane import ConvergenceError, PlanePoint, QuadratureError, bracketed_newton
+from .plane import ConvergenceError, PlanePoint, QuadratureError, bracketed_newton, gauss_rule
 
 LOG2 = math.log(2.0)
 
@@ -191,17 +190,6 @@ def _window_end(x: float, t: float, n: int, g_min: float, y: float, direction: f
     raise QuadratureError(f"could not bracket the kernel integrand at x={x}, t={t}, n={n}")
 
 
-@functools.cache
-def _gauss_legendre_rule() -> tuple[np.ndarray, np.ndarray]:
-    # built on first use, so that commands that never integrate do not build it;
-    # the n = 14 overlap enumeration is sensitive to what was allocated before it.
-    # Every caller shares the arrays, so they are read-only.
-    rule = np.polynomial.legendre.leggauss(_GL_ORDER)
-    for array in rule:
-        array.setflags(write=False)
-    return rule
-
-
 def _panel_sums(x: float, t: float, n: int, g_min: float, edges: np.ndarray, panels: int,
                 with_velocity: bool) -> np.ndarray:
     # Gauss-Legendre sums over `panels` equal panels per segment of `edges`:
@@ -209,7 +197,7 @@ def _panel_sums(x: float, t: float, n: int, g_min: float, edges: np.ndarray, pan
     width = np.diff(edges) / panels
     half = np.repeat(0.5 * width, panels)[:, None]
     mid = (edges[:-1, None] + width[:, None] * (np.arange(panels) + 0.5)).reshape(-1, 1)
-    nodes, weights = _gauss_legendre_rule()
+    nodes, weights = gauss_rule(np.polynomial.legendre.leggauss, _GL_ORDER)
     y = mid + half * nodes
     a = np.abs(y)
     g = (x - y) ** 2 / (2.0 * t) - LOG2 - (a + np.log1p(np.exp(-2.0 * a)) - LOG2)

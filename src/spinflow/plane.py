@@ -1,4 +1,4 @@
-"""Shared parameter types, error classes and the scalar root finder.
+"""Shared parameter types, error classes, the scalar root finder and Gauss rules.
 
 Every solver in this package works on the half-plane whose coordinates are
 a one-body field strength ``x`` (space-like) and a two-body interaction
@@ -8,6 +8,7 @@ extra parameter, the external field combination ``beta_h``.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -61,6 +62,15 @@ def bracketed_newton(f, lo: float, hi: float, x0: float, tol: float,
     raise ConvergenceError(
         f"bracketed Newton did not converge in {_NEWTON_MAX_ITER} iterations on [{lo}, {hi}]",
         residual=abs(value))
+
+
+@functools.cache
+def gauss_rule(builder, order: int) -> tuple:
+    """Read-only nodes and weights ``builder(order)``, built on first use and shared."""
+    rule = builder(order)
+    for array in rule:
+        array.setflags(write=False)
+    return rule
 
 
 @dataclass(frozen=True)

@@ -47,6 +47,8 @@ def _check_site_count(n) -> None:
 # few per cent faster on runs of many small samples (n = 4..8) but raised
 # their peak memory by about 1 %.
 _BLOCK_ENTRIES = 1 << 13
+# workspace planes: log-weights, transform partner, spare; series stack (2), partner (2)
+_PLANES = 7
 
 
 @lru_cache(maxsize=None)
@@ -160,7 +162,8 @@ def draw_disorder(seed: int, index: int, n: int) -> DisorderSample:
                           couplings=draws[:n_pairs], site_fields=draws[n_pairs:])
 
 
-def _gibbs_states(couplings: np.ndarray, site_fields: np.ndarray, params: SkParams):
+def _gibbs_states(couplings: np.ndarray, site_fields: np.ndarray, params: SkParams,
+                  planes: np.ndarray):
     """Normalized Boltzmann weights and all correlators for a block of samples.
 
     Row r of `couplings` and `site_fields` is one disorder sample.  Row r
@@ -168,7 +171,8 @@ def _gibbs_states(couplings: np.ndarray, site_fields: np.ndarray, params: SkPara
     of a configuration is site i, bit value 0 mapped to +1), for
     log-weights sqrt(t/n) sum_{i<j} J_ij s_i s_j + sum_i (beta_h +
     sqrt(x) J_i) s_i.  Row r of `correlators` holds <prod_{i in S} s_i>
-    at index S (a bit mask of sites).
+    at index S (a bit mask of sites).  Both are planes of `planes`, a
+    C-contiguous (3, rows, 2^n) workspace overwritten whatever it holds.
     """
     rows, n = site_fields.shape
     sites, pairs, _ = _walsh_masks(n)
@@ -184,21 +188,18 @@ def _gibbs_states(couplings: np.ndarray, site_fields: np.ndarray, params: SkPara
     if not math.isfinite(2.0 * (1.0 + 2.0 ** -40) * bound):
         raise OverflowError(f"log-weights overflow at n={n}, x={params.x}, t={params.t}, "
                             f"beta_h={params.beta_h}, so the 2^n enumeration cannot be formed")
-    walsh = np.zeros((rows, 1 << n))
+    walsh, work, spare = planes
+    walsh.fill(0.0)
     walsh[:, pairs] = math.sqrt(params.t / n) * couplings
     walsh[:, sites] = params.beta_h + math.sqrt(params.x) * site_fields
-    work = np.empty_like(walsh)
     prob = _fwht(walsh, work)
     prob -= prob.max(axis=1, keepdims=True)
     np.exp(prob, out=prob)
     prob /= prob.sum(axis=1, keepdims=True)
-    # the transform overwrites both its buffers, so it runs on a copy of
-    # the weights in the buffer that the log-weights left free.  A fresh
-    # copy there instead left a hole in the heap that lifted the n = 14
-    # footprint over glibc's trim threshold: 234 minor faults per sample.
+    # the transform overwrites both buffers, so it runs on a copy in the plane left free
     free = work if prob is walsh else walsh
     np.copyto(free, prob)
-    return prob, _fwht(free, np.empty_like(free))
+    return prob, _fwht(free, spare)
 
 
 class GibbsCorrelators:
@@ -218,12 +219,11 @@ class GibbsCorrelators:
         if sample.couplings.shape != (n * (n - 1) // 2,):
             raise ValueError("couplings length does not match the site count")
         prob, correlators = _gibbs_states(sample.couplings[None], sample.site_fields[None],
-                                          params)
+                                          params, np.empty((3, 1, 1 << n)))
         self.n = n
         self.sample = sample
         self.params = params
-        self.prob = prob[0]
-        self.correlators = correlators[0]
+        self.prob, self.correlators = prob[0], correlators[0]
 
     def __call__(self, sites) -> float:
         mask = 0
@@ -234,11 +234,12 @@ class GibbsCorrelators:
         return float(self.correlators[mask])
 
 
-def _sample_statistics(params: SkParams, n: int, draws: np.ndarray) -> np.ndarray:
+def _sample_statistics(params: SkParams, n: int, draws: np.ndarray,
+                       planes: np.ndarray) -> np.ndarray:
     """Replica-factorized overlap statistics, one row per disorder sample.
 
     The samples, one row of `draws` each (from `_disorder_draws`), are
-    enumerated as one block.
+    enumerated as one block in `planes`, a (_PLANES, rows, 2^n) workspace.
     With c(S) the correlators, the overlap power moments are sums of
     squared correlators weighted by the number of site walks whose
     odd-multiplicity set is S:
@@ -259,7 +260,8 @@ def _sample_statistics(params: SkParams, n: int, draws: np.ndarray) -> np.ndarra
     with O the thermal average at fixed disorder.
     """
     n_pairs = n * (n - 1) // 2
-    prob, corr = _gibbs_states(draws[:, :n_pairs], draws[:, n_pairs:], params)
+    gibbs, series, work = planes[:3], planes[3:5], planes[5:]
+    prob, corr = _gibbs_states(draws[:, :n_pairs], draws[:, n_pairs:], params, gibbs)
     sites, pairs, by_size = _walsh_masks(n)
     g0, g1, g2, g3, g4 = (np.square(np.take(corr, masks, axis=1)).sum(axis=1)
                           for masks in by_size)
@@ -268,14 +270,16 @@ def _sample_statistics(params: SkParams, n: int, draws: np.ndarray) -> np.ndarra
     q3 = ((3 * n - 2) * g1 + 6.0 * g3) / n ** 3
     q4 = ((3 * n * n - 2 * n) * g0 + (12 * n - 16) * g2 + 24.0 * g4) / n ** 4
 
-    series = np.zeros((2,) + corr.shape)
+    series.fill(0.0)
     series[0][:, sites] = np.take(corr, sites, axis=1)
     series[1][:, 0] = n * corr[:, 0]
     series[1][:, pairs] = 2.0 * np.take(corr, pairs, axis=1)
-    linear, quadratic = _fwht(series, np.empty_like(series))
-    q_q23 = (prob * linear * linear).sum(axis=1) / n ** 2
-    q_q23sq = (prob * quadratic * linear).sum(axis=1) / n ** 3
-    q2_q23sq = (prob * quadratic * quadratic).sum(axis=1) / n ** 4
+    linear, quadratic = result = _fwht(series, work)
+    # the thermal averages <a b> are formed in a plane that the transform left free
+    tmp = (work if result is series else series)[0]
+    q_q23, q_q23sq, q2_q23sq = (
+        np.multiply(np.multiply(prob, a, out=tmp), b, out=tmp).sum(axis=1) / n ** k
+        for a, b, k in ((linear, linear, 2), (quadratic, linear, 3), (quadratic, quadratic, 4)))
 
     o1 = q2 - 4.0 * q_q23 + 3.0 * q1 * q1
     e1 = q3 - 4.0 * q_q23sq + 3.0 * q1 * q2
@@ -319,9 +323,9 @@ def quenched_overlap_moments(params: SkParams, n: int, n_samples: int,
 
     Each sample is keyed by (seed, index) and enumerated by the
     Walsh-Hadamard engine in O(n 2^n); samples go through in blocks of
-    max(1, 2^13 >> n).  A sample's statistics depend on its key alone,
-    not on the block it falls in or on n_samples, so every output bit is
-    fixed by (params, n, n_samples, seed).
+    max(1, 2^13 >> n), all in one workspace.  A sample's statistics
+    depend on its key alone, not on the block it falls in or on
+    n_samples, so every output bit is fixed by (params, n, n_samples, seed).
 
     The identity polynomials are the conservation-law and gauge
     residuals: p1 and p2 are the momentum and energy streaming
@@ -339,13 +343,15 @@ def quenched_overlap_moments(params: SkParams, n: int, n_samples: int,
         raise ValueError(f"need at least 2 disorder samples, got {n_samples}")
     _check_key("seed", seed)
 
-    block = max(1, _BLOCK_ENTRIES >> n)
+    block = min(max(1, _BLOCK_ENTRIES >> n), n_samples)
     table = np.empty((n_samples, 5))
     bitgen = np.random.Philox(0)
+    space = np.empty(_PLANES * block << n)
     for first in range(0, n_samples, block):
         last = min(first + block, n_samples)
         draws = _disorder_draws(bitgen, seed, range(first, last), n)
-        table[first:last] = _sample_statistics(params, n, draws)
+        planes = space[:_PLANES * (last - first) << n].reshape(_PLANES, last - first, 1 << n)
+        table[first:last] = _sample_statistics(params, n, draws, planes)
 
     mean = table.mean(axis=0)
     m_q1, m_q2, m_o1, m_e1, m_e2 = mean

@@ -9,10 +9,10 @@ the self-consistency equation
     qbar = E_g tanh^2(beta_h + g sqrt(x + t qbar)),  g ~ N(0, 1).
 
 Gaussian expectations are evaluated with fixed-order Gauss-Hermite
-quadrature (order 240, nodes computed once at import and shared
-read-only; 120 nodes leave a few 1e-9 of error on the widest cavity
-fields in play, 240 brings every case below a few 1e-12 while the
-variance v stays below about 2; at v = 4 sech^4 is off by 2e-7).  Gaussian
+quadrature (order 240, nodes built on first use and shared read-only;
+120 nodes leave a few 1e-9 of error on the widest cavity fields in
+play, 240 brings every case below a few 1e-12 while the variance v
+stays below about 2; at v = 4 sech^4 is off by 2e-7).  Gaussian
 integration by parts gives the slope of the map exactly,
 
     d/dq E_g tanh^2(beta_h + g sqrt(x + t q)) = t (3 E_g sech^4 - 2 E_g sech^2),
@@ -33,12 +33,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .plane import ConvergenceError, SkParams, bracketed_newton
+from .plane import ConvergenceError, SkParams, bracketed_newton, gauss_rule
 
 LOG2 = math.log(2.0)
 
 _GH_ORDER = 240
-_GH_NODES, _GH_WEIGHTS = np.polynomial.hermite.hermgauss(_GH_ORDER)
 _GH_NORM = 1.0 / math.sqrt(math.pi)
 
 _FIXED_POINT_TOL = 1e-12
@@ -77,14 +76,15 @@ def gaussian_expectation(kind: str, beta_h: float, v: float) -> float:
         raise ValueError(f"variance v must be >= 0, got {v}")
     if v == 0.0:
         return float(f(beta_h))
+    nodes, weights = gauss_rule(np.polynomial.hermite.hermgauss, _GH_ORDER)
     if kind == "log_cosh":
         # log cosh s <= |s| and the weights sum to sqrt(pi) < 2, so this bounds the
         # weighted sum; Python floats, so that forming the bound cannot warn
-        largest = abs(float(beta_h)) + math.sqrt(2.0 * float(v)) * float(_GH_NODES[-1])
+        largest = abs(float(beta_h)) + math.sqrt(2.0 * float(v)) * float(nodes[-1])
         if not math.isfinite(2.0 * largest):
             raise OverflowError(f"E log cosh overflows at beta_h={beta_h}, v={v}")
-    values = f(beta_h + math.sqrt(2.0 * v) * _GH_NODES)
-    return float(np.dot(_GH_WEIGHTS, values) * _GH_NORM)
+    values = f(beta_h + math.sqrt(2.0 * v) * nodes)
+    return float(np.dot(weights, values) * _GH_NORM)
 
 
 @dataclass(frozen=True)
@@ -119,11 +119,12 @@ def _map_and_slope(params: SkParams, q: float) -> tuple[float, float]:
         e2 = 1.0 - mapped
         e4 = e2 * e2
     else:
-        th2 = np.tanh(params.beta_h + math.sqrt(2.0 * v) * _GH_NODES) ** 2
+        nodes, weights = gauss_rule(np.polynomial.hermite.hermgauss, _GH_ORDER)
+        th2 = np.tanh(params.beta_h + math.sqrt(2.0 * v) * nodes) ** 2
         s2 = 1.0 - th2
-        mapped = float(np.dot(_GH_WEIGHTS, th2) * _GH_NORM)
-        e2 = float(np.dot(_GH_WEIGHTS, s2) * _GH_NORM)
-        e4 = float(np.dot(_GH_WEIGHTS, s2 * s2) * _GH_NORM)
+        mapped = float(np.dot(weights, th2) * _GH_NORM)
+        e2 = float(np.dot(weights, s2) * _GH_NORM)
+        e4 = float(np.dot(weights, s2 * s2) * _GH_NORM)
     return mapped, params.t * (3.0 * e4 - 2.0 * e2)
 
 

@@ -254,14 +254,26 @@ def test_failing_convergence_report_keeps_its_echo(argv, echo):
 
 _COLD_START = """
 import contextlib, io, json, sys
+import numpy as np
+
+# count the Gauss rules numpy builds: none at import, then a count after each command
+built = []
+for module, name in ((np.polynomial.hermite, "hermgauss"), (np.polynomial.legendre, "leggauss")):
+    def counted(order, build=getattr(module, name)):
+        built.append(order)
+        return build(order)
+    setattr(module, name, counted)
+
 import spinflow.cli as cli
+rules = [len(built)]
 
 def loaded(argv):
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(argv) == 0, argv
+    rules.append(len(built))
     return sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
 
-print(json.dumps([loaded(argv) for argv in (
+print(json.dumps([[loaded(argv) for argv in (
     ["sk", "rs", "--x", "0.1", "--t", "1.5", "--beta-h", "0.2"],
     ["sk", "caustic", "--x", "0", "--t", "0.9", "--beta-h", "0.1"],
     ["sk", "finite", "--x", "0", "--t", "0.5", "--n", "6", "--samples", "4", "--seed", "1"],
@@ -278,7 +290,7 @@ print(json.dumps([loaded(argv) for argv in (
     ["convergence", "--model", "cw-action", "--x", "0.3", "--t", "0.5", "--n-list", "10,20,40"],
     ["convergence", "--model", "cw-velocity", "--x", "0.3", "--t", "0.5",
      "--n-list", "10,20,40"],
-)]))
+)], rules]))
 """
 
 
@@ -289,8 +301,11 @@ def test_cold_start_loads_no_scipy():
     done = subprocess.run([sys.executable, "-c", _COLD_START], env=env, capture_output=True,
                           text=True, timeout=120)
     assert done.returncode == 0, done.stderr
+    scipy_modules, rules = json.loads(done.stdout)
     # scipy is the tests' oracle only: no command loads any scipy module
-    assert json.loads(done.stdout) == [[]] * 13
+    assert scipy_modules == [[]] * 13
+    # importing builds no quadrature rule; the first sk rs query builds the Hermite one
+    assert rules[:2] == [0, 1]
 
 
 _FLOATS = st.one_of(st.floats(-3.0, 3.0), st.floats(allow_nan=False, allow_infinity=False))
@@ -432,6 +447,21 @@ def test_sweep_refuses_a_non_finite_field_before_any_row(model, quantity, beta_h
     assert code == 2
     assert out == ""
     assert err.splitlines() == [f"error: beta_h must be finite, got {float(beta_h)}"]
+
+
+@pytest.mark.parametrize("where", ["missing directory", "directory"])
+def test_sweep_refuses_an_unwritable_out_before_any_row(where, tmp_path, monkeypatch):
+    def untouched(*args, **kwargs):
+        raise AssertionError("a row was evaluated")
+
+    monkeypatch.setattr(cli.hj_limit, "critical_line", untouched)
+    target = tmp_path / "missing" / "x.json" if where == "missing directory" else tmp_path
+    code, out, err = run_cli(["sweep", "--model", "cw", "--quantity", "critical-line",
+                              "--t-min", "1.5", "--t-max", "2", "--n-t", "2",
+                              "--out", str(target)])
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith(f"error: cannot write --out {target}")
 
 
 def test_sweep_degrades_per_row_and_signals_failure():

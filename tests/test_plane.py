@@ -1,10 +1,11 @@
-"""The shared bracketed Newton root finder."""
+"""The shared bracketed Newton root finder and Gauss rules."""
 
 import math
 
+import numpy as np
 import pytest
 
-from spinflow.plane import ConvergenceError, bracketed_newton
+from spinflow.plane import ConvergenceError, bracketed_newton, gauss_rule
 
 
 def test_converges_from_both_orientations():
@@ -48,3 +49,14 @@ def test_raises_with_the_residual_when_it_cannot_converge():
     with pytest.raises(ConvergenceError) as excinfo:
         bracketed_newton(jump, 0.0, 1.0, 0.5, 0.0)
     assert excinfo.value.residual == 1.0
+
+
+@pytest.mark.parametrize("builder, order", [(np.polynomial.legendre.leggauss, 20),
+                                            (np.polynomial.hermite.hermgauss, 240)])
+def test_gauss_rules_are_built_once_and_read_only(builder, order):
+    nodes, weights = gauss_rule(builder, order)
+    assert gauss_rule(builder, order)[0] is nodes
+    assert np.array_equal(nodes, builder(order)[0])
+    for array in (nodes, weights):
+        with pytest.raises(ValueError):
+            array[0] = 0.0

@@ -18,10 +18,14 @@ from spinflow import (
 from spinflow import sk_finite
 
 
-def block_statistics(params, n, seed, indices):
-    """The engine's statistics rows for samples `indices` enumerated as one block."""
+def block_statistics(params, n, seed, indices, fill=0.0):
+    """The engine's statistics rows for samples `indices` enumerated as one block.
+
+    The workspace starts out with every entry equal to `fill`.
+    """
     draws = sk_finite._disorder_draws(np.random.Philox(0), seed, indices, n)
-    return sk_finite._sample_statistics(params, n, draws)
+    planes = np.full((sk_finite._PLANES, len(draws), 1 << n), fill)
+    return sk_finite._sample_statistics(params, n, draws, planes)
 
 
 def sample_hamiltonian_weights(sample: DisorderSample, params: SkParams):
@@ -316,13 +320,15 @@ def test_repeat_runs_are_bit_identical():
     assert a == b
 
 
-@pytest.mark.parametrize("n", [4, 8, 14])
+@pytest.mark.parametrize("n", [4, 7, 8, 14])
 def test_sample_rows_do_not_depend_on_the_block(n):
     params = SkParams(0.2, 0.9, 0.1)
     count = 3 if n == 14 else 7
     block = block_statistics(params, n, 19, range(count))
     single = np.vstack([block_statistics(params, n, 19, [index]) for index in range(count)])
     assert np.array_equal(block, single)
+    # nor on what the workspace held: a plane left unzeroed or unwritten shows as NaN
+    assert np.array_equal(block_statistics(params, n, 19, range(count), fill=np.nan), block)
 
 
 @pytest.mark.parametrize("params", [SkParams(0.3, 0.8, 0.15), SkParams(0.05, 2.0, 0.0)])
