@@ -20,9 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .plane import PlanePoint
-
-LOG2 = math.log(2.0)
+from .plane import LOG2, PlanePoint, check_size
 
 # sectors per anchored run of the log-binomial sum
 _BINOMIAL_BLOCK = 32
@@ -45,11 +43,6 @@ class ExactCwFields:
     u: float
     potential: float
     moments: np.ndarray
-
-
-def _check_n(n: int):
-    if not isinstance(n, (int, np.integer)) or n < 1:
-        raise ValueError(f"system size n must be a positive integer, got {n!r}")
 
 
 def _sector_log_weights(x: float, t: float, n: int):
@@ -105,7 +98,7 @@ def _shifted_weights(x: float, t: float, n: int):
 
 def log_partition(p: PlanePoint, n: int) -> float:
     """Log-partition per spin, (1/N) log Z(x, t), from the max-shifted sector sum."""
-    _check_n(n)
+    check_size(n)
     _, _, z, shift = _shifted_weights(p.x, p.t, n)
     return float(shift + math.log(z)) / n
 
@@ -118,7 +111,7 @@ def exact_fields(p: PlanePoint, n: int, k_max: int = 4) -> ExactCwFields:
     The potential is assembled as half a centered second moment, a sum of
     non-negative terms, so it can never round below zero.
     """
-    _check_n(n)
+    check_size(n)
     if k_max < 4:
         raise ValueError(f"k_max must be >= 4 so conservation residuals are computable, got {k_max}")
     m, w, z, shift = _shifted_weights(p.x, p.t, n)
@@ -147,6 +140,14 @@ def _phi(x: float, t: float, n: int) -> float:
     return -log_partition(PlanePoint(x, t), n)
 
 
+def _check_stencil(p: PlanePoint, n: int, step: float) -> None:
+    check_size(n)
+    if step <= 0:
+        raise ValueError(f"finite-difference step must be > 0, got {step}")
+    if p.t - step < 0:
+        raise ValueError(f"need t - step >= 0, got t={p.t}, step={step}")
+
+
 def hj_residual(p: PlanePoint, n: int, step: float = 1e-3) -> float:
     """Absolute residual of the viscous Hamilton-Jacobi identity.
 
@@ -154,16 +155,13 @@ def hj_residual(p: PlanePoint, n: int, step: float = 1e-3) -> float:
     finite differences of the exact action, so the residual is pure
     discretization error, of order step**2.
     """
-    _check_n(n)
-    if step <= 0:
-        raise ValueError(f"finite-difference step must be > 0, got {step}")
-    if p.t - step < 0:
-        raise ValueError(f"need t - step >= 0, got t={p.t}, step={step}")
+    _check_stencil(p, n, step)
     x, t = p.x, p.t
     phi_0 = _phi(x, t, n)
+    east, west = _phi(x + step, t, n), _phi(x - step, t, n)
     d_t = (_phi(x, t + step, n) - _phi(x, t - step, n)) / (2 * step)
-    d_x = (_phi(x + step, t, n) - _phi(x - step, t, n)) / (2 * step)
-    d_xx = (_phi(x + step, t, n) - 2 * phi_0 + _phi(x - step, t, n)) / step**2
+    d_x = (east - west) / (2 * step)
+    d_xx = (east - 2 * phi_0 + west) / step**2
     return abs(d_t + 0.5 * d_x * d_x - d_xx / (2 * n))
 
 
@@ -180,11 +178,7 @@ def continuity_residual(p: PlanePoint, n: int, step: float = 1e-3) -> float:
     evaluated at the doubled-interaction point.  Derivatives of log rho use
     centered differences; velocity and potential come from exact_fields.
     """
-    _check_n(n)
-    if step <= 0:
-        raise ValueError(f"finite-difference step must be > 0, got {step}")
-    if p.t - step < 0:
-        raise ValueError(f"need t - step >= 0, got t={p.t}, step={step}")
+    _check_stencil(p, n, step)
     x, t = p.x, p.t
     d_t = (_log_density(x, t + step, n) - _log_density(x, t - step, n)) / (2 * step)
     d_x = (_log_density(x + step, t, n) - _log_density(x - step, t, n)) / (2 * step)

@@ -1,9 +1,10 @@
-"""Shared parameter types, error classes, the scalar root finder and Gauss rules.
+"""Shared parameter types, error classes and the numerical rules every route uses.
 
 Every solver in this package works on the half-plane whose coordinates are
 a one-body field strength ``x`` (space-like) and a two-body interaction
 strength ``t`` (time-like, ``t >= 0``).  Spin-glass operations carry one
-extra parameter, the external field combination ``beta_h``.
+extra parameter, the external field combination ``beta_h``.  Every route starts
+from the boundary datum log 2 + log cosh x, so ``log_cosh`` is shared here too.
 """
 
 from __future__ import annotations
@@ -11,6 +12,10 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+
+import numpy as np
+
+LOG2 = math.log(2.0)
 
 # the slowest root in use, a near-triple one at t = 1, takes under 50
 _NEWTON_MAX_ITER = 100
@@ -71,6 +76,29 @@ def gauss_rule(builder, order: int) -> tuple:
     for array in rule:
         array.setflags(write=False)
     return rule
+
+
+def log_cosh(s):
+    """log cosh s elementwise, as |s| + log1p(exp(-2|s|)) - log 2, which cannot overflow."""
+    a = np.abs(np.asarray(s, dtype=np.float64))
+    # exp(-2a) is already 0.0 at a = 400; the clamp keeps -2a from overflowing
+    return a + np.log1p(np.exp(-2.0 * np.minimum(a, 400.0))) - LOG2
+
+
+def check_size(n) -> None:
+    """Refuse a system size n that is not a positive integer."""
+    if not isinstance(n, (int, np.integer)) or n < 1:
+        raise ValueError(f"system size n must be a positive integer, got {n!r}")
+
+
+def straight_line(x0: float, slope: float, t_max: float, n_points: int) -> np.ndarray:
+    """(n_points, 2) array of (x0 - s slope, s) for s uniform on [0, t_max]."""
+    if not math.isfinite(t_max) or t_max < 0:
+        raise ValueError(f"t_max must be finite and >= 0, got {t_max}")
+    if not isinstance(n_points, (int, np.integer)) or n_points < 2:
+        raise ValueError(f"need an integer number of points >= 2, got {n_points!r}")
+    s = np.linspace(0.0, t_max, n_points)
+    return np.column_stack((x0 - s * slope, s))
 
 
 @dataclass(frozen=True)

@@ -317,6 +317,11 @@ def _jackknife(loo_values: np.ndarray) -> float:
     return math.sqrt((count - 1) / count * float(centered @ centered))
 
 
+def _identity_polynomials(q1, q2, o1, e1, e2):
+    # (p1, p2, p3, v_n) on the disorder means or on each leave-one-out row; p4 is e2
+    return e1 - q1 * o1, e2 - q1 * e1, e2 - q1 * q1 * o1, 0.5 * (q2 - q1 * q1)
+
+
 def quenched_overlap_moments(params: SkParams, n: int, n_samples: int,
                              seed: int) -> OverlapMoments:
     """Overlap moments and identity polynomials averaged over quenched disorder.
@@ -354,28 +359,16 @@ def quenched_overlap_moments(params: SkParams, n: int, n_samples: int,
         table[first:last] = _sample_statistics(params, n, draws, planes)
 
     mean = table.mean(axis=0)
-    m_q1, m_q2, m_o1, m_e1, m_e2 = mean
-
     # leave-one-out means, one row per deleted sample
     loo = (n_samples * mean[None, :] - table) / (n_samples - 1)
-    l_q1, l_q2, l_o1, l_e1, l_e2 = loo.T
-
     sem = table.std(axis=0, ddof=1) / math.sqrt(n_samples)
-    p1 = m_e1 - m_q1 * m_o1
-    p2 = m_e2 - m_q1 * m_e1
-    p3 = m_e2 - m_q1 * m_q1 * m_o1
-    p4 = m_e2
-    v_n = 0.5 * (m_q2 - m_q1 * m_q1)
-
-    p1_se = _jackknife(l_e1 - l_q1 * l_o1)
-    p2_se = _jackknife(l_e2 - l_q1 * l_e1)
-    p3_se = _jackknife(l_e2 - l_q1 * l_q1 * l_o1)
-    v_n_se = _jackknife(0.5 * (l_q2 - l_q1 * l_q1))
+    p1, p2, p3, v_n = _identity_polynomials(*mean)
+    p1_se, p2_se, p3_se, v_n_se = map(_jackknife, _identity_polynomials(*loo.T))
 
     return OverlapMoments(
         n=n, n_samples=int(n_samples), seed=int(seed),
-        q1=float(m_q1), q2=float(m_q2),
-        poly_p1=float(p1), poly_p2=float(p2), poly_p3=float(p3), poly_p4=float(p4),
+        q1=float(mean[0]), q2=float(mean[1]),
+        poly_p1=float(p1), poly_p2=float(p2), poly_p3=float(p3), poly_p4=float(mean[4]),
         std_errors=(float(sem[0]), float(sem[1]), float(p1_se),
                     float(p2_se), float(p3_se), float(sem[4])),
         v_n=float(v_n), v_n_std_error=float(v_n_se))

@@ -33,9 +33,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .plane import ConvergenceError, SkParams, bracketed_newton, gauss_rule
-
-LOG2 = math.log(2.0)
+from .plane import (LOG2, ConvergenceError, SkParams, bracketed_newton, gauss_rule, log_cosh,
+                    straight_line)
 
 _GH_ORDER = 240
 _GH_NORM = 1.0 / math.sqrt(math.pi)
@@ -43,15 +42,8 @@ _GH_NORM = 1.0 / math.sqrt(math.pi)
 _FIXED_POINT_TOL = 1e-12
 
 
-def _log_cosh(s):
-    s = np.asarray(s, dtype=np.float64)
-    a = np.abs(s)
-    # exp(-2a) is already 0.0 at a = 400; the clamp keeps -2a from overflowing
-    return a + np.log1p(np.exp(-2.0 * np.minimum(a, 400.0))) - LOG2
-
-
 _INTEGRANDS = {
-    "log_cosh": _log_cosh,
+    "log_cosh": log_cosh,
     "tanh_sq": lambda s: np.tanh(s) ** 2,
     "sech_sq": lambda s: 1.0 - np.tanh(s) ** 2,
     "sech_4": lambda s: (1.0 - np.tanh(s) ** 2) ** 2,
@@ -111,11 +103,12 @@ def _map_and_slope(params: SkParams, q: float) -> tuple[float, float]:
 
     sech^2 is formed as 1 - tanh^2, so the map keeps full relative
     precision at small variance, where the symmetric root sits just
-    above t = 1.  The degenerate variance v = 0 collapses exactly.
+    above t = 1.  The degenerate variance v = 0 collapses exactly, with
+    numpy's tanh, as in ``gaussian_expectation``.
     """
     v = params.x + params.t * q
     if v == 0.0:
-        mapped = math.tanh(params.beta_h) ** 2
+        mapped = float(np.tanh(params.beta_h) ** 2)
         e2 = 1.0 - mapped
         e4 = e2 * e2
     else:
@@ -340,10 +333,4 @@ def rs_characteristic(x0: float, t_max: float, n_points: int = 64,
     """
     if not math.isfinite(x0) or x0 < 0:
         raise ValueError(f"launch variance x0 must be finite and >= 0, got {x0}")
-    if not math.isfinite(t_max) or t_max < 0:
-        raise ValueError(f"t_max must be finite and >= 0, got {t_max}")
-    if n_points < 2:
-        raise ValueError(f"need at least 2 points, got {n_points}")
-    slope = gaussian_expectation("tanh_sq", beta_h, x0)
-    s = np.linspace(0.0, t_max, n_points)
-    return np.column_stack((x0 - s * slope, s))
+    return straight_line(x0, gaussian_expectation("tanh_sq", beta_h, x0), t_max, n_points)

@@ -275,3 +275,8 @@ def test_domain_validation():
         exact_fields(PlanePoint(0.1, 0.5), 0)
     with pytest.raises(ValueError):
         hj_residual(PlanePoint(0.1, 0.5), 10, step=0.0)
+    # the heat-kernel routes refuse a size that is not a positive integer, as exact_fields does
+    for n in (2.5, 10.0):
+        for route in (exact_fields, viscous_action, viscous_velocity):
+            with pytest.raises(ValueError, match="positive integer"):
+                route(PlanePoint(0.3, 0.5), n)

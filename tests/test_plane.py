@@ -1,11 +1,13 @@
-"""The shared bracketed Newton root finder and Gauss rules."""
+"""The shared bracketed Newton root finder, Gauss rules, log cosh and line sampler."""
 
 import math
 
 import numpy as np
 import pytest
 
-from spinflow.plane import ConvergenceError, bracketed_newton, gauss_rule
+from spinflow import characteristic, rs_characteristic
+from spinflow.plane import (LOG2, ConvergenceError, bracketed_newton, gauss_rule, log_cosh,
+                            straight_line)
 
 
 def test_converges_from_both_orientations():
@@ -60,3 +62,20 @@ def test_gauss_rules_are_built_once_and_read_only(builder, order):
     for array in (nodes, weights):
         with pytest.raises(ValueError):
             array[0] = 0.0
+
+
+def test_log_cosh_is_finite_to_the_end_of_the_double_range():
+    values = log_cosh(np.array([0.0, -0.5, 400.0, -1e308]))
+    assert values[0] == 0.0
+    assert values[1] == pytest.approx(math.log(math.cosh(0.5)), rel=1e-15)
+    assert values[2] == 400.0 - LOG2
+    assert values[3] == 1e308
+
+
+@pytest.mark.parametrize("n_points", [2.5, 3.0, 1, 0])
+def test_line_sampler_refuses_a_count_that_is_not_an_integer_of_at_least_2(n_points):
+    for sample in (lambda: straight_line(0.3, 0.1, 1.0, n_points),
+                   lambda: characteristic(0.3, 1.0, n_points=n_points),
+                   lambda: rs_characteristic(0.3, 1.0, n_points=n_points)):
+        with pytest.raises(ValueError, match="number of points"):
+            sample()

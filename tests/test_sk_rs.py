@@ -68,6 +68,16 @@ def test_gaussian_expectation_degenerate_variance_collapses():
         math.log(math.cosh(0.3)), rel=1e-14)
 
 
+def test_the_two_zero_variance_collapses_agree_bitwise():
+    # x = t = 0 puts the overlap map at v = 0, where both routes reduce to tanh(beta_h)^2
+    for k in range(1, 200):
+        beta_h = 0.0137 * k
+        collapsed = gaussian_expectation("tanh_sq", beta_h, 0.0)
+        params = SkParams(0.0, 0.0, beta_h)
+        assert sk_rs._map_and_slope(params, 0.0)[0] == collapsed, beta_h
+        assert solve_qbar(params) == collapsed, beta_h
+
+
 @given(beta_h=st.floats(0.0, 2.0), v=st.floats(0.0, 4.0))
 @settings(max_examples=60, deadline=None)
 def test_squared_tanh_and_sech_partition_unity(beta_h, v):
