@@ -211,14 +211,15 @@ def _panel_sums(x: float, t: float, n: int, g_min: float, edges: np.ndarray, pan
 
 def _kernel_integrals(x: float, t: float, n: int, with_velocity: bool):
     roots = _stationary_points(x, t)
-    g_min = min(_objective(y, x, t) for y in roots)
+    objective = [_objective(y, x, t) for y in roots]
+    g_min = min(objective)
     # past 2**52 the exponent n * g is not even resolved to 1, let alone to the cut
     if n * abs(g_min) > 2.0 ** 52:
         raise OverflowError(f"kernel window overflows double precision at x={x}, t={t}, n={n}:"
                             f" the exponent n*g = {n * g_min:.6g} rounds by more than 1")
     # the window starts about the outer minimizers that carry weight; beyond one that
     # does not, the weight stays below e^-cut, so it is left out
-    outer = [y for y in (roots[0], roots[-1]) if n * (_objective(y, x, t) - g_min) <= _WINDOW_CUT]
+    outer = [roots[i] for i in (0, -1) if n * (objective[i] - g_min) <= _WINDOW_CUT]
     lo = _window_end(x, t, n, g_min, outer[0], -1.0)
     hi = _window_end(x, t, n, g_min, outer[-1], 1.0)
     edges = np.array([lo, *(y for y in roots if lo < y < hi), hi])

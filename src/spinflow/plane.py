@@ -46,7 +46,7 @@ def bracketed_newton(f, lo: float, hi: float, x0: float, tol: float,
     bracket.  A step that would leave the open bracket, or a slope that is
     not positive, bisects instead.  Stops at an exact zero, or once |f| <
     ``residual_tol`` and the step or the bracket is below tol * max(1, |x|)
-    (tol must exceed the float spacing), returning the current iterate.
+    (tol must exceed the float spacing), returning the last x f was evaluated at.
     Raises ConvergenceError with the last |f| after 100 iterations.
     """
     x = x0

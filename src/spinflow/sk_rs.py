@@ -23,7 +23,9 @@ damped fixed-point iteration.  The caustic margin below is the
 replica-symmetric analogue of the characteristic-crossing criterion of
 ``hj_limit``: where it stays positive, the glassy characteristics do
 not cross.  It is exactly (1 - slope) / 3 at the fixed point, so the
-margin vanishes where the map stops being a contraction.
+margin vanishes where the map stops being a contraction.  The slope and
+the acceptance residual |q - map(q)| come from the solve's last node
+pass, by the same rule, so the residual cannot see the rule's own error.
 """
 
 from __future__ import annotations
@@ -138,12 +140,18 @@ def solve_qbar(params: SkParams) -> float:
     and converges quadratically, so a solve costs tens of node passes.
     There a residual below 1e-12 does not yet bound the error in q, so
     the iteration stops only once the Newton step is below 2.5e-13 as
-    well.  The returned value satisfies |q - map(q)| < 1e-12, measured with
-    ``gaussian_expectation("tanh_sq", ...)``; otherwise, or when the
-    Newton budget runs out, ConvergenceError is raised with the residual.
-    OverflowError is raised when the variance x + t q can overflow on the
-    bracket.
+    well.  The returned value satisfies |q - map(q)| < 1e-12, read from
+    the Newton's last node pass; otherwise, or when the Newton budget runs
+    out, ConvergenceError is raised with the residual.  That residual has
+    the bits of ``gaussian_expectation("tanh_sq", ...)``, the same rule, so
+    it cannot see the rule's own error.  OverflowError is raised when the
+    variance x + t q can overflow on the bracket.
     """
+    return _solve(params)[0]
+
+
+def _solve(params: SkParams) -> tuple[float, float]:
+    # the overlap and the map's slope there, both from the node pass that accepts it
     # the root is 1 to double precision wherever x + t overflows, so v = x + t q_bar would too
     if not math.isfinite(float(params.x) + float(params.t)):
         raise OverflowError(f"overlap variance x + t q overflows at x={params.x}, t={params.t}, "
@@ -152,11 +160,12 @@ def solve_qbar(params: SkParams) -> float:
         lo, q = 1e-30, 1.0
     else:
         lo, q = 0.0, _map_and_slope(params, 0.0)[0]
+    last = []  # map and slope of the latest pass; bracketed_newton returns its point
 
     def excess(q):
         # q - map(q): negative below the root, positive above it
-        mapped, slope = _map_and_slope(params, q)
-        return q - mapped, 1.0 - slope
+        last[:] = _map_and_slope(params, q)
+        return q - last[0], 1.0 - last[1]
 
     # near t = 1 the slope nears 1, where a small residual alone can sit
     # far from the root; the Newton step bounds the distance to it
@@ -166,14 +175,10 @@ def solve_qbar(params: SkParams) -> float:
         q = bracketed_newton(excess, lo, 1.0, q, stop, residual_tol=stop)
     except ConvergenceError as err:
         raise ConvergenceError(failure, residual=err.residual) from None
-    residual = abs(gaussian_expectation("tanh_sq", params.beta_h, params.x + params.t * q) - q)
+    residual = abs(q - last[0])
     if residual >= _FIXED_POINT_TOL:
         raise ConvergenceError(failure, residual=residual)
-    return q
-
-
-def _caustic_margin_at(params: SkParams, q_bar: float) -> float:
-    return (1.0 - _map_and_slope(params, q_bar)[1]) / 3.0
+    return q, last[1]
 
 
 def caustic_margin(params: SkParams) -> float:
@@ -181,13 +186,13 @@ def caustic_margin(params: SkParams) -> float:
 
     Returns (1/3 + (2/3) t E_g sech^2 - t E_g sech^4) evaluated at the
     self-consistent overlap, which is (1 - map'(qbar)) / 3 for the slope
-    map' of the overlap map; it comes from the same node pass as the
-    Newton slope of ``solve_qbar``.  Positive margin means characteristics
-    through this point do not cross; the margin vanishes at the critical
-    point (x = 0, beta_h = 0, t = 1) and is a tangential zero there: it
-    is positive on both sides along the t axis.
+    map' of the overlap map; the slope is read from the last node pass
+    of the overlap solve, the one that accepts qbar.  Positive margin
+    means characteristics through this point do not cross; the margin
+    vanishes at the critical point (x = 0, beta_h = 0, t = 1) and is a
+    tangential zero there: it is positive on both sides along the t axis.
     """
-    return _caustic_margin_at(params, solve_qbar(params))
+    return (1.0 - _solve(params)[1]) / 3.0
 
 
 def caustic_root(beta_h: float) -> float:
@@ -253,14 +258,14 @@ def rs_action(params: SkParams) -> RsSolution:
     log cosh weights so that the t = 0 slice reproduces the one-body
     pressure and -d_x phi(x, 0) = E_g tanh^2(beta_h + g sqrt(x)).  On
     the x = 0 section the thermodynamic pressure is filled in from the
-    same overlap, by the closed form of ``rs_pressure``.
+    same overlap, by the closed form of ``rs_pressure``.  The margin comes
+    from the overlap solve's last pass, so E_g log cosh is the only other.
     """
-    q_bar = solve_qbar(params)
+    q_bar, slope = _solve(params)
     phi, e_log_cosh = _phi_rs_at(params, q_bar)
-    pressure = _pressure_at(params, q_bar, phi, e_log_cosh)[0] if params.x == 0.0 else None
+    pressure = LOG2 + e_log_cosh + 0.25 * params.t * (1.0 - q_bar) ** 2 if params.x == 0.0 else None
     return RsSolution(q_bar=q_bar, phi_rs=phi, pressure=pressure,
-                      caustic_margin=_caustic_margin_at(params, q_bar),
-                      y_star=params.x + params.t * q_bar)
+                      caustic_margin=(1.0 - slope) / 3.0, y_star=params.x + params.t * q_bar)
 
 
 def rs_pressure_detail(beta: float, h: float) -> tuple[float, float]:
@@ -281,16 +286,9 @@ def _pressure_checks(beta: float, h: float) -> tuple[float, float, float]:
     if beta < 0:
         raise ValueError(f"inverse temperature beta must be >= 0, got {beta}")
     params = SkParams(x=0.0, t=beta * beta, beta_h=beta * h)
-    q_bar = solve_qbar(params)
-    phi, e_log_cosh = _phi_rs_at(params, q_bar)
-    return (*_pressure_at(params, q_bar, phi, e_log_cosh), _envelope_gap(params, q_bar, phi))
-
-
-def _pressure_at(params: SkParams, q_bar: float, phi: float,
-                 e_log_cosh: float) -> tuple[float, float]:
-    # closed-form pressure on the x = 0 section, and its gap to phi / 2 + t / 4
-    closed = LOG2 + e_log_cosh + 0.25 * params.t * (1.0 - q_bar) ** 2
-    return closed, abs(0.5 * phi + 0.25 * params.t - closed)
+    sol = rs_action(params)
+    discrepancy = abs(0.5 * sol.phi_rs + 0.25 * params.t - sol.pressure)
+    return sol.pressure, discrepancy, _envelope_gap(params, sol.q_bar, sol.phi_rs)
 
 
 def _envelope_gap(params: SkParams, q_bar: float, phi: float) -> float:

@@ -53,6 +53,31 @@ def test_raises_with_the_residual_when_it_cannot_converge():
     assert excinfo.value.residual == 1.0
 
 
+def _recorded(f):
+    points = []
+
+    def g(x):
+        points.append(x)
+        return f(x)
+
+    return g, points
+
+
+def test_returns_the_last_point_where_f_was_evaluated():
+    # callers reuse what f computed at the root, so every stop must return that point
+    exact, points = _recorded(lambda x: (x - 0.5, 1.0))
+    assert bracketed_newton(exact, 0.0, 1.0, 0.25, 1e-15) == points[-1] == 0.5
+    # residual-and-step stop: |f| is below residual_tol and the Newton step below tol
+    newton, points = _recorded(lambda x: (x * x - 2.0, 2.0 * x))
+    root = bracketed_newton(newton, 0.0, 2.0, 1.9, 1e-15, residual_tol=1e-12)
+    assert root == points[-1] and abs(root * root - 2.0) < 1e-12
+    # bracket stop: a slope of zero only bisects, so the bracket shrinks below tol
+    flat, points = _recorded(lambda x: (x - 1.0 / 3.0, 0.0))
+    root = bracketed_newton(flat, 0.0, 1.0, 0.5, 1e-6)
+    assert root == points[-1] and root != 1.0 / 3.0
+    assert abs(root - 1.0 / 3.0) < 2e-6
+
+
 @pytest.mark.parametrize("builder, order", [(np.polynomial.legendre.leggauss, 20),
                                             (np.polynomial.hermite.hermgauss, 240)])
 def test_gauss_rules_are_built_once_and_read_only(builder, order):

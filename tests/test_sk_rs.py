@@ -126,24 +126,52 @@ def test_map_slope_matches_a_central_difference(x, t, beta_h, q):
     assert slope == pytest.approx(difference, rel=1e-7)
 
 
+def _counted(monkeypatch, name):
+    # record (arguments, result) of every call to sk_rs.<name>
+    calls = []
+    helper = getattr(sk_rs, name)
+
+    def counted(*args):
+        calls.append((args, helper(*args)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(sk_rs, name, counted)
+    return calls
+
+
 @pytest.mark.parametrize("x,t,beta_h", [(0.3, 1.2, 0.2), (0.0, 0.6, 0.0), (0.0, 1.5, 0.0),
                                         (0.2, 1.3, 0.25)])
-def test_caustic_margin_is_the_newton_slope_gap(x, t, beta_h):
+def test_caustic_margin_is_the_newton_slope_gap(monkeypatch, x, t, beta_h):
     params = SkParams(x, t, beta_h)
     _, slope = sk_rs._map_and_slope(params, solve_qbar(params))
     assert 1.0 - slope == pytest.approx(3.0 * caustic_margin(params), abs=1e-14)
+    # the solve accepts q on its last node pass, which sits at q; that pass's
+    # residual has the bits of |E tanh^2 - q| formed through gaussian_expectation
+    passes = _counted(monkeypatch, "_map_and_slope")
+    q = solve_qbar(params)
+    (_, last_q), (mapped, _) = passes[-1]
+    assert last_q == q
+    residual = abs(gaussian_expectation("tanh_sq", beta_h, x + t * q) - q)
+    assert abs(q - mapped) == residual < 1e-12
+
+
+def test_rs_action_makes_only_the_node_passes_of_its_solve(monkeypatch):
+    # the margin and the acceptance residual come from the solve's last pass,
+    # so the action adds only its E log cosh to the solve's own passes
+    params = SkParams(0.3, 1.2, 0.2)
+    passes = _counted(monkeypatch, "_map_and_slope")
+    solve_qbar(params)
+    solve_passes = len(passes)
+    passes.clear()
+    expectations = _counted(monkeypatch, "gaussian_expectation")
+    rs_action(params)
+    assert len(passes) == solve_passes
+    assert [kind for (kind, _, _), _ in expectations] == ["log_cosh"]
 
 
 @pytest.mark.parametrize("t", [1.0001, 1.001, 1.01])
 def test_near_critical_solve_takes_tens_of_node_passes(monkeypatch, t):
-    calls = []
-    helper = sk_rs._map_and_slope
-
-    def counted(params, q):
-        calls.append(q)
-        return helper(params, q)
-
-    monkeypatch.setattr(sk_rs, "_map_and_slope", counted)
+    calls = _counted(monkeypatch, "_map_and_slope")
     q = solve_qbar(SkParams(0.0, t, 0.0))
     assert q > 0.0
     assert abs(q - gaussian_expectation("tanh_sq", 0.0, t * q)) < 1e-12
@@ -172,6 +200,35 @@ def test_rs_action_frozen_point():
     assert sol.caustic_margin == pytest.approx(0.23947141090304236, abs=1e-10)
     assert sol.u == -sol.q_bar
     assert sol.pressure is None  # closed-form comparison only exists at x = 0
+
+
+# parent values as float.hex, so that a refactor of the solve cannot move a bit
+FROZEN_RS_ACTIONS = {
+    (0.3, 1.2, 0.2): ("0x1.5f7760f1148ecp-2", "0x1.5686b40e7bb76p+0", None,
+                      "0x1.ea6ffcb13e8edp-3", "0x1.6c7ad3c3d9227p-1"),
+    (0.0, 1.05, 0.0): ("0x1.8ddb715cf1bbfp-6", "0x1.62e3dc4868303p+0", "0x1.e94a42aece96ap-1",
+                       "0x1.fe9a0d0ea7080p-7", "0x1.a1c003d4ca9efp-6"),
+    (0.0, 1.5, 0.1): ("0x1.a4486d889a6edp-3", "0x1.640edfe95e01cp+0", "0x1.12076ff4af00ep+0",
+                      "0x1.d5f424a18bfb5p-4", "0x1.3b36522673d32p-2"),
+    # the v = 0 collapse
+    (0.0, 0.0, 0.7): ("0x1.7606d32e32106p-2", "0x1.d740f364899c9p+0", "0x1.d740f364899c9p-1",
+                      "0x1.5555555555555p-2", "0x0.0p+0"),
+}
+
+
+@pytest.mark.parametrize("point", sorted(FROZEN_RS_ACTIONS))
+def test_rs_action_frozen_bits(point):
+    sol = rs_action(SkParams(*point))
+    fields = (sol.q_bar, sol.phi_rs, sol.pressure, sol.caustic_margin, sol.y_star)
+    frozen = tuple(None if v is None else float.fromhex(v) for v in FROZEN_RS_ACTIONS[point])
+    assert fields == frozen
+
+
+def test_margin_root_and_pressure_frozen_bits():
+    assert caustic_margin(SkParams(0.0, 2.5, 0.0)) == float.fromhex("0x1.6c80e19ceb814p-3")
+    assert caustic_root(0.0) == float.fromhex("0x1.fffffffffff4cp-1")
+    assert rs_pressure(1.5, 0.1) == float.fromhex("0x1.3efd87d12ddd0p+0")
+    assert rs_pressure_detail(2.0, 0.3) == (float.fromhex("0x1.aad4a422b2dd4p+0"), 0.0)
 
 
 def test_rs_action_free_case_is_pure_entropy():
