@@ -16,11 +16,19 @@ from spinflow import (
     continuity_residual,
     exact_fields,
     hj_residual,
+    lax_action,
     log_partition,
     viscous_action,
     viscous_velocity,
 )
-from spinflow.cw_exact import _log_binomials, _sector_log_weights
+from spinflow.cw_exact import _anchor_log_binomials, _log_binomials, _sector_log_weights, _window
+
+
+def every_sector(n: int):
+    # sectors and log-binomials of the window that holds every block at k <= n/2 and its mirror
+    anchors = _anchor_log_binomials(n)
+    blocks = np.arange(len(anchors))
+    return _log_binomials(n, anchors, blocks, blocks)
 
 
 def brute_force_log_partition(x: float, t: float, n: int) -> float:
@@ -101,6 +109,70 @@ def test_moments_match_an_fsum_sector_sum(x, t, n):
             assert moments[j - 1] == pytest.approx(expected[j - 1], rel=1e-14, abs=0)
 
 
+def fsum_fields(x: float, t: float, n: int) -> tuple[float, list[float], float]:
+    # log-partition per spin, moments 1-4 and potential from correctly rounded sums
+    # over all n + 1 of the module's own log-weights, with no window
+    m, log_w = _sector_log_weights(x, t, n, *every_sector(n))
+    top = float(log_w.max())
+    w = np.exp(log_w - top)
+    z = math.fsum(w)
+    moments = [math.fsum(w * m ** j) / z for j in range(1, 5)]
+    potential = 0.5 * math.fsum(w * (m - moments[0]) ** 2) / z
+    return (top + math.log(z)) / n, moments, potential
+
+
+@pytest.mark.parametrize("x,t,n", [(1.6e-4, 1.5, 25_000), (0.0, 1.0, 25_000), (0.0, 1.5, 25_001),
+                                   (1.0, 3.0, 25_000), (0.3, 0.8, 250_000)])
+def test_large_n_fields_match_an_fsum_over_every_sector(x, t, n):
+    # (1.6e-4, 1.5): the minority peak weighs about e^-7 and must be summed;
+    # (0, 1): the critical point; (0, 1.5) at odd n: two peaks; (1, 3): one narrow peak
+    p = PlanePoint(x, t)
+    log_z, expected, potential = fsum_fields(x, t, n)
+    fields = exact_fields(p, n)
+    assert log_partition(p, n) == pytest.approx(log_z, rel=1e-14, abs=0)
+    assert fields.phi == pytest.approx(-log_z, rel=1e-14, abs=0)
+    assert fields.potential == pytest.approx(potential, rel=1e-14, abs=0)
+    for j in (1, 2, 3, 4):
+        if x == 0.0 and j % 2:
+            assert fields.moments[j - 1] == 0.0
+        else:
+            assert fields.moments[j - 1] == pytest.approx(expected[j - 1], rel=1e-14, abs=0)
+
+
+@pytest.mark.parametrize("x,t,n", [(0.3, 0.8, 250_000), (1.6e-4, 1.5, 25_000), (0.01725, 1.5, 25_000),
+                                   (0.0, 1.0, 25_000), (1.0, 3.0, 25_001), (-0.5, 40.0, 3_000)])
+def test_window_holds_every_sector_with_a_nonzero_weight(x, t, n):
+    # (0.01725, 1.5): the minority peak sits about e^-740 below the majority one
+    _, log_w = _sector_log_weights(x, t, n, *every_sector(n))
+    alive = np.flatnonzero(np.exp(log_w - log_w.max()) > 0.0)
+    k, _ = _log_binomials(n, *_window(x, t, n))
+    assert np.all(np.diff(k) > 0)
+    assert np.isin(alive, k).all()
+
+
+def test_window_evaluates_a_few_blocks_about_each_peak():
+    # at (0.3, 0.8), 18 194 of the 250 001 sectors carry a weight above exp(-745)
+    # of the largest; the window holds at most twice that, in whole blocks
+    n = 250_000
+    k, _ = _log_binomials(n, *_window(0.3, 0.8, n))
+    assert len(k) <= 32 * -(-2 * 18_194 // 32)
+    # at x = 0 the window is mirror-symmetric, also where it drops sectors
+    for t, n in ((0.8, 25_000), (1.0, 25_001), (1.5, 250_000)):
+        anchors, lo, hi = _window(0.0, t, n)
+        assert np.array_equal(lo, hi)
+        k, _ = _log_binomials(n, anchors, lo, hi)
+        assert len(k) < n + 1
+        assert np.array_equal(k, n - k[::-1])
+
+
+def test_scaled_velocity_error_levels_off_up_to_ten_million_spins():
+    # N |u_N - u| tends to a constant, the 1/N coefficient, off the shock line
+    p = PlanePoint(0.3, 0.8)
+    limit = lax_action(p).u
+    scaled = [n * abs(exact_fields(p, n).u - limit) for n in (10**6, 10**7)]
+    assert scaled[1] == pytest.approx(scaled[0], rel=1e-3)
+
+
 def test_third_residual_frozen_binomial_value():
     # r3 = <m^4> - <m^2>^2 at t=0 from the binomial oracle
     _, _, r3 = conservation_residuals(PlanePoint(0.3, 0.0), 5)
@@ -116,7 +188,7 @@ def _binomial_spacing(n: int) -> float:
 def test_log_binomials_match_gammaln(n):
     k = np.arange(n + 1.0)
     expected = gammaln(n + 1.0) - (gammaln(k + 1.0) + gammaln(n - k + 1.0))
-    got = _log_binomials(n)
+    _, got = every_sector(n)
     assert got.shape == (n + 1,)
     assert got[0] == got[n] == 0.0
     assert np.max(np.abs(got - expected)) <= 6.0 * _binomial_spacing(n)
@@ -143,7 +215,7 @@ _FROZEN_LOG_BINOMIALS = [
 def test_log_binomials_frozen_values(n, k, value):
     # within three spacings of log n!; a running sum without anchors drifts by
     # seven at n = 2.5e5
-    got = _log_binomials(n)
+    _, got = every_sector(n)
     assert abs(got[k] - value) <= 3.0 * _binomial_spacing(n)
     assert got[n - k] == got[k]
 
@@ -151,18 +223,21 @@ def test_log_binomials_frozen_values(n, k, value):
 @pytest.mark.parametrize("n", [1, 2, 9, 256, 257, 1000, 25001])
 @pytest.mark.parametrize("t", [0.0, 0.7, 2.0])
 def test_sector_log_weights_are_exactly_mirror_symmetric_at_zero_field(n, t):
-    m, log_w = _sector_log_weights(0.0, t, n)
+    m, log_w = _sector_log_weights(0.0, t, n, *every_sector(n))
     assert np.array_equal(m, -m[::-1])
     assert np.array_equal(log_w, log_w[::-1])
 
 
 def test_odd_moments_vanish_exactly_at_zero_field():
     for t in (0.0, 0.5, 2.0):
-        for n in (4, 15, 100):
+        for n in (4, 15, 100, 25_000):
             fields = exact_fields(PlanePoint(0.0, t), n)
             assert fields.u == 0.0
             assert fields.moments[0] == 0.0
             assert fields.moments[2] == 0.0
+            # +0.0, so that no output prints a negative zero
+            for value in (fields.u, fields.moments[0], fields.moments[2]):
+                assert math.copysign(1.0, value) == 1.0
 
 
 def test_mirror_symmetry():
