@@ -5,23 +5,34 @@ All fields come from the closed sum over magnetization sectors
     Z(x, t) = sum_k  C(N, k) * exp(N * (t * m_k**2 / 2 + x * m_k)),
 
 with sector magnetization ``m_k = (2k - N) / N``, evaluated in log space.
+The sectors k and N - k share their binomial and have opposite
+magnetizations +-a, a = |m_k|, so the sum runs over one list, the pairs
+k <= N/2.  A pair's heavier log-weight is b = log C(N, k) + N t a**2 / 2
++ N |x| a and its lighter one b - 2 N |x| a; the middle sector of even N is
+its own mirror and counts once.
+
 The weights are divided by the largest one, and a sector more than 746 below
 it in log-weight contributes exactly 0.0.  So the sum runs over a window of
-blocks of 32 sectors, picked by one coarse pass over the blocks' first sectors,
-whose log-binomials are Stirling anchors already.  Each block, and apart from
-it its mirror image under k -> N - k, is kept unless both its ends sit more
-than 746 + 16 (log N + 2|t| + 2|x|) below the largest anchor log-weight.  One
-sector step moves a log-weight by at most log N + 2|t| + 2|x|, so every sector
-left out is an exact zero, and each peak is kept, the minority one at t > 1
-too.  A call costs O(window) time and memory plus N/32 anchors; away from the
-critical point the window is O(sqrt N) sectors, and N = 1e7 takes tens of
-milliseconds.  Small N is a window that holds every block.
+blocks of 32 pairs, picked by one coarse pass over the blocks' first sectors,
+whose log-binomials are Stirling anchors already.  A block is kept unless
+both its ends sit more than 746 + 16 (log N + 2|t| + 2|x|) below the largest
+anchor b.  b bounds both log-weights of its pair, its largest value is the
+largest log-weight of all sectors, and one sector step moves it by at most
+log N + 2|t| + 2|x|; so every pair left out is an exact zero, and each peak is
+kept, the minority one at t > 1 too.  A call costs O(window) time and memory
+plus N/64 anchors; away from the critical point the window is O(sqrt N)
+sectors, and N = 1e7 takes tens of milliseconds.  Small N is a window that
+holds every block.
 
-Moments of ``m`` are weighted sector averages, so every derived quantity
-(velocity, potential, conservation residuals) is exact up to roundoff and
-never obtained by numerical differentiation.  The minus log-partition per
-spin plays the role of an action density: it satisfies a viscous
-Hamilton-Jacobi equation whose residual operations below check the
+Moments of ``m`` are weighted pair averages: even moments weigh a**j by a
+pair's summed weight, odd ones by the difference of its two weights, formed
+in closed form without cancellation and signed by x.  So odd moments keep
+their relative accuracy as x -> 0 and vanish at x = 0 as +0.0 by
+construction, and x -> -x mirrors every field exactly.  Every derived
+quantity (velocity, potential, conservation residuals) is exact up to
+roundoff and never obtained by numerical differentiation.  The minus
+log-partition per spin plays the role of an action density: it satisfies a
+viscous Hamilton-Jacobi equation whose residual operations below check the
 identity with centered finite differences.
 """
 
@@ -60,13 +71,11 @@ class ExactCwFields:
 
 
 def _window(x: float, t: float, n: int):
-    # (anchors, lo, hi): log C(n, k) at the first sector of every block of
-    # k <= n/2, the blocks kept at k and the blocks kept at the mirror sectors
-    # n - k, by the rule of the module docstring.  Every sector of a block lies
-    # within half a block of one of its two anchors (its first sector and the
-    # next block's), hence the walk of 16 sector steps.  The middle block has no
-    # anchor at its far end and is always kept.  At x = 0 a block and its mirror
-    # have equal anchors, so the window is mirror-symmetric.
+    # (anchors, blocks): log C(n, k) at the first sector of every block of
+    # k <= n/2, and the blocks kept by the rule of the module docstring.  Every
+    # sector of a block lies within half a block of one of its two anchors (its
+    # first sector and the next block's), hence the walk of 16 sector steps.  The
+    # middle block has no anchor at its far end and is always kept.
     #
     # |log-weight| <= n (|t|/2 + |x| + log 2); twice that bounds the spread that
     # the max shift subtracts.  Python floats, so that a numpy scalar from a sweep
@@ -79,13 +88,11 @@ def _window(x: float, t: float, n: int):
     blocks = np.arange(len(anchors))
     if n * (LOG2 + 0.5 * abs_t + 2.0 * abs_x) <= _UNDERFLOW:
         # log-weights span at most n (log 2 + |t|/2 + 2|x|): every block is kept
-        return anchors, blocks, blocks
-    j = blocks * float(_BINOMIAL_BLOCK)
-    _, ends = _sector_log_weights(x, t, n, np.stack((j, n - j)), anchors)
+        return anchors, blocks
+    _, ends = _pair_log_weights(x, t, n, blocks * float(_BINOMIAL_BLOCK), anchors)
     walk = 0.5 * _BINOMIAL_BLOCK * (math.log(n) + 2.0 * (abs_t + abs_x))
-    keep = np.ones(ends.shape, dtype=bool)
-    keep[:, :-1] = np.maximum(ends[:, :-1], ends[:, 1:]) >= float(ends.max()) - _UNDERFLOW - walk
-    return anchors, blocks[keep[0]], blocks[keep[1]]
+    keep = np.maximum(ends[:-1], ends[1:]) >= float(ends.max()) - _UNDERFLOW - walk
+    return anchors, blocks[np.append(keep, True)]
 
 
 def _anchor_log_binomials(n: int) -> np.ndarray:
@@ -108,28 +115,17 @@ def _anchor_log_binomials(n: int) -> np.ndarray:
     return anchors
 
 
-def _log_binomials(n: int, anchors: np.ndarray, lo: np.ndarray, hi: np.ndarray):
-    # Sectors k of the blocks ``lo`` and the mirrors n - k of the blocks ``hi``, in
-    # increasing order, with log C(n, k).  Both lists end with the middle block.
-    # Each block is a running sum of log((n - k + 1) / k) from its anchor, so
-    # rounding builds up over 32 terms only (unanchored, the sum drifts by 3e-9 at
-    # n = 2.5e5).  A block and its mirror get the same bits, so mirror pairs
-    # cancel exactly.
-    rows = np.concatenate((lo, hi))
-    k = rows[:, None] * float(_BINOMIAL_BLOCK) + np.arange(_BINOMIAL_BLOCK)
-    terms = np.empty_like(k)
-    terms[:, 0] = anchors[rows]
-    past = np.minimum(k[:, 1:], n)  # finite junk past the middle, trimmed below
-    terms[:, 1:] = np.log((n - past + 1.0) / past)
-    values = terms.cumsum(axis=1).ravel()
-    k = k.ravel()
-    # the middle block spills past k = n/2, and its mirror past k = (n - 1)/2
-    spill = _BINOMIAL_BLOCK * len(anchors)
-    low = _BINOMIAL_BLOCK * len(lo)
-    low_end = low - (spill - n // 2 - 1)
-    high_end = len(k) - (spill - (n + 1) // 2)
-    return (np.concatenate((k[:low_end], n - k[low:high_end][::-1])),
-            np.concatenate((values[:low_end], values[low:high_end][::-1])))
+def _log_binomials(n: int, anchors: np.ndarray, blocks: np.ndarray):
+    # Sectors k <= n/2 of the blocks, in increasing order, with log C(n, k); the
+    # last block is the middle one.  Each block is a running sum of
+    # log((n - k + 1) / k) from its anchor, so rounding builds up over 32 terms
+    # only (unanchored, the sum drifts by 3e-9 at n = 2.5e5).  The middle block
+    # runs past k = n/2, and capping k at n keeps that junk, trimmed below, finite.
+    k = np.minimum(blocks[:, None] * float(_BINOMIAL_BLOCK) + np.arange(_BINOMIAL_BLOCK), n)
+    steps = np.log((n - k[:, 1:] + 1.0) / k[:, 1:])
+    terms = np.concatenate((anchors[blocks, None], steps), axis=1)
+    end = k.size - (_BINOMIAL_BLOCK * len(anchors) - n // 2 - 1)
+    return k.ravel()[:end], terms.cumsum(axis=1).ravel()[:end]
 
 
 def _stirling_tail(m):
@@ -138,57 +134,75 @@ def _stirling_tail(m):
     return (1.0 / 12.0 - (1.0 / 360.0 - (1.0 / 1260.0 - inv2 / 1680.0) * inv2) * inv2) / m
 
 
-def _sector_log_weights(x: float, t: float, n: int, k: np.ndarray, log_binomials: np.ndarray):
-    # magnetization and log-weight of the sectors k
-    m = (2.0 * k - n) / n
-    return m, log_binomials + n * (0.5 * t * m * m + x * m)
+def _pair_log_weights(x: float, t: float, n: int, k: np.ndarray, log_binomials: np.ndarray):
+    # |m| of the sectors k <= n/2, and the log-weight of the heavier sector of
+    # each mirror pair k, n - k
+    a = (n - 2.0 * k) / n
+    return a, log_binomials + n * (0.5 * t * a * a + abs(x) * a)
 
 
-def _shifted_weights(x: float, t: float, n: int):
-    # weights of the window's sectors divided by the largest one:
-    # (m, w, sum of w, log of the divisor)
-    m, logw = _sector_log_weights(x, t, n, *_log_binomials(n, *_window(x, t, n)))
-    shift = logw.max()
-    w = np.exp(logw - shift)
-    return m, w, w.sum(), shift
+def _pair_weights(x: float, t: float, n: int):
+    # The window's mirror pairs, weights divided by the largest one:
+    # (a, even, odd, light, tail, shift) with a = |m|, w the heavier weight of a
+    # pair and light = w exp(gap) the lighter, even = w + light, and the odd
+    # weight w - light formed as w * -expm1(gap), without cancellation.
+    # gap = -2 n |x| a increases along the window, and before the index tail
+    # exp(gap) is exactly 0.0 and -expm1(gap) exactly 1.0; so both are formed
+    # from the tail on only, and light holds the tail's values.
+    a, b = _pair_log_weights(x, t, n, *_log_binomials(n, *_window(x, t, n)))
+    shift = b.max()
+    w = np.exp(b - shift)
+    gap = -2.0 * n * abs(x) * a
+    tail = int(np.searchsorted(gap, -_UNDERFLOW))
+    light = w[tail:] * np.exp(gap[tail:])
+    if n % 2 == 0:
+        light[-1] = 0.0  # the middle sector k = n/2 is its own mirror
+    even = np.concatenate((w[:tail], w[tail:] + light))
+    w[tail:] *= -np.expm1(gap[tail:])  # w is now the odd weight
+    return a, even, w, light, tail, shift
 
 
 def log_partition(p: PlanePoint, n: int) -> float:
     """Log-partition per spin, (1/N) log Z(x, t), from the max-shifted sector sum."""
     check_size(n)
-    _, _, z, shift = _shifted_weights(p.x, p.t, n)
-    return float(shift + math.log(z)) / n
+    _, even, _, _, _, shift = _pair_weights(p.x, p.t, n)
+    return float(shift + math.log(even.sum())) / n
 
 
 def exact_fields(p: PlanePoint, n: int, k_max: int = 4) -> ExactCwFields:
     """Action, velocity, potential and magnetization moments at one point.
 
-    Moments fold the window's sectors onto their mirror positions.  At x = 0
-    the window is mirror-symmetric, so the sector k meets N - k and odd
-    moments and the velocity vanish identically (not just to roundoff), as +0.0.
+    Each sector k <= N/2 is summed together with its mirror N - k, whose
+    magnetization is the opposite: even moments weigh |m|**j by the pair's
+    summed weight, odd moments by the difference of its two weights, formed
+    as w * -expm1(-2 N |x| |m|) without cancellation and signed by x.  So the
+    odd moments keep their relative accuracy as x -> 0, vanish at x = 0 as
+    +0.0 by construction, and every field is exactly mirrored under x -> -x.
     The potential is assembled as half a centered second moment, a sum of
     non-negative terms, so it can never round below zero.
     """
     check_size(n)
     if k_max < 4:
         raise ValueError(f"k_max must be >= 4 so conservation residuals are computable, got {k_max}")
-    m, w, z, shift = _shifted_weights(p.x, p.t, n)
+    a, even, odd, light, tail, shift = _pair_weights(p.x, p.t, n)
+    z = even.sum()
 
-    # w m**j as a running product: numpy's m**3 and m**4 go through libm pow
-    terms = np.empty((k_max, len(m)))
-    np.multiply(w, m, out=terms[0])
+    # |m|**j as a running product: numpy's a**3 and a**4 go through libm pow
+    terms = np.empty((k_max, len(a)))
+    terms[0] = a
     for j in range(1, k_max):
-        np.multiply(terms[j - 1], m, out=terms[j])
-    # fold the window onto itself, each position paired with its mirror position;
-    # at x = 0 the window is mirror-symmetric, so that pairs the sector k with
-    # N - k and the odd moments cancel to +0.0
-    half = len(m) // 2
-    folded = terms[:, :half] + terms[:, ::-1][:, :half]
-    moments = (folded.sum(axis=1) + terms[:, half:len(m) - half].sum(axis=1)) / z
+        np.multiply(terms[j - 1], a, out=terms[j])
+    terms[0::2] *= odd
+    terms[1::2] *= even
+    moments = terms.sum(axis=1) / z
+    # with c = |<m>|, a pair's heavier sector adds w (a - c)**2 to the variance
+    # and its lighter one light (a + c)**2, together even (a - c)**2 + 4 c light a
+    variance = np.dot(even, (a - moments[0]) ** 2) + 4.0 * moments[0] * np.dot(light, a[tail:])
+    moments[0::2] *= -1.0 if p.x < 0 else 1.0  # +0.0 at x = -0.0
 
     phi = -(shift + math.log(z)) / n
     u = 0.0 - moments[0]  # +0.0 where the first moment is 0.0, never -0.0
-    potential = 0.5 * float(np.dot(w, (m - moments[0]) ** 2) / z)
+    potential = 0.5 * float(variance / z)
     return ExactCwFields(n=n, x=p.x, t=p.t, phi=phi, u=u, potential=potential, moments=moments)
 
 

@@ -21,14 +21,24 @@ from spinflow import (
     viscous_action,
     viscous_velocity,
 )
-from spinflow.cw_exact import _anchor_log_binomials, _log_binomials, _sector_log_weights, _window
+from spinflow.cw_exact import _anchor_log_binomials, _log_binomials, _pair_weights, _window
 
 
 def every_sector(n: int):
-    # sectors and log-binomials of the window that holds every block at k <= n/2 and its mirror
+    # sectors k <= n/2 and their log-binomials, from the window that holds every block
     anchors = _anchor_log_binomials(n)
-    blocks = np.arange(len(anchors))
-    return _log_binomials(n, anchors, blocks, blocks)
+    return _log_binomials(n, anchors, np.arange(len(anchors)))
+
+
+def every_sector_log_weight(x: float, t: float, n: int):
+    # magnetization and log-weight of all n + 1 sectors, in order, from the module's
+    # log-binomials and their mirror images k -> n - k
+    k, log_binomials = every_sector(n)
+    lead = 1 - n % 2  # at even n the middle sector is its own mirror
+    k = np.concatenate((k, n - k[::-1][lead:]))
+    log_binomials = np.concatenate((log_binomials, log_binomials[::-1][lead:]))
+    m = (2.0 * k - n) / n
+    return m, log_binomials + n * (0.5 * t * m * m + x * m)
 
 
 def brute_force_log_partition(x: float, t: float, n: int) -> float:
@@ -112,13 +122,19 @@ def test_moments_match_an_fsum_sector_sum(x, t, n):
 def fsum_fields(x: float, t: float, n: int) -> tuple[float, list[float], float]:
     # log-partition per spin, moments 1-4 and potential from correctly rounded sums
     # over all n + 1 of the module's own log-weights, with no window
-    m, log_w = _sector_log_weights(x, t, n, *every_sector(n))
+    m, log_w = every_sector_log_weight(x, t, n)
     top = float(log_w.max())
     w = np.exp(log_w - top)
     z = math.fsum(w)
     moments = [math.fsum(w * m ** j) / z for j in range(1, 5)]
     potential = 0.5 * math.fsum(w * (m - moments[0]) ** 2) / z
     return (top + math.log(z)) / n, moments, potential
+
+
+# the potential from a 40-digit sum over exact binomials (mpmath) where the fsum
+# oracle is itself off: it rounds each mirror log-weight, about 2e4 here, on its own
+# (spacing 3.6e-12), and lands 1.2e-13 off this value
+_FROZEN_POTENTIAL = {(1.6e-4, 1.5, 25_000): 0.001539120597631917667466295}
 
 
 @pytest.mark.parametrize("x,t,n", [(1.6e-4, 1.5, 25_000), (0.0, 1.0, 25_000), (0.0, 1.5, 25_001),
@@ -131,6 +147,7 @@ def test_large_n_fields_match_an_fsum_over_every_sector(x, t, n):
     fields = exact_fields(p, n)
     assert log_partition(p, n) == pytest.approx(log_z, rel=1e-14, abs=0)
     assert fields.phi == pytest.approx(-log_z, rel=1e-14, abs=0)
+    potential = _FROZEN_POTENTIAL.get((x, t, n), potential)
     assert fields.potential == pytest.approx(potential, rel=1e-14, abs=0)
     for j in (1, 2, 3, 4):
         if x == 0.0 and j % 2:
@@ -142,12 +159,13 @@ def test_large_n_fields_match_an_fsum_over_every_sector(x, t, n):
 @pytest.mark.parametrize("x,t,n", [(0.3, 0.8, 250_000), (1.6e-4, 1.5, 25_000), (0.01725, 1.5, 25_000),
                                    (0.0, 1.0, 25_000), (1.0, 3.0, 25_001), (-0.5, 40.0, 3_000)])
 def test_window_holds_every_sector_with_a_nonzero_weight(x, t, n):
-    # (0.01725, 1.5): the minority peak sits about e^-740 below the majority one
-    _, log_w = _sector_log_weights(x, t, n, *every_sector(n))
+    # (0.01725, 1.5): the minority peak sits about e^-740 below the majority one;
+    # the window holds the pair k <= n/2 of every live sector
+    _, log_w = every_sector_log_weight(x, t, n)
     alive = np.flatnonzero(np.exp(log_w - log_w.max()) > 0.0)
     k, _ = _log_binomials(n, *_window(x, t, n))
     assert np.all(np.diff(k) > 0)
-    assert np.isin(alive, k).all()
+    assert np.isin(np.minimum(alive, n - alive), k).all()
 
 
 def test_window_evaluates_a_few_blocks_about_each_peak():
@@ -156,13 +174,10 @@ def test_window_evaluates_a_few_blocks_about_each_peak():
     n = 250_000
     k, _ = _log_binomials(n, *_window(0.3, 0.8, n))
     assert len(k) <= 32 * -(-2 * 18_194 // 32)
-    # at x = 0 the window is mirror-symmetric, also where it drops sectors
+    # at x = 0 too it drops sectors
     for t, n in ((0.8, 25_000), (1.0, 25_001), (1.5, 250_000)):
-        anchors, lo, hi = _window(0.0, t, n)
-        assert np.array_equal(lo, hi)
-        k, _ = _log_binomials(n, anchors, lo, hi)
-        assert len(k) < n + 1
-        assert np.array_equal(k, n - k[::-1])
+        k, _ = _log_binomials(n, *_window(0.0, t, n))
+        assert len(k) < n // 2 + 1
 
 
 def test_scaled_velocity_error_levels_off_up_to_ten_million_spins():
@@ -171,6 +186,29 @@ def test_scaled_velocity_error_levels_off_up_to_ten_million_spins():
     limit = lax_action(p).u
     scaled = [n * abs(exact_fields(p, n).u - limit) for n in (10**6, 10**7)]
     assert scaled[1] == pytest.approx(scaled[0], rel=1e-3)
+
+
+@pytest.mark.parametrize("x,t", [(0.3, 0.5), (0.3, 2.0), (1.0, 3.0), (0.0, 0.5)])
+def test_first_viscous_correction_matches_its_closed_form(x, t):
+    # Laplace's method on the sector sum: N (phi_N - phi) -> c1 = log(D) / 2, with
+    # D = 1 - t sech^2 y* the Jacobian dx/dy* of the characteristic map; the next
+    # order is below 0.26 / N at these points
+    limit = lax_action(PlanePoint(x, t))
+    c1 = 0.5 * math.log(1.0 - t / math.cosh(limit.y_star) ** 2)
+    for n in (10**3, 10**4, 10**5):
+        scaled = n * (exact_fields(PlanePoint(x, t), n).phi - limit.phi)
+        assert abs(scaled - c1) <= 0.5 / n
+
+
+def test_critical_point_moments_scale_as_the_quartic_law():
+    # at (0, 1), P(m) ~ exp(-N m^4 / 12) (Ellis and Newman 1978): sqrt(N) <m^2> ->
+    # sqrt(12) G(3/4) / G(1/4) and N <m^4> -> 3, both with N^-1/2 corrections
+    # (coefficients -0.27 and -2.8)
+    target = math.sqrt(12.0) * math.gamma(0.75) / math.gamma(0.25)
+    for n in (10**4, 10**6):
+        moments = exact_fields(PlanePoint(0.0, 1.0), n).moments
+        assert abs(math.sqrt(n) * moments[1] - target) <= 0.4 / math.sqrt(n)
+        assert abs(n * moments[3] - 3.0) <= 4.0 / math.sqrt(n)
 
 
 def test_third_residual_frozen_binomial_value():
@@ -186,11 +224,11 @@ def _binomial_spacing(n: int) -> float:
 
 @pytest.mark.parametrize("n", [1, 2, 3, 255, 256, 257, 513, 1000, 25000, 250000])
 def test_log_binomials_match_gammaln(n):
-    k = np.arange(n + 1.0)
+    k = np.arange(n // 2 + 1.0)
     expected = gammaln(n + 1.0) - (gammaln(k + 1.0) + gammaln(n - k + 1.0))
     _, got = every_sector(n)
-    assert got.shape == (n + 1,)
-    assert got[0] == got[n] == 0.0
+    assert got.shape == (n // 2 + 1,)
+    assert got[0] == 0.0
     assert np.max(np.abs(got - expected)) <= 6.0 * _binomial_spacing(n)
 
 
@@ -217,38 +255,59 @@ def test_log_binomials_frozen_values(n, k, value):
     # seven at n = 2.5e5
     _, got = every_sector(n)
     assert abs(got[k] - value) <= 3.0 * _binomial_spacing(n)
-    assert got[n - k] == got[k]
 
 
 @pytest.mark.parametrize("n", [1, 2, 9, 256, 257, 1000, 25001])
 @pytest.mark.parametrize("t", [0.0, 0.7, 2.0])
 def test_sector_log_weights_are_exactly_mirror_symmetric_at_zero_field(n, t):
-    m, log_w = _sector_log_weights(0.0, t, n, *every_sector(n))
-    assert np.array_equal(m, -m[::-1])
-    assert np.array_equal(log_w, log_w[::-1])
+    # at x = 0 the two sectors k and n - k of a pair weigh the same, bit for bit,
+    # and the middle sector of even n, its own mirror, counts once
+    a, even, odd, light, _, _ = _pair_weights(0.0, t, n)
+    pairs = len(a) - (1 - n % 2)  # at even n the last sector, k = n/2, is its own mirror
+    assert np.array_equal(even[:pairs], 2.0 * light[:pairs])
+    assert np.all(a[pairs:] == 0.0) and np.all(light[pairs:] == 0.0)
+    assert np.all(odd == 0.0)
 
 
 def test_odd_moments_vanish_exactly_at_zero_field():
-    for t in (0.0, 0.5, 2.0):
-        for n in (4, 15, 100, 25_000):
-            fields = exact_fields(PlanePoint(0.0, t), n)
-            assert fields.u == 0.0
-            assert fields.moments[0] == 0.0
-            assert fields.moments[2] == 0.0
-            # +0.0, so that no output prints a negative zero
-            for value in (fields.u, fields.moments[0], fields.moments[2]):
-                assert math.copysign(1.0, value) == 1.0
+    for x in (0.0, -0.0):
+        for t in (0.0, 0.5, 2.0):
+            for n in (4, 15, 100, 25_000):
+                fields = exact_fields(PlanePoint(x, t), n)
+                assert fields.u == 0.0
+                assert fields.moments[0] == 0.0
+                assert fields.moments[2] == 0.0
+                # +0.0, so that no output prints a negative zero
+                for value in (fields.u, fields.moments[0], fields.moments[2]):
+                    assert math.copysign(1.0, value) == 1.0
+
+
+# (x, t, n, u, <m^3>) from 50-digit sector sums over exact binomials (mpmath); the
+# odd moments are differences of nearly equal mirror weights
+_FROZEN_NEAR_ZERO_FIELD = [
+    (1e-12, 1.5, 100, -7.245204947294277170849346e-11, 5.385797808294012935562005e-11),
+    (1e-9, 0.5, 1000, -1.996018534589212758661701e-9, 1.192061788740042570384439e-11),
+]
+
+
+@pytest.mark.parametrize("x, t, n, u, m3", _FROZEN_NEAR_ZERO_FIELD)
+def test_odd_moments_keep_their_relative_accuracy_near_zero_field(x, t, n, u, m3):
+    fields = exact_fields(PlanePoint(x, t), n)
+    assert fields.u == pytest.approx(u, rel=2e-13, abs=0)
+    assert fields.moments[2] == pytest.approx(m3, rel=2e-13, abs=0)
 
 
 def test_mirror_symmetry():
-    # same sector weights in reversed order, so agreement holds to the
-    # last couple of ulps (summation order is the only difference)
-    for x in (0.15, 0.6, 1.2):
-        plus = exact_fields(PlanePoint(x, 1.7), 33)
-        minus = exact_fields(PlanePoint(-x, 1.7), 33)
-        assert plus.phi == pytest.approx(minus.phi, rel=1e-14, abs=0)
-        assert plus.u == pytest.approx(-minus.u, rel=1e-14, abs=0)
-        assert plus.potential == pytest.approx(minus.potential, rel=1e-13, abs=0)
+    # x -> -x negates u and the odd moments and leaves the rest, bit for bit
+    for n in (33, 25_000):
+        for x in (3e-4, 0.15, 0.6, 1.2):
+            plus = exact_fields(PlanePoint(x, 1.7), n)
+            minus = exact_fields(PlanePoint(-x, 1.7), n)
+            assert plus.phi == minus.phi
+            assert plus.u == -minus.u
+            assert plus.potential == minus.potential
+            assert np.array_equal(plus.moments[1::2], minus.moments[1::2])
+            assert np.array_equal(plus.moments[0::2], -minus.moments[0::2])
 
 
 @given(
