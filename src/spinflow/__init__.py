@@ -18,7 +18,6 @@ from .cw_exact import (
     log_partition,
 )
 from .hj_limit import (
-    Characteristic,
     CrossingScan,
     LaxSolution,
     characteristic,
@@ -66,7 +65,6 @@ __all__ = [
     "continuity_residual",
     "conservation_residuals",
     "LaxSolution",
-    "Characteristic",
     "CrossingScan",
     "lax_action",
     "viscous_action",

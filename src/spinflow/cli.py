@@ -64,8 +64,7 @@ def _output(path):
 def _emit(payload, stream, columns=None) -> None:
     """Write `payload` to `stream` as JSON, or as CSV rows under `columns`."""
     if columns is None:
-        json.dump(payload, stream, indent=2, allow_nan=False)
-        stream.write("\n")
+        stream.write(json.dumps(payload, indent=2, allow_nan=False) + "\n")
     else:
         stream.write(",".join(columns) + "\n")
         for row in payload:

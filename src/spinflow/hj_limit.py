@@ -66,14 +66,6 @@ class LaxSolution:
 
 
 @dataclass(frozen=True)
-class Characteristic:
-    """Straight characteristic launched from x0: x(s) = x0 - s tanh(x0)."""
-
-    x0: float
-    points: np.ndarray  # shape (n_points, 2), columns (x, t)
-
-
-@dataclass(frozen=True)
 class CrossingScan:
     """Pairwise intersection census for a family of characteristics.
 
@@ -393,11 +385,14 @@ def critical_launch_point(t: float) -> float:
     return 0.5 * math.log1p(t - 1.0) + math.log1p(math.sqrt((t - 1.0) / t))
 
 
-def characteristic(x0: float, t_max: float, n_points: int = 64) -> Characteristic:
-    """Straight characteristic x(s) = x0 - s tanh(x0), sampled uniformly on [0, t_max]."""
+def characteristic(x0: float, t_max: float, n_points: int = 64) -> np.ndarray:
+    """Straight characteristic x(s) = x0 - s tanh(x0), sampled uniformly on [0, t_max].
+
+    Returns an (n_points, 2) array of (x, t) pairs.
+    """
     if not math.isfinite(x0):
         raise ValueError(f"launch point must be finite, got {x0}")
-    return Characteristic(x0=x0, points=straight_line(x0, math.tanh(x0), t_max, n_points))
+    return straight_line(x0, math.tanh(x0), t_max, n_points)
 
 
 def crossing_scan(x0_points, t_max: float) -> CrossingScan:

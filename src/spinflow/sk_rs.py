@@ -17,15 +17,20 @@ integration by parts gives the slope of the map exactly,
 
     d/dq E_g tanh^2(beta_h + g sqrt(x + t q)) = t (3 E_g sech^4 - 2 E_g sech^2),
 
-so one pass over the nodes yields the map and its slope, and the
-overlap is solved by bracketed Newton with that slope rather than by a
-damped fixed-point iteration.  The caustic margin below is the
-replica-symmetric analogue of the characteristic-crossing criterion of
-``hj_limit``: where it stays positive, the glassy characteristics do
-not cross.  It is exactly (1 - slope) / 3 at the fixed point, so the
-margin vanishes where the map stops being a contraction.  The slope and
-the acceptance residual |q - map(q)| come from the solve's last node
-pass, by the same rule, so the residual cannot see the rule's own error.
+so one pass over the nodes yields the map and its slope, and the overlap
+is solved by bracketed Newton with that slope rather than by a damped
+fixed-point iteration.  That pass, ``_tanh_moments``, is the only place
+tanh meets the nodes: ``gaussian_expectation`` reads its tanh_sq,
+sech_sq and sech_4 kinds from it too, and only log_cosh has a pass of
+its own, so a change of quadrature rule replaces these two passes alone.
+The caustic margin below is the replica-symmetric analogue of the
+characteristic-crossing criterion of ``hj_limit``: where it stays
+positive, the glassy characteristics do not cross.  It is exactly
+(1 - slope) / 3 at the fixed point, so the margin vanishes where the map
+stops being a contraction.  The slope and the acceptance residual
+|q - map(q)| come from the solve's last node pass, so the residual is
+``gaussian_expectation("tanh_sq", ...)`` minus q by construction and
+cannot see the rule's own error.
 """
 
 from __future__ import annotations
@@ -44,41 +49,52 @@ _GH_NORM = 1.0 / math.sqrt(math.pi)
 _FIXED_POINT_TOL = 1e-12
 
 
-_INTEGRANDS = {
-    "log_cosh": log_cosh,
-    "tanh_sq": lambda s: np.tanh(s) ** 2,
-    "sech_sq": lambda s: 1.0 - np.tanh(s) ** 2,
-    "sech_4": lambda s: (1.0 - np.tanh(s) ** 2) ** 2,
-}
+# the tanh kinds first, in the order _tanh_moments returns them
+_KINDS = ("tanh_sq", "sech_sq", "sech_4", "log_cosh")
+
+
+def _tanh_moments(beta_h: float, v: float) -> tuple[float, float, float]:
+    """E_g tanh^2, E_g sech^2 and E_g sech^4 of beta_h + g sqrt(v), from one node pass.
+
+    sech^2 is 1 - tanh^2, which keeps the map's relative precision at small variance,
+    where the symmetric root sits just above t = 1; v = 0 collapses exactly.
+    """
+    if v == 0.0:
+        th2 = np.tanh(beta_h) ** 2
+        return float(th2), float(1.0 - th2), float((1.0 - th2) ** 2)
+    nodes, weights = gauss_rule(np.polynomial.hermite.hermgauss, _GH_ORDER)
+    th2 = np.tanh(beta_h + math.sqrt(2.0 * v) * nodes) ** 2
+    s2 = 1.0 - th2
+    return (float(np.dot(weights, th2) * _GH_NORM), float(np.dot(weights, s2) * _GH_NORM),
+            float(np.dot(weights, s2 * s2) * _GH_NORM))
 
 
 def gaussian_expectation(kind: str, beta_h: float, v: float) -> float:
     """E_g f(beta_h + g sqrt(v)) for a standard Gaussian g.
 
-    ``kind`` selects f among log_cosh, tanh_sq, sech_sq, sech_4; sech^2 is
-    formed as 1 - tanh^2, as in the overlap map.  The degenerate case
-    v = 0 collapses to f(beta_h) exactly.  OverflowError is raised when
-    the log_cosh sum would overflow.
+    ``kind`` selects f among log_cosh, tanh_sq, sech_sq, sech_4; the last
+    three come from the node pass of the overlap map, where sech^2 is
+    formed as 1 - tanh^2.  The degenerate case v = 0 collapses to
+    f(beta_h) exactly.  OverflowError is raised when the log_cosh sum
+    would overflow.
     """
-    try:
-        f = _INTEGRANDS[kind]
-    except KeyError:
-        raise ValueError(f"unknown integrand kind {kind!r}; choose from {sorted(_INTEGRANDS)}")
+    if kind not in _KINDS:
+        raise ValueError(f"unknown integrand kind {kind!r}; choose from {sorted(_KINDS)}")
     if not (math.isfinite(beta_h) and math.isfinite(v)):
         raise ValueError(f"arguments must be finite, got beta_h={beta_h}, v={v}")
     if v < 0:
         raise ValueError(f"variance v must be >= 0, got {v}")
+    if kind != "log_cosh":
+        return _tanh_moments(beta_h, v)[_KINDS.index(kind)]
     if v == 0.0:
-        return float(f(beta_h))
+        return float(log_cosh(beta_h))
     nodes, weights = gauss_rule(np.polynomial.hermite.hermgauss, _GH_ORDER)
-    if kind == "log_cosh":
-        # log cosh s <= |s| and the weights sum to sqrt(pi) < 2, so this bounds the
-        # weighted sum; Python floats, so that forming the bound cannot warn
-        largest = abs(float(beta_h)) + math.sqrt(2.0 * float(v)) * float(nodes[-1])
-        if not math.isfinite(2.0 * largest):
-            raise OverflowError(f"E log cosh overflows at beta_h={beta_h}, v={v}")
-    values = f(beta_h + math.sqrt(2.0 * v) * nodes)
-    return float(np.dot(weights, values) * _GH_NORM)
+    # log cosh s <= |s| and the weights sum to sqrt(pi) < 2, so this bounds the
+    # weighted sum; Python floats, so that forming the bound cannot warn
+    largest = abs(float(beta_h)) + math.sqrt(2.0 * float(v)) * float(nodes[-1])
+    if not math.isfinite(2.0 * largest):
+        raise OverflowError(f"E log cosh overflows at beta_h={beta_h}, v={v}")
+    return float(np.dot(weights, log_cosh(beta_h + math.sqrt(2.0 * v) * nodes)) * _GH_NORM)
 
 
 @dataclass(frozen=True)
@@ -101,25 +117,8 @@ class RsSolution:
 
 
 def _map_and_slope(params: SkParams, q: float) -> tuple[float, float]:
-    """The overlap map E tanh^2 at q and its exact slope, from one node pass.
-
-    sech^2 is formed as 1 - tanh^2, so the map keeps full relative
-    precision at small variance, where the symmetric root sits just
-    above t = 1.  The degenerate variance v = 0 collapses exactly, with
-    numpy's tanh, as in ``gaussian_expectation``.
-    """
-    v = params.x + params.t * q
-    if v == 0.0:
-        mapped = float(np.tanh(params.beta_h) ** 2)
-        e2 = 1.0 - mapped
-        e4 = e2 * e2
-    else:
-        nodes, weights = gauss_rule(np.polynomial.hermite.hermgauss, _GH_ORDER)
-        th2 = np.tanh(params.beta_h + math.sqrt(2.0 * v) * nodes) ** 2
-        s2 = 1.0 - th2
-        mapped = float(np.dot(weights, th2) * _GH_NORM)
-        e2 = float(np.dot(weights, s2) * _GH_NORM)
-        e4 = float(np.dot(weights, s2 * s2) * _GH_NORM)
+    """The overlap map E tanh^2 at q and its exact slope, from one node pass."""
+    mapped, e2, e4 = _tanh_moments(params.beta_h, params.x + params.t * q)
     return mapped, params.t * (3.0 * e4 - 2.0 * e2)
 
 
@@ -142,10 +141,11 @@ def solve_qbar(params: SkParams) -> float:
     the iteration stops only once the Newton step is below 2.5e-13 as
     well.  The returned value satisfies |q - map(q)| < 1e-12, read from
     the Newton's last node pass; otherwise, or when the Newton budget runs
-    out, ConvergenceError is raised with the residual.  That residual has
-    the bits of ``gaussian_expectation("tanh_sq", ...)``, the same rule, so
-    it cannot see the rule's own error.  OverflowError is raised when the
-    variance x + t q can overflow on the bracket.
+    out, ConvergenceError is raised with the residual.  That residual is
+    |q - gaussian_expectation("tanh_sq", ...)| by construction, since both
+    read ``_tanh_moments``, so it cannot see the rule's own error.
+    OverflowError is raised when the variance x + t q can overflow on the
+    bracket.
     """
     return _solve(params)[0]
 

@@ -7,6 +7,7 @@ loosen them to make a failure go away.
 
 import json
 import math
+import os
 import subprocess
 import sys
 import time
@@ -14,6 +15,7 @@ import time
 import numpy as np
 import pytest
 
+import spinflow
 from spinflow import (
     PlanePoint,
     SkParams,
@@ -232,11 +234,14 @@ SEEDED_COMMANDS = [
 
 
 def test_11_seeded_commands_are_byte_identical():
+    # fresh interpreters, with the package under test first on the path
+    src = os.path.dirname(os.path.dirname(spinflow.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     diffs = []
     for argv in SEEDED_COMMANDS:
         outputs = []
         for _ in range(2):
-            result = subprocess.run([sys.executable, "-m", "spinflow.cli"] + argv,
+            result = subprocess.run([sys.executable, "-m", "spinflow.cli"] + argv, env=env,
                                     capture_output=True, check=True)
             outputs.append(result.stdout)
         if outputs[0] != outputs[1]:

@@ -180,35 +180,65 @@ def test_window_evaluates_a_few_blocks_about_each_peak():
         assert len(k) < n // 2 + 1
 
 
+def first_viscous_coefficients(x: float, t: float, branch=None):
+    # Laplace's method on the sector sum: N (phi_N - phi) -> c1 = log(D) / 2 and
+    # N (u_N - u) -> cu = t m m_x / D, with D = 1 - t sech^2 y* the Jacobian dx/dy*
+    # of the characteristic map, m = -u and m_x = (1 - m^2) / D
+    limit = lax_action(PlanePoint(x, t), branch=branch)
+    jacobian = 1.0 - t / math.cosh(limit.y_star) ** 2
+    m = -limit.u
+    return limit, 0.5 * math.log(jacobian), t * m * (1.0 - m * m) / jacobian**2
+
+
 def test_scaled_velocity_error_levels_off_up_to_ten_million_spins():
     # N |u_N - u| tends to a constant, the 1/N coefficient, off the shock line
     p = PlanePoint(0.3, 0.8)
-    limit = lax_action(p).u
-    scaled = [n * abs(exact_fields(p, n).u - limit) for n in (10**6, 10**7)]
-    assert scaled[1] == pytest.approx(scaled[0], rel=1e-3)
+    limit, _, cu = first_viscous_coefficients(p.x, p.t)
+    scaled = [n * (exact_fields(p, n).u - limit.u) for n in (10**6, 10**7)]
+    assert abs(scaled[1]) == pytest.approx(abs(scaled[0]), rel=1e-3)
+    # against the closed form, N (N (u_N - u) - cu) reads 1.72 at 1e6 and 3.18 at 1e7
+    for value in scaled:
+        assert value == pytest.approx(cu, rel=1e-5)
 
 
 @pytest.mark.parametrize("x,t", [(0.3, 0.5), (0.3, 2.0), (1.0, 3.0), (0.0, 0.5)])
 def test_first_viscous_correction_matches_its_closed_form(x, t):
-    # Laplace's method on the sector sum: N (phi_N - phi) -> c1 = log(D) / 2, with
-    # D = 1 - t sech^2 y* the Jacobian dx/dy* of the characteristic map; the next
-    # order is below 0.26 / N at these points
-    limit = lax_action(PlanePoint(x, t))
-    c1 = 0.5 * math.log(1.0 - t / math.cosh(limit.y_star) ** 2)
+    # the next orders are below 0.26 / N for the action and 0.46 / N for the velocity
+    limit, c1, cu = first_viscous_coefficients(x, t)
     for n in (10**3, 10**4, 10**5):
-        scaled = n * (exact_fields(PlanePoint(x, t), n).phi - limit.phi)
-        assert abs(scaled - c1) <= 0.5 / n
+        fields = exact_fields(PlanePoint(x, t), n)
+        assert abs(n * (fields.phi - limit.phi) - c1) <= 0.5 / n
+        assert abs(n * (fields.u - limit.u) - cu) <= 1.0 / n
+
+
+@pytest.mark.parametrize("t", [1.5, 2.0, 3.0])
+def test_first_viscous_correction_on_the_shock_line_counts_two_peaks(t):
+    # at x = 0 the two mirror peaks tie, so N (phi_N - phi) -> c1 - log 2; the
+    # next order is below 1.14 / N at these t
+    limit, c1, _ = first_viscous_coefficients(0.0, t, branch="plus")
+    for n in (10**3, 10**4, 10**5):
+        scaled = n * (exact_fields(PlanePoint(0.0, t), n).phi - limit.phi)
+        assert abs(scaled - (c1 - math.log(2.0))) <= 1.5 / n
 
 
 def test_critical_point_moments_scale_as_the_quartic_law():
     # at (0, 1), P(m) ~ exp(-N m^4 / 12) (Ellis and Newman 1978): sqrt(N) <m^2> ->
     # sqrt(12) G(3/4) / G(1/4) and N <m^4> -> 3, both with N^-1/2 corrections
     # (coefficients -0.27 and -2.8)
+    # So <m^4> / <m^2>^2 -> G(1/4)^2 / (4 G(3/4)^2), and the partition function's
+    # Laplace integral gives N (phi_N - phi) + log(N) / 4 -> -log(2 12^(1/4) G(5/4)
+    # / sqrt(2 pi)); their N^-1/2 coefficients are -1.03 and -0.234
     target = math.sqrt(12.0) * math.gamma(0.75) / math.gamma(0.25)
+    ratio = math.gamma(0.25) ** 2 / (4.0 * math.gamma(0.75) ** 2)
+    log_term = -math.log(2.0 * 12.0**0.25 * math.gamma(1.25) / math.sqrt(2.0 * math.pi))
+    phi = lax_action(PlanePoint(0.0, 1.0)).phi
     for n in (10**4, 10**6):
-        moments = exact_fields(PlanePoint(0.0, 1.0), n).moments
+        fields = exact_fields(PlanePoint(0.0, 1.0), n)
+        moments = fields.moments
         assert abs(math.sqrt(n) * moments[1] - target) <= 0.4 / math.sqrt(n)
         assert abs(n * moments[3] - 3.0) <= 4.0 / math.sqrt(n)
+        assert abs(moments[3] / moments[1] ** 2 - ratio) <= 1.5 / math.sqrt(n)
+        assert abs(n * (fields.phi - phi) + 0.25 * math.log(n) - log_term) <= 0.4 / math.sqrt(n)
 
 
 def test_third_residual_frozen_binomial_value():

@@ -138,8 +138,8 @@ def test_characteristics_transport_the_boundary_slope():
     # the straight line stays valid until it hits the shock at s = x0/tanh(x0)
     s_exit = x0 / math.tanh(x0)
     line = characteristic(x0, 0.9 * s_exit, n_points=7)
-    assert line.points.shape == (7, 2)
-    for x, s in line.points:
+    assert line.shape == (7, 2)
+    for x, s in line:
         if s == 0.0:
             assert x == x0
             continue
@@ -153,7 +153,7 @@ def test_mirror_characteristics_collide_on_the_median():
     s_meet = a / math.tanh(a)
     for launch in (a, -a):
         line = characteristic(launch, s_meet, n_points=11)
-        x_final, s_final = line.points[-1]
+        x_final, s_final = line[-1]
         assert s_final == pytest.approx(s_meet, rel=1e-15)
         assert x_final == pytest.approx(0.0, abs=1e-14)
 

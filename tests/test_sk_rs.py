@@ -68,6 +68,12 @@ def test_gaussian_expectation_degenerate_variance_collapses():
         math.log(math.cosh(0.3)), rel=1e-14)
 
 
+def _map_and_slope_from_public_kinds(params, q):
+    v = params.x + params.t * q
+    e2, e4 = (gaussian_expectation(kind, params.beta_h, v) for kind in ("sech_sq", "sech_4"))
+    return gaussian_expectation("tanh_sq", params.beta_h, v), params.t * (3.0 * e4 - 2.0 * e2)
+
+
 def test_the_two_zero_variance_collapses_agree_bitwise():
     # x = t = 0 puts the overlap map at v = 0, where both routes reduce to tanh(beta_h)^2
     for k in range(1, 200):
@@ -76,6 +82,11 @@ def test_the_two_zero_variance_collapses_agree_bitwise():
         params = SkParams(0.0, 0.0, beta_h)
         assert sk_rs._map_and_slope(params, 0.0)[0] == collapsed, beta_h
         assert solve_qbar(params) == collapsed, beta_h
+        # at v = 0 and v > 0 the map and its slope have the bits of the three public tanh kinds
+        for point, q in ((params, 0.0), (SkParams(0.0, 1.0 + 0.01 * k, beta_h), 0.003 * k),
+                         (SkParams(0.01 * k, 0.7, beta_h), 0.5)):
+            assert (sk_rs._map_and_slope(point, q)
+                    == _map_and_slope_from_public_kinds(point, q)), (point, q)
 
 
 @given(beta_h=st.floats(0.0, 2.0), v=st.floats(0.0, 4.0))
@@ -269,6 +280,20 @@ def test_caustic_root_sits_at_the_transition():
     assert caustic_root(0.0) == pytest.approx(1.0, abs=1e-9)
 
 
+@pytest.mark.parametrize("x,t,beta_h", [(0.3, 0.5, 0.2), (0.5, 1.5, 0.0), (0.2, 0.8, 0.5)])
+def test_rs_action_solves_its_hamilton_jacobi_equation(x, t, beta_h):
+    # the glassy twin of the ferromagnet's identity: d_t phi + (d_x phi)^2 / 2 = 0,
+    # by central differences; the residual reads 2-4e-10 at these points
+    h = 1e-4
+
+    def phi(x, t):
+        return rs_action(SkParams(x, t, beta_h)).phi_rs
+
+    phi_t = (phi(x, t + h) - phi(x, t - h)) / (2.0 * h)
+    phi_x = (phi(x + h, t) - phi(x - h, t)) / (2.0 * h)
+    assert abs(phi_t + 0.5 * phi_x**2) <= 1e-8
+
+
 def test_caustic_root_absent_in_a_field():
     with pytest.raises(ConvergenceError) as excinfo:
         caustic_root(0.3)
@@ -287,8 +312,8 @@ def test_pressure_reconstruction_identity():
 def test_pressure_envelope_check_catches_a_wrong_log_cosh(monkeypatch):
     # the reconstruction's two routes share one E log cosh, so scaling it leaves
     # their gap at zero; the envelope identity d_x phi = -qbar ties it to the map
-    log_cosh = sk_rs._INTEGRANDS["log_cosh"]
-    monkeypatch.setitem(sk_rs._INTEGRANDS, "log_cosh", lambda s: 1.001 * log_cosh(s))
+    log_cosh = sk_rs.log_cosh
+    monkeypatch.setattr(sk_rs, "log_cosh", lambda s: 1.001 * log_cosh(s))
     assert rs_pressure_detail(1.5, 0.1)[1] < 1e-10
     with pytest.raises(ConvergenceError, match="envelope") as excinfo:
         rs_pressure(1.5, 0.1)
