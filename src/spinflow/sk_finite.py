@@ -7,15 +7,18 @@ residuals that the streaming relations predict to vanish as the system
 grows.
 
 Everything here is exact in the thermal average (2^n enumeration) and
-statistical only in the disorder average.  The enumeration is one fast
-Walsh-Hadamard transform (FWHT): a configuration's log-weight is a
-Walsh series on the one- and two-site subsets, and the Gibbs correlator
-of every site subset is the transform of the probability vector, so a
-sample costs O(n 2^n) with no per-size product tables.  The transform
-is self-sorting (Stockham): each stage reads adjacent pairs from one
-buffer and writes sums and differences to the two halves of another,
-so every stage runs over long rows, and its bits are those of the
-in-place butterflies.  Samples are processed in blocks of fixed size.
+statistical only in the disorder average.  The Gibbs correlator of every
+site subset is the fast Walsh-Hadamard transform (FWHT) of the
+probability vector, one O(n 2^n) transform per sample with no per-size
+product tables.  The transform is self-sorting (Stockham): each stage
+reads adjacent pairs from one buffer and writes sums and differences to
+the two halves of another, so every stage runs over long rows, and its
+bits are those of the in-place butterflies.  The log-weights and the two
+series of the replica chains sit on subsets of at most two sites; from
+_FOLD_SITES sites up they are evaluated at every configuration in
+O(2^n), one site at a time, bitwise as the transform would give them,
+so a sample costs one full transform plus O(2^n) work.  Samples are
+processed in blocks of fixed size.
 Disorder is drawn from a counter-based generator keyed by (seed, sample
 index), and every per-sample result depends on that key alone, never on
 how the samples are batched.
@@ -47,8 +50,14 @@ def _check_site_count(n) -> None:
 # few per cent faster on runs of many small samples (n = 4..8) but raised
 # their peak memory by about 1 %.
 _BLOCK_ENTRIES = 1 << 13
-# workspace planes: log-weights, transform partner, spare; series stack (2), partner (2)
+# workspace planes: log-weights, transform partner, spare; series L and A, partners (2)
 _PLANES = 7
+# site count from which _walsh_series folds instead of transforming.  Below it
+# the folds' extra numpy calls cost as much as the transform stages they save,
+# or more: over three runs of interleaved per-block timings of
+# _sample_statistics on a 2-vCPU host, fold/transform read 1.00-1.44 at
+# n = 6-10, 0.98-1.02 at 11, 0.86-1.01 at 12, 0.86-0.96 at 13, 0.78-0.85 at 14.
+_FOLD_SITES = 12
 
 
 @lru_cache(maxsize=None)
@@ -101,6 +110,64 @@ def _fwht(a: np.ndarray, work: np.ndarray) -> np.ndarray:
     return work if stages % 2 else a
 
 
+def _walsh_series(constant, fields: np.ndarray, pairs: np.ndarray, out: np.ndarray,
+                  work: np.ndarray) -> np.ndarray:
+    """A Walsh series on the empty set, single sites and site pairs, at every configuration.
+
+    Row r of the result holds, at index s (bit i of s set where site i is
+    -1), constant[r] + sum_i fields[r, i] s_i + sum_{i<j} pairs[r, ij] s_i s_j,
+    with the pairs in the row-major order of DisorderSample.couplings.
+    `constant` is a scalar or one value per row.  The result is bitwise the
+    `_fwht` of the coefficient vector.
+
+    From _FOLD_SITES sites up the series is grown one site at a time:
+    with E_k its values over sites 0..k-1, E_{k+1} = [E_k + D_k, E_k - D_k],
+    where D_k, site k's field plus its pair terms with the lower sites, is
+    left-folded over those sites the same way.  The D_k of all sites above
+    b take site b's fold together, since their pairs (b, k) are contiguous
+    in the upper triangle.  Each sum and difference has the operands, in
+    the order, of the matching butterfly of `_fwht`.  The butterflies also
+    add the zero entries of the coefficient vector, which the fold skips;
+    that can flip the sign of a zero in D_k but no other bit, and since no
+    E_k is -0.0 unless the constant is, it moves no bit of the result.  A
+    block with a -0.0 constant takes the transform.  The fold costs about
+    4 2^n element operations instead of n 2^n, with `work`'s two halves as
+    its only scratch.  Below _FOLD_SITES the coefficients are scattered
+    into `out` and transformed.
+
+    `out` and `work` are C-contiguous (rows, 2^n) planes, both
+    overwritten.  Returns the one that holds the result, as `_fwht` does.
+    """
+    rows, n = fields.shape
+    if n < _FOLD_SITES or np.any((constant == 0.0) & np.signbit(constant)):
+        sites, pair_masks, _ = _walsh_masks(n)
+        out.fill(0.0)
+        out[:, 0] = constant
+        out[:, sites] = fields
+        out[:, pair_masks] = pairs
+        return _fwht(out, work)
+    halves = work.reshape(2, -1)
+    # (+J, -J) for each pair: a - b is a + (-b), the same IEEE operation, so
+    # both halves of a fold take one call
+    signed = np.multiply(pairs[:, :, None, None], ((1.0,), (-1.0,)))
+    out[:, 0] = constant
+    # folded[:, i] is D_{k+i} folded over sites 0..k-1, one entry per
+    # configuration of those sites
+    folded = fields[:, :, None]
+    start = 0
+    for k in range(n):
+        size = 1 << k
+        np.subtract(out[:, :size], folded[:, 0], out=out[:, size:2 * size])
+        np.add(out[:, :size], folded[:, 0], out=out[:, :size])
+        if k == n - 1:
+            return out
+        count = n - 1 - k
+        step = halves[k % 2, :rows * count * 2 * size].reshape(rows, count, 2, size)
+        np.add(folded[:, 1:, None], signed[:, start:start + count], out=step)
+        folded = step.reshape(rows, count, 2 * size)
+        start += count
+
+
 @dataclass(frozen=True)
 class DisorderSample:
     """One realization of the quenched randomness.
@@ -137,11 +204,13 @@ def _disorder_draws(bitgen: np.random.Philox, seed: int, indices, n: int) -> np.
     rng = np.random.Generator(bitgen)
     draws = np.empty((len(indices), n * (n + 1) // 2))
     zero = np.zeros(4, dtype=np.uint64)
+    key = np.array([seed, 0], dtype=np.uint64)
+    # the setter copies the key, so one state serves every row
+    state = {"bit_generator": "Philox", "state": {"counter": zero, "key": key},
+             "buffer": zero, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
     for row, index in zip(draws, indices):
-        bitgen.state = {
-            "bit_generator": "Philox",
-            "state": {"counter": zero, "key": np.array([seed, index], dtype=np.uint64)},
-            "buffer": zero, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+        key[1] = index
+        bitgen.state = state
         rng.standard_normal(out=row)
     return draws
 
@@ -175,7 +244,6 @@ def _gibbs_states(couplings: np.ndarray, site_fields: np.ndarray, params: SkPara
     C-contiguous (3, rows, 2^n) workspace overwritten whatever it holds.
     """
     rows, n = site_fields.shape
-    sites, pairs, _ = _walsh_masks(n)
     # A row's log-weights, and every partial sum of their transform, are at
     # most its absolute coefficient sum in size, and the max shift below
     # subtracts up to twice that.  `bound` is at least that sum in every row
@@ -184,15 +252,13 @@ def _gibbs_states(couplings: np.ndarray, site_fields: np.ndarray, params: SkPara
     # bound cannot warn; 2^-40 of slack covers rounding.
     largest = max(float(np.abs(couplings).max(initial=0.0)), float(np.abs(site_fields).max()))
     bound = n * abs(params.beta_h) + largest * (
-        len(pairs) * math.sqrt(params.t / n) + n * math.sqrt(params.x))
+        couplings.shape[1] * math.sqrt(params.t / n) + n * math.sqrt(params.x))
     if not math.isfinite(2.0 * (1.0 + 2.0 ** -40) * bound):
         raise OverflowError(f"log-weights overflow at n={n}, x={params.x}, t={params.t}, "
                             f"beta_h={params.beta_h}, so the 2^n enumeration cannot be formed")
     walsh, work, spare = planes
-    walsh.fill(0.0)
-    walsh[:, pairs] = math.sqrt(params.t / n) * couplings
-    walsh[:, sites] = params.beta_h + math.sqrt(params.x) * site_fields
-    prob = _fwht(walsh, work)
+    prob = _walsh_series(0.0, params.beta_h + math.sqrt(params.x) * site_fields,
+                         math.sqrt(params.t / n) * couplings, walsh, work)
     prob -= prob.max(axis=1, keepdims=True)
     np.exp(prob, out=prob)
     prob /= prob.sum(axis=1, keepdims=True)
@@ -249,9 +315,11 @@ def _sample_statistics(params: SkParams, n: int, draws: np.ndarray,
     and the three-replica chains are Gibbs averages of two Walsh series,
     L(s) = sum_i m_i s_i and A(s) = sum_ij C_ij s_i s_j with m_i = c({i}),
     C_ij = c({i, j}) and C_ii = c({}): <q12 q23> = <L^2>/n^2,
-    <q12 q23^2> = <A L>/n^3 and <q12^2 q23^2> = <A^2>/n^4.  Cost is
-    O(n 2^n) per sample.  Reductions run along contiguous rows, so each
-    row depends only on (params, n) and its draws.
+    <q12 q23^2> = <A L>/n^3 and <q12^2 q23^2> = <A^2>/n^4.  Cost is one
+    O(n 2^n) transform per sample (the correlators), plus O(2^n) for L, A
+    and the averages from _FOLD_SITES sites up (O(n 2^n) below).
+    Reductions run along contiguous rows, so each row depends only on
+    (params, n) and its draws.
 
     Columns are (q1, q2, o1, e1, e2) where q1 = O(q12), q2 = O(q12^2),
     o1 = O(q12^2 - 4 q12 q23 + 3 q12 q34),
@@ -259,9 +327,10 @@ def _sample_statistics(params: SkParams, n: int, draws: np.ndarray,
     e2 = O(q12^4 - 4 q12^2 q23^2 + 3 q12^2 q34^2),
     with O the thermal average at fixed disorder.
     """
-    n_pairs = n * (n - 1) // 2
-    gibbs, series, work = planes[:3], planes[3:5], planes[5:]
-    prob, corr = _gibbs_states(draws[:, :n_pairs], draws[:, n_pairs:], params, gibbs)
+    rows, n_pairs = len(draws), n * (n - 1) // 2
+    # the rows of L, then those of A, so that both series take one evaluation
+    series, work = planes[3:5].reshape(2 * rows, -1), planes[5:].reshape(2 * rows, -1)
+    prob, corr = _gibbs_states(draws[:, :n_pairs], draws[:, n_pairs:], params, planes[:3])
     sites, pairs, by_size = _walsh_masks(n)
     g0, g1, g2, g3, g4 = (np.square(np.take(corr, masks, axis=1)).sum(axis=1)
                           for masks in by_size)
@@ -270,16 +339,20 @@ def _sample_statistics(params: SkParams, n: int, draws: np.ndarray,
     q3 = ((3 * n - 2) * g1 + 6.0 * g3) / n ** 3
     q4 = ((3 * n * n - 2 * n) * g0 + (12 * n - 16) * g2 + 24.0 * g4) / n ** 4
 
-    series.fill(0.0)
-    series[0][:, sites] = np.take(corr, sites, axis=1)
-    series[1][:, 0] = n * corr[:, 0]
-    series[1][:, pairs] = 2.0 * np.take(corr, pairs, axis=1)
-    linear, quadratic = result = _fwht(series, work)
-    # the thermal averages <a b> are formed in a plane that the transform left free
-    tmp = (work if result is series else series)[0]
+    result = _walsh_series(
+        np.concatenate((np.zeros(rows), n * corr[:, 0])),
+        np.concatenate((np.take(corr, sites, axis=1), np.zeros((rows, n)))),
+        np.concatenate((np.zeros((rows, n_pairs)), 2.0 * np.take(corr, pairs, axis=1))),
+        series, work)
+    linear, quadratic = result.reshape(2, rows, -1)
+    # the thermal averages <a b> are formed in the two planes the evaluation left free
+    tmp, prob_quadratic = (work if result is series else series).reshape(2, rows, -1)
+    np.multiply(prob, linear, out=tmp)
+    np.multiply(prob, quadratic, out=prob_quadratic)
     q_q23, q_q23sq, q2_q23sq = (
-        np.multiply(np.multiply(prob, a, out=tmp), b, out=tmp).sum(axis=1) / n ** k
-        for a, b, k in ((linear, linear, 2), (quadratic, linear, 3), (quadratic, quadratic, 4)))
+        np.multiply(a, b, out=tmp).sum(axis=1) / n ** k
+        for a, b, k in ((tmp, linear, 2), (prob_quadratic, linear, 3),
+                        (prob_quadratic, quadratic, 4)))
 
     o1 = q2 - 4.0 * q_q23 + 3.0 * q1 * q1
     e1 = q3 - 4.0 * q_q23sq + 3.0 * q1 * q2
@@ -327,7 +400,9 @@ def quenched_overlap_moments(params: SkParams, n: int, n_samples: int,
     """Overlap moments and identity polynomials averaged over quenched disorder.
 
     Each sample is keyed by (seed, index) and enumerated by the
-    Walsh-Hadamard engine in O(n 2^n); samples go through in blocks of
+    Walsh-Hadamard engine: one O(n 2^n) transform and O(2^n) series
+    evaluations per sample from _FOLD_SITES sites up, four row transforms
+    below; samples go through in blocks of
     max(1, 2^13 >> n), all in one workspace.  A sample's statistics
     depend on its key alone, not on the block it falls in or on
     n_samples, so every output bit is fixed by (params, n, n_samples, seed).

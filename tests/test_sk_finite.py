@@ -262,8 +262,53 @@ def test_transform_is_the_hadamard_matrix_product(n):
         assert np.all(np.abs(result - expected) <= 1e-14 * scale)
 
 
+def series_coefficients(rng, rows, n, case):
+    """(constant, fields, pairs) of a Walsh series on at most two sites, one row each."""
+    constant = rng.standard_normal(rows) if case == "constant" else 0.0
+    fields = rng.standard_normal((rows, n))
+    pairs = rng.standard_normal((rows, n * (n - 1) // 2))
+    if case == "signed zeros":
+        # t = 0 makes every pair coefficient a signed zero; so are some fields here
+        pairs *= 0.0
+        fields[rng.random(fields.shape) < 0.5] *= 0.0
+    elif case == "negative zero constant":
+        constant = np.full(rows, -0.0)
+        fields[rng.random(fields.shape) < 0.5] *= 0.0
+        pairs[rng.random(pairs.shape) < 0.5] *= 0.0
+    elif case == "no pairs":
+        pairs[:] = 0.0
+    return constant, fields, pairs
+
+
+@pytest.mark.parametrize("fold_sites", [1, sk_finite._FOLD_SITES])
+@pytest.mark.parametrize("n", range(1, 15))
+def test_series_evaluator_is_bitwise_the_transform_of_its_coefficients(n, fold_sites, monkeypatch):
+    # fold_sites = 1 folds at every n; the default folds from _FOLD_SITES up
+    monkeypatch.setattr(sk_finite, "_FOLD_SITES", fold_sites)
+    rng = np.random.default_rng(100 + n)
+    masks = [1 << i for i in range(n)], [(1 << i) | (1 << j)
+                                         for i, j in itertools.combinations(range(n), 2)]
+    for data in transform_inputs(n):
+        rows = data.size >> n
+        for case in ("zero constant", "constant", "signed zeros", "negative zero constant",
+                     "no pairs"):
+            constant, fields, pairs = series_coefficients(rng, rows, n, case)
+            vector = np.zeros((rows, 1 << n))
+            vector[:, 0] = constant
+            vector[:, masks[0]] = fields
+            vector[:, masks[1]] = pairs
+            expected = sk_finite._fwht(vector, np.empty_like(vector))
+            # every entry of the result is written, whatever the planes held
+            out, work = np.full((2, rows, 1 << n), np.nan)
+            result = sk_finite._walsh_series(constant, fields, pairs, out, work)
+            assert result is out or result is work
+            assert np.array_equal(result.view(np.uint64), expected.view(np.uint64)), case
+
+
 # quenched_overlap_moments at (x, t, beta_h) = (0.3, 0.8, 0.15), frozen as
-# float.hex: (q1, q2, poly_p1..p4, v_n, v_n_std_error, *std_errors)
+# float.hex: (q1, q2, poly_p1..p4, v_n, v_n_std_error, *std_errors); the n = 11
+# and n = 12 entries sit on either side of sk_finite._FOLD_SITES, and new
+# entries go last, so that the test ids of the others keep their entries
 FROZEN_MOMENTS = {
     (5, 40, 3): (
         "0x1.0f72485e1a6c4p-2", "0x1.58018447745c4p-2", "-0x1.6c6243309a560p-11",
@@ -289,10 +334,22 @@ FROZEN_MOMENTS = {
         "0x1.9d09570ea1cfcp-5", "0x1.e778d6ac9f3f5p-10", "0x1.7c136feab9c2dp-4",
         "0x1.24393d3b4e773p-4", "0x1.3d427a32d583dp-9", "0x1.d2b7ac9f88f41p-9",
         "0x1.048832765f3b9p-8", "0x1.275ba7fe061d9p-8"),
+    (11, 8, 3): (
+        "0x1.188ff4a9e93b3p-2", "0x1.c8c64cfa32ae7p-3", "0x1.c8642149f75d0p-11",
+        "0x1.2b54773bdacd5p-6", "0x1.2f3cd38ce67e5p-6", "0x1.71ae429b4454ep-6",
+        "0x1.2f08b0e6bbc24p-4", "0x1.88b47ae530c46p-7", "0x1.918cc348ccd50p-5",
+        "0x1.607d6a9335badp-6", "0x1.7077d2a03cf22p-8", "0x1.35ae1dd063775p-9",
+        "0x1.effc9479a0016p-9", "0x1.6eeccfa3d7146p-9"),
+    (12, 6, 3): (
+        "0x1.bf107b77dedc7p-2", "0x1.42ef9099194edp-2", "-0x1.374061e8a3e97p-8",
+        "0x1.67b0fec282fcfp-8", "0x1.bf9b42f885235p-9", "0x1.4ead55500d3dfp-8",
+        "0x1.ff03b2281e6d2p-5", "0x1.91043cb5c8d1ap-7", "0x1.68cb90e8e2144p-4",
+        "0x1.037c7ce8c6cd6p-4", "0x1.5d98009064cf3p-8", "0x1.58cbeaafe47d6p-8",
+        "0x1.d2f5e6e0383c8p-8", "0x1.2754ffeeaaa79p-7"),
 }
 
 
-@pytest.mark.parametrize("key", sorted(FROZEN_MOMENTS))
+@pytest.mark.parametrize("key", list(FROZEN_MOMENTS))
 def test_overlap_moments_keep_their_frozen_bits(key):
     n, n_samples, seed = key
     m = quenched_overlap_moments(SkParams(0.3, 0.8, 0.15), n, n_samples, seed=seed)
@@ -320,7 +377,7 @@ def test_repeat_runs_are_bit_identical():
     assert a == b
 
 
-@pytest.mark.parametrize("n", [4, 7, 8, 14])
+@pytest.mark.parametrize("n", [4, 7, 8, 12, 14])
 def test_sample_rows_do_not_depend_on_the_block(n):
     params = SkParams(0.2, 0.9, 0.1)
     count = 3 if n == 14 else 7
@@ -377,6 +434,23 @@ def test_overlap_agrees_with_rs_solver_at_high_temperature():
     # the gauge symmetry makes q1 exactly zero here, collapsing the
     # standard error to rounding noise, hence the absolute floor
     assert abs(moments.q1 - qbar) <= 3.0 * moments.std_errors[0] + 1e-12
+
+
+def test_overlap_extrapolates_to_the_rs_fixed_point_in_a_field():
+    # off x = beta_h = 0 neither side is zero: E q1 = a + b/n + O(n^-2) is
+    # fitted over n = 6..12 by weighted least squares, and a should be q-bar
+    params = SkParams(0.3, 0.36, 0.2)
+    qbar = solve_qbar(params)
+    assert qbar == pytest.approx(0.25005, abs=1e-5)
+    sizes = np.arange(6, 13)
+    runs = [quenched_overlap_moments(params, int(n), 2500, seed=1800 + int(n)) for n in sizes]
+    errors = np.array([m.std_errors[0] for m in runs])
+    design = np.column_stack((np.ones(len(sizes)), 1.0 / sizes)) / errors[:, None]
+    covariance = np.linalg.inv(design.T @ design)
+    intercept, _ = covariance @ design.T @ (np.array([m.q1 for m in runs]) / errors)
+    intercept_error = math.sqrt(covariance[0, 0])
+    assert intercept_error < 0.01
+    assert abs(intercept - qbar) <= 3.0 * intercept_error
 
 
 def test_identity_polynomials_fit_under_a_decay_envelope():
