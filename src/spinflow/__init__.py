@@ -35,9 +35,11 @@ from .hj_limit import (
 from .sk_rs import (
     RsSolution,
     caustic_margin,
+    caustic_margins,
     caustic_root,
     gaussian_expectation,
     rs_action,
+    rs_actions,
     rs_characteristic,
     rs_pressure,
     rs_pressure_detail,
@@ -81,9 +83,11 @@ __all__ = [
     "gaussian_expectation",
     "solve_qbar",
     "rs_action",
+    "rs_actions",
     "rs_pressure",
     "rs_pressure_detail",
     "caustic_margin",
+    "caustic_margins",
     "caustic_root",
     "rs_characteristic",
     "DisorderSample",

@@ -1,11 +1,13 @@
 """Command-line front end: point queries, sweeps, convergence reports.
 
-Each quantity has one evaluator, ``(x, t, flags) -> result fields``,
-around one library call.  A point query echoes its flags and adds the
-evaluator's fields at one plane point; a sweep calls the same evaluator
-on a grid, one row per point; a convergence report calls it along a
-ladder of sizes.  Every command emits a machine-readable record: JSON
-for point queries and convergence reports, JSON or CSV for sweeps.
+Each quantity has one evaluator, ``(points, flags) -> one result or
+error per point``, around one library call.  A point query echoes its
+flags and adds the evaluator's fields at one plane point; a sweep hands
+the same evaluator its whole grid, one row per point, so that the
+replica-symmetric quantities solve the grid's fixed points in lockstep;
+a convergence report calls it at one point per size of a ladder.  Every
+command emits a machine-readable record: JSON for point queries and
+convergence reports, JSON or CSV for sweeps.
 Output is deterministic byte for byte at fixed inputs: floats are
 serialized with repr round-tripping in JSON and 17 significant digits
 in CSV, rows are ordered t-major, and nothing is seeded from the clock.
@@ -89,49 +91,86 @@ def _require_finite(record: dict) -> None:
 
 
 # ------------------------------------------------------------------ evaluators
-# An evaluator reads the flags it needs from a mapping of flag names to
-# values.  Library calls stay attribute lookups at call time, so a patched
+# An evaluator takes a list of (x, t) points and a mapping of flag names to
+# values, and returns one field dict, or the input or numerical error, per
+# point.  Library calls stay attribute lookups at call time, so a patched
 # module attribute reaches every command.
 
+def _attempt(evaluate, *args):
+    """``evaluate(*args)``, or the input or numerical error it raises."""
+    try:
+        return evaluate(*args)
+    except (ValueError, *_NUMERICAL_ERRORS) as err:
+        return err
+
+
+def _pointwise(fields):
+    """The evaluator of a quantity that ``fields(x, t, flags)`` gives one point at a time."""
+    return lambda points, flags: [_attempt(fields, x, t, flags) for x, t in points]
+
+
+def _at(evaluator, x, t, flags) -> dict:
+    """The evaluator's fields at one point; its error is raised."""
+    (fields,) = evaluator([(x, t)], flags)
+    if isinstance(fields, Exception):
+        raise fields
+    return fields
+
+
+@_pointwise
 def _cw_exact(x, t, flags):
     fields = cw_exact.exact_fields(PlanePoint(x, t), flags["n"], k_max=flags["k_max"])
     return {"phi": fields.phi, "u": fields.u, "potential": fields.potential,
             "moments": list(fields.moments)}
 
 
+@_pointwise
 def _cw_limit(x, t, flags):
     sol = hj_limit.lax_action(PlanePoint(x, t), branch=flags["branch"])
     return {"phi": sol.phi, "u": sol.u, "y_star": sol.y_star, "on_shock": sol.on_shock,
             "branch": sol.branch}
 
 
+@_pointwise
 def _cw_shock(x, t, flags):
     u_minus, u_plus = hj_limit.shock_jump(t)
     return {"u_minus": u_minus, "u_plus": u_plus}
 
 
+@_pointwise
 def _cw_critical_line(x, t, flags):
     return {"x_c": hj_limit.critical_line(t)}
 
 
+@_pointwise
 def _cw_identities(x, t, flags):
     r1, r2, r3 = cw_exact.conservation_residuals(PlanePoint(x, t), flags["n"])
     return {"r1": r1, "r2": r2, "r3": r3}
 
 
-def _sk_rs(x, t, flags):
-    sol = sk_rs.rs_action(SkParams(x, t, flags["beta_h"]))
-    return {"q_bar": sol.q_bar, "u": sol.u, "phi_rs": sol.phi_rs, "pressure": sol.pressure,
-            "caustic_margin": sol.caustic_margin, "y_star": sol.y_star}
+def _sk_lockstep(solve, points, flags) -> list:
+    # one call of the lockstep ``solve`` on the points that make valid parameters
+    params = [_attempt(SkParams, x, t, flags["beta_h"]) for x, t in points]
+    solved = iter(solve([p for p in params if isinstance(p, SkParams)]))
+    return [next(solved) if isinstance(p, SkParams) else p for p in params]
 
 
-def _sk_caustic(x, t, flags):
-    return {"margin": sk_rs.caustic_margin(SkParams(x, t, flags["beta_h"]))}
+def _sk_rs(points, flags):
+    return [sol if isinstance(sol, Exception) else
+            {"q_bar": sol.q_bar, "u": sol.u, "phi_rs": sol.phi_rs, "pressure": sol.pressure,
+             "caustic_margin": sol.caustic_margin, "y_star": sol.y_star}
+            for sol in _sk_lockstep(sk_rs.rs_actions, points, flags)]
+
+
+def _sk_caustic(points, flags):
+    return [margin if isinstance(margin, Exception) else {"margin": margin}
+            for margin in _sk_lockstep(sk_rs.caustic_margins, points, flags)]
 
 
 _OVERLAP_NAMES = ("q1", "q2", "p1", "p2", "p3", "p4")
 
 
+@_pointwise
 def _sk_finite(x, t, flags):
     m = sk_finite.quenched_overlap_moments(SkParams(x, t, flags["beta_h"]),
                                            flags["n"], flags["samples"], flags["seed"])
@@ -140,14 +179,18 @@ def _sk_finite(x, t, flags):
             "v_n": m.v_n, "v_n_std_error": m.v_n_std_error}
 
 
-def _sk_finite_flat(x, t, flags):
+def _flat_overlaps(fields):
     # sweep rows are flat: poly_pk becomes pk, and each moment gets a std-error column
-    fields = _sk_finite(x, t, flags)
     for name in _OVERLAP_NAMES[2:]:
         fields[name] = fields.pop(f"poly_{name}")
     for name, error in zip(_OVERLAP_NAMES, fields.pop("std_errors")):
         fields[f"{name}_std_error"] = error
     return fields
+
+
+def _sk_finite_flat(points, flags):
+    return [fields if isinstance(fields, Exception) else _flat_overlaps(fields)
+            for fields in _sk_finite(points, flags)]
 
 
 # ------------------------------------------------------------- point queries
@@ -203,7 +246,7 @@ def _report(command: str, echo: dict, evaluate) -> int:
 
 def _cmd_point(command, evaluator, flags, args) -> int:
     echo = {flag: getattr(args, flag) for flag in flags}
-    return _report(command, echo, lambda: evaluator(echo.get("x"), echo["t"], echo))
+    return _report(command, echo, lambda: _at(evaluator, echo.get("x"), echo["t"], echo))
 
 
 # --------------------------------------------------------------------- sweeps
@@ -278,16 +321,14 @@ def _cmd_sweep(args) -> int:
 
     # opened before any row is evaluated, so that a bad --out fails at once
     with _output(args.out) as stream:
+        points = [(x, t) for t in ts for x in xs]
         rows = []
-        for t in ts:
-            for x in xs:
-                point = {"t": t, "x": x, **echo}
-                try:
-                    row = keep({**point, **evaluator(x, t, flags), "converged": True})
-                    _require_finite(row)
-                except (ValueError, *_NUMERICAL_ERRORS):
-                    row = keep({**point, "converged": False})
-                rows.append(row)
+        for (x, t), fields in zip(points, evaluator(points, flags)):
+            point = {"t": t, "x": x, **echo}
+            row = None if isinstance(fields, Exception) else keep(
+                {**point, **fields, "converged": True})
+            rows.append(keep({**point, "converged": False})
+                        if row is None or _non_finite(row) else row)
         _emit(rows, stream, columns if args.format == "csv" else None)
     return 0 if all(row["converged"] for row in rows) else 3
 
@@ -311,14 +352,14 @@ def _convergence(echo):
     if echo["model"] == "sk-identities":
         entries = []
         for n in sizes:
-            m = _sk_finite(x, t, {**echo, "n": n})
+            m = _at(_sk_finite, x, t, {**echo, "n": n})
             entries.append({"n": n, "p4": m["poly_p4"], "p4_std_error": m["std_errors"][5],
                             "error": abs(m["poly_p4"])})
     else:
         field = "phi" if echo["model"] == "cw-action" else "u"
-        target = _cw_limit(x, t, {"branch": "plus"})[field]
-        entries = [{"n": n, "error": abs(_cw_exact(x, t, {"n": n, "k_max": 4})[field] - target)}
-                   for n in sizes]
+        target = _at(_cw_limit, x, t, {"branch": "plus"})[field]
+        entries = [{"n": n, "error": abs(_at(_cw_exact, x, t, {"n": n, "k_max": 4})[field]
+                                         - target)} for n in sizes]
     errors = [e["error"] for e in entries]
 
     if any(err == 0.0 for err in errors):

@@ -37,21 +37,22 @@ class QuadratureError(RuntimeError):
         self.error_estimate = error_estimate
 
 
-def bracketed_newton(f, lo: float, hi: float, x0: float, tol: float,
-                     residual_tol: float = math.inf) -> float:
-    """Root of f on [lo, hi] by Newton steps kept inside a shrinking bracket.
+def newton_steps(lo: float, hi: float, x0: float, tol: float,
+                 residual_tol: float = math.inf):
+    """Bracketed Newton as a generator: yields each iterate x, is sent back (f(x), f'(x)).
 
-    ``f(x)`` returns (value, slope), oriented by the caller so that
-    f(lo) < 0 < f(hi); the sign of each iterate replaces one end of the
-    bracket.  A step that would leave the open bracket, or a slope that is
-    not positive, bisects instead.  Stops at an exact zero, or once |f| <
-    ``residual_tol`` and the step or the bracket is below tol * max(1, |x|)
-    (tol must exceed the float spacing), returning the last x f was evaluated at.
-    Raises ConvergenceError with the last |f| after 100 iterations.
+    f is oriented by the caller so that f(lo) < 0 < f(hi); the sign of each
+    value replaces one end of the bracket.  A step that would leave the open
+    bracket, or a slope that is not positive, bisects instead.  Stops at an
+    exact zero, or once |f| < ``residual_tol`` and the step or the bracket is
+    below tol * max(1, |x|) (tol must exceed the float spacing), returning the
+    last iterate (the value of its StopIteration).  Raises ConvergenceError
+    with the last |f| after 100 iterations.  A caller can so drive many roots
+    in lockstep, evaluating f at all their iterates together.
     """
     x = x0
     for _ in range(_NEWTON_MAX_ITER):
-        value, slope = f(x)
+        value, slope = yield x
         if value == 0.0:
             return x
         if value < 0.0:
@@ -67,6 +68,18 @@ def bracketed_newton(f, lo: float, hi: float, x0: float, tol: float,
     raise ConvergenceError(
         f"bracketed Newton did not converge in {_NEWTON_MAX_ITER} iterations on [{lo}, {hi}]",
         residual=abs(value))
+
+
+def bracketed_newton(f, lo: float, hi: float, x0: float, tol: float,
+                     residual_tol: float = math.inf) -> float:
+    """Root of f on [lo, hi] by ``newton_steps``, where ``f(x)`` returns (value, slope)."""
+    steps = newton_steps(lo, hi, x0, tol, residual_tol)
+    x = next(steps)
+    try:
+        while True:
+            x = steps.send(f(x))
+    except StopIteration as stop:
+        return stop.value
 
 
 @functools.cache

@@ -23,14 +23,20 @@ fixed-point iteration.  That pass, ``_tanh_moments``, is the only place
 tanh meets the nodes: ``gaussian_expectation`` reads its tanh_sq,
 sech_sq and sech_4 kinds from it too, and only log_cosh has a pass of
 its own, so a change of quadrature rule replaces these two passes alone.
-The caustic margin below is the replica-symmetric analogue of the
-characteristic-crossing criterion of ``hj_limit``: where it stays
-positive, the glassy characteristics do not cross.  It is exactly
-(1 - slope) / 3 at the fixed point, so the margin vanishes where the map
-stops being a contraction.  The slope and the acceptance residual
-|q - map(q)| come from the solve's last node pass, so the residual is
-``gaussian_expectation("tanh_sq", ...)`` minus q by construction and
-cannot see the rule's own error.
+Both passes take a list of lanes, one per point: a grid of points is
+solved in lockstep, each point running its own ``plane.newton_steps``
+and each round evaluating the map at every iterate still running in one
+node pass over a (lanes, nodes) block.  A lane's sums keep the bits of
+a one-point pass, so ``rs_actions`` and ``caustic_margins`` return, point
+by point, what ``rs_action`` and ``caustic_margin`` return or raise;
+those are the one-lane case.  The caustic margin below is the
+replica-symmetric analogue of the characteristic-crossing criterion of
+``hj_limit``: where it stays positive, the glassy characteristics do not
+cross.  It is exactly (1 - slope) / 3 at the fixed point, so the margin
+vanishes where the map stops being a contraction.  The slope and the
+acceptance residual |q - map(q)| come from the solve's last node pass,
+so the residual is ``gaussian_expectation("tanh_sq", ...)`` minus q by
+construction and cannot see the rule's own error.
 """
 
 from __future__ import annotations
@@ -40,11 +46,16 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .plane import (LOG2, ConvergenceError, SkParams, bracketed_newton, gauss_rule, log_cosh,
+from .plane import (LOG2, ConvergenceError, SkParams, gauss_rule, log_cosh, newton_steps,
                     straight_line)
 
 _GH_ORDER = 240
 _GH_NORM = 1.0 / math.sqrt(math.pi)
+# lanes per node pass: in interleaved timings of rs-critical sweeps 32 to 96
+# lanes ran alike, 16 ran 10 % slower and 128 3 % slower; over 20 passes the
+# peak memory stayed at the one-point solve's up to 32 lanes (a plane of 32 x
+# 240 doubles is 61 kB) and grew by 0.17 MB at 64 and 0.5 MB at 128
+_LANES = 32
 
 _FIXED_POINT_TOL = 1e-12
 
@@ -53,20 +64,87 @@ _FIXED_POINT_TOL = 1e-12
 _KINDS = ("tanh_sq", "sech_sq", "sech_4", "log_cosh")
 
 
-def _tanh_moments(beta_h: float, v: float) -> tuple[float, float, float]:
-    """E_g tanh^2, E_g sech^2 and E_g sech^4 of beta_h + g sqrt(v), from one node pass.
+def _node_args(nodes, beta_h: list, v: list):
+    # one row of beta_h + sqrt(2 v) x nodes per lane; square roots in Python
+    # floats, so that 2 v overflowing to inf cannot warn
+    scale = np.array([math.sqrt(2.0 * w) for w in v])
+    return np.array(beta_h, dtype=np.float64)[:, None] + scale[:, None] * nodes
 
-    sech^2 is 1 - tanh^2, which keeps the map's relative precision at small variance,
-    where the symmetric root sits just above t = 1; v = 0 collapses exactly.
+
+def _node_means(weights, rows) -> list:
+    # E_g of each row; a stacked matmul of (1, n) by (n, 1) products keeps the
+    # bits of np.dot(weights, row), which gemv, einsum and row sums do not
+    return (np.matmul(rows[:, None, :], weights[:, None])[:, 0, 0] * _GH_NORM).tolist()
+
+
+def _blocks(values: list) -> list:
+    # the lanes whose value is still None, in blocks of at most _LANES
+    pending = [i for i, value in enumerate(values) if value is None]
+    return [pending[k:k + _LANES] for k in range(0, len(pending), _LANES)]
+
+
+def _tanh_moments(beta_h: list, v: list) -> list:
+    """Per lane, E_g tanh^2, E_g sech^2 and E_g sech^4 of beta_h + g sqrt(v).
+
+    ``beta_h`` and ``v`` hold one entry per lane, and the lanes share one
+    node pass, in blocks of at most _LANES.  sech^2 is 1 - tanh^2, which
+    keeps the map's relative precision at small variance, where the
+    symmetric root sits just above t = 1; a lane at v = 0 collapses exactly.
     """
-    if v == 0.0:
-        th2 = np.tanh(beta_h) ** 2
-        return float(th2), float(1.0 - th2), float((1.0 - th2) ** 2)
     nodes, weights = gauss_rule(np.polynomial.hermite.hermgauss, _GH_ORDER)
-    th2 = np.tanh(beta_h + math.sqrt(2.0 * v) * nodes) ** 2
-    s2 = 1.0 - th2
-    return (float(np.dot(weights, th2) * _GH_NORM), float(np.dot(weights, s2) * _GH_NORM),
-            float(np.dot(weights, s2 * s2) * _GH_NORM))
+    if len(v) == 1 and v[0] != 0.0:
+        # a lone lane, as in a one-point solve, takes the fewest numpy calls:
+        # one row, updated in place, and np.dot sums scaled in Python floats
+        th2 = math.sqrt(2.0 * v[0]) * nodes
+        th2 += beta_h[0]
+        np.tanh(th2, out=th2)
+        th2 *= th2
+        s2 = 1.0 - th2
+        return [(float(np.dot(weights, th2)) * _GH_NORM, float(np.dot(weights, s2)) * _GH_NORM,
+                 float(np.dot(weights, s2 * s2)) * _GH_NORM)]
+    moments = [None] * len(v)
+    for i, w in enumerate(v):
+        if w == 0.0:
+            th2 = np.tanh(beta_h[i]) ** 2
+            moments[i] = (float(th2), float(1.0 - th2), float((1.0 - th2) ** 2))
+    for lanes in _blocks(moments):
+        th2 = np.tanh(_node_args(nodes, [beta_h[i] for i in lanes], [v[i] for i in lanes])) ** 2
+        s2 = 1.0 - th2
+        sums = zip(_node_means(weights, th2), _node_means(weights, s2),
+                   _node_means(weights, s2 * s2))
+        for i, lane in zip(lanes, sums):
+            moments[i] = lane
+    return moments
+
+
+def _log_cosh_means(beta_h: list, v: list) -> list:
+    """Per lane, E_g log cosh(beta_h + g sqrt(v)), or an OverflowError if the sum would overflow.
+
+    The lanes share one node pass, in blocks of at most _LANES; a lane at
+    v = 0 collapses to log cosh beta_h exactly.
+    """
+    nodes, weights = gauss_rule(np.polynomial.hermite.hermgauss, _GH_ORDER)
+    top = float(nodes[-1])
+    means = [None] * len(v)
+    for i, (b, w) in enumerate(zip(beta_h, v)):
+        if w == 0.0:
+            means[i] = float(log_cosh(b))
+        # log cosh s <= |s| and the weights sum to sqrt(pi) < 2, so this bounds the
+        # weighted sum; Python floats, so that forming the bound cannot warn
+        elif not math.isfinite(2.0 * (abs(float(b)) + math.sqrt(2.0 * float(w)) * top)):
+            means[i] = OverflowError(f"E log cosh overflows at beta_h={b}, v={w}")
+    for lanes in _blocks(means):
+        rows = log_cosh(_node_args(nodes, [beta_h[i] for i in lanes], [v[i] for i in lanes]))
+        for i, mean in zip(lanes, _node_means(weights, rows)):
+            means[i] = mean
+    return means
+
+
+def _one(result):
+    # a lane's value, or its exception raised
+    if isinstance(result, Exception):
+        raise result
+    return result
 
 
 def gaussian_expectation(kind: str, beta_h: float, v: float) -> float:
@@ -85,16 +163,8 @@ def gaussian_expectation(kind: str, beta_h: float, v: float) -> float:
     if v < 0:
         raise ValueError(f"variance v must be >= 0, got {v}")
     if kind != "log_cosh":
-        return _tanh_moments(beta_h, v)[_KINDS.index(kind)]
-    if v == 0.0:
-        return float(log_cosh(beta_h))
-    nodes, weights = gauss_rule(np.polynomial.hermite.hermgauss, _GH_ORDER)
-    # log cosh s <= |s| and the weights sum to sqrt(pi) < 2, so this bounds the
-    # weighted sum; Python floats, so that forming the bound cannot warn
-    largest = abs(float(beta_h)) + math.sqrt(2.0 * float(v)) * float(nodes[-1])
-    if not math.isfinite(2.0 * largest):
-        raise OverflowError(f"E log cosh overflows at beta_h={beta_h}, v={v}")
-    return float(np.dot(weights, log_cosh(beta_h + math.sqrt(2.0 * v) * nodes)) * _GH_NORM)
+        return _tanh_moments([beta_h], [v])[0][_KINDS.index(kind)]
+    return _one(_log_cosh_means([beta_h], [v])[0])
 
 
 @dataclass(frozen=True)
@@ -114,12 +184,6 @@ class RsSolution:
     @property
     def u(self) -> float:
         return -self.q_bar
-
-
-def _map_and_slope(params: SkParams, q: float) -> tuple[float, float]:
-    """The overlap map E tanh^2 at q and its exact slope, from one node pass."""
-    mapped, e2, e4 = _tanh_moments(params.beta_h, params.x + params.t * q)
-    return mapped, params.t * (3.0 * e4 - 2.0 * e2)
 
 
 def solve_qbar(params: SkParams) -> float:
@@ -145,40 +209,69 @@ def solve_qbar(params: SkParams) -> float:
     |q - gaussian_expectation("tanh_sq", ...)| by construction, since both
     read ``_tanh_moments``, so it cannot see the rule's own error.
     OverflowError is raised when the variance x + t q can overflow on the
-    bracket.
+    bracket.  This is the one-point case of the lockstep solve behind
+    ``rs_actions`` and ``caustic_margins``.
     """
-    return _solve(params)[0]
+    return _one(_solve_lanes([params])[0])[0]
 
 
-def _solve(params: SkParams) -> tuple[float, float]:
-    # the overlap and the map's slope there, both from the node pass that accepts it
-    # the root is 1 to double precision wherever x + t overflows, so v = x + t q_bar would too
-    if not math.isfinite(float(params.x) + float(params.t)):
-        raise OverflowError(f"overlap variance x + t q overflows at x={params.x}, t={params.t}, "
-                            f"beta_h={params.beta_h}")
-    if params.beta_h == 0.0 and params.x == 0.0 and params.t > 1.0:
-        lo, q = 1e-30, 1.0
-    else:
-        lo, q = 0.0, _map_and_slope(params, 0.0)[0]
-    last = []  # map and slope of the latest pass; bracketed_newton returns its point
+def _failure(params: SkParams) -> str:
+    return f"overlap fixed point did not reach {_FIXED_POINT_TOL} at {params}"
 
-    def excess(q):
-        # q - map(q): negative below the root, positive above it
-        last[:] = _map_and_slope(params, q)
-        return q - last[0], 1.0 - last[1]
 
+def _solve_lanes(points: list) -> list:
+    """Per point, (q_bar, the map's slope there) or the exception its solve raises.
+
+    Each point runs its own ``newton_steps``; a round evaluates the map at the
+    iterates of all the points still running in one ``_tanh_moments`` pass,
+    so a grid costs as many rounds as its slowest point.  The slope and the
+    acceptance residual come from the pass that accepts q_bar.
+    """
+    solved = [None] * len(points)
+    # per lane: its point, its Newton, the iterate and the point's index; a lane
+    # whose Newton starts from the zero-coupling value map(0) has no Newton yet
+    running = []
     # near t = 1 the slope nears 1, where a small residual alone can sit
     # far from the root; the Newton step bounds the distance to it
     stop = 0.25 * _FIXED_POINT_TOL
-    failure = f"overlap fixed point did not reach {_FIXED_POINT_TOL} at {params}"
-    try:
-        q = bracketed_newton(excess, lo, 1.0, q, stop, residual_tol=stop)
-    except ConvergenceError as err:
-        raise ConvergenceError(failure, residual=err.residual) from None
-    residual = abs(q - last[0])
-    if residual >= _FIXED_POINT_TOL:
-        raise ConvergenceError(failure, residual=residual)
-    return q, last[1]
+    for i, params in enumerate(points):
+        # the root is 1 to double precision wherever x + t overflows, so v = x + t q_bar would too
+        if not math.isfinite(float(params.x) + float(params.t)):
+            solved[i] = OverflowError(f"overlap variance x + t q overflows at x={params.x}, "
+                                      f"t={params.t}, beta_h={params.beta_h}")
+        elif params.beta_h == 0.0 and params.x == 0.0 and params.t > 1.0:
+            steps = newton_steps(1e-30, 1.0, 1.0, stop, residual_tol=stop)
+            running.append((params, steps, next(steps), i))
+        else:
+            running.append((params, None, 0.0, i))
+    while running:
+        beta_h, v = [], []
+        for params, _, q, _ in running:
+            beta_h.append(params.beta_h)
+            v.append(params.x + params.t * q)
+        still = []
+        for (params, steps, q, i), (mapped, e2, e4) in zip(running, _tanh_moments(beta_h, v)):
+            if steps is None:
+                steps = newton_steps(0.0, 1.0, mapped, stop, residual_tol=stop)
+                still.append((params, steps, next(steps), i))
+                continue
+            slope = params.t * (3.0 * e4 - 2.0 * e2)
+            try:
+                # q - map(q): negative below the root, positive above it
+                still.append((params, steps, steps.send((q - mapped, 1.0 - slope)), i))
+            except StopIteration:  # the Newton accepts q, the iterate of this pass
+                residual = abs(q - mapped)
+                solved[i] = ((q, slope) if residual < _FIXED_POINT_TOL
+                             else ConvergenceError(_failure(params), residual=residual))
+            except ConvergenceError as err:
+                solved[i] = ConvergenceError(_failure(params), residual=err.residual)
+        running = still
+    return solved
+
+
+def caustic_margins(points: list) -> list:
+    """Per point, its ``caustic_margin`` or the exception that raises, from one lockstep solve."""
+    return [s if isinstance(s, Exception) else (1.0 - s[1]) / 3.0 for s in _solve_lanes(points)]
 
 
 def caustic_margin(params: SkParams) -> float:
@@ -192,7 +285,7 @@ def caustic_margin(params: SkParams) -> float:
     vanishes at the critical point (x = 0, beta_h = 0, t = 1) and is a
     tangential zero there: it is positive on both sides along the t axis.
     """
-    return (1.0 - _solve(params)[1]) / 3.0
+    return _one(caustic_margins([params])[0])
 
 
 def caustic_root(beta_h: float) -> float:
@@ -242,12 +335,34 @@ def _golden_min(f, a: float, b: float) -> tuple[float, float]:
     return float(t), float(min(fc, fd))
 
 
-def _phi_rs_at(params: SkParams, q_bar: float) -> tuple[float, float]:
-    # the action and the E log cosh it holds; on the x = 0 section that is the
-    # pressure's E log cosh too, at the same variance t q_bar
+def _phi_rs(params: SkParams, q_bar: float, e_log_cosh: float) -> float:
+    # the action from the E log cosh at variance y* = x + t q_bar; on the x = 0
+    # section that is the pressure's E log cosh too
     y_star = params.x + params.t * q_bar
-    e_log_cosh = gaussian_expectation("log_cosh", params.beta_h, y_star)
-    return 0.5 * params.t * q_bar * q_bar + 2.0 * LOG2 + 2.0 * e_log_cosh - y_star, e_log_cosh
+    return 0.5 * params.t * q_bar * q_bar + 2.0 * LOG2 + 2.0 * e_log_cosh - y_star
+
+
+def rs_actions(points: list) -> list:
+    """Per point, its ``rs_action`` or the exception that raises.
+
+    The overlaps come from one lockstep solve, and the E_g log cosh of
+    every solved point from one more node pass.
+    """
+    solved = _solve_lanes(points)
+    done = [i for i, s in enumerate(solved) if not isinstance(s, Exception)]
+    means = _log_cosh_means([points[i].beta_h for i in done],
+                            [points[i].x + points[i].t * solved[i][0] for i in done])
+    for i, e_log_cosh in zip(done, means):
+        if isinstance(e_log_cosh, Exception):
+            solved[i] = e_log_cosh
+            continue
+        params, (q_bar, slope) = points[i], solved[i]
+        pressure = (LOG2 + e_log_cosh + 0.25 * params.t * (1.0 - q_bar) ** 2
+                    if params.x == 0.0 else None)
+        solved[i] = RsSolution(q_bar=q_bar, phi_rs=_phi_rs(params, q_bar, e_log_cosh),
+                               pressure=pressure, caustic_margin=(1.0 - slope) / 3.0,
+                               y_star=params.x + params.t * q_bar)
+    return solved
 
 
 def rs_action(params: SkParams) -> RsSolution:
@@ -261,11 +376,7 @@ def rs_action(params: SkParams) -> RsSolution:
     same overlap, by the closed form of ``rs_pressure``.  The margin comes
     from the overlap solve's last pass, so E_g log cosh is the only other.
     """
-    q_bar, slope = _solve(params)
-    phi, e_log_cosh = _phi_rs_at(params, q_bar)
-    pressure = LOG2 + e_log_cosh + 0.25 * params.t * (1.0 - q_bar) ** 2 if params.x == 0.0 else None
-    return RsSolution(q_bar=q_bar, phi_rs=phi, pressure=pressure,
-                      caustic_margin=(1.0 - slope) / 3.0, y_star=params.x + params.t * q_bar)
+    return _one(rs_actions([params])[0])
 
 
 def rs_pressure_detail(beta: float, h: float) -> tuple[float, float]:
@@ -295,7 +406,9 @@ def _envelope_gap(params: SkParams, q_bar: float, phi: float) -> float:
     # |d_x phi_rs + qbar| at fixed qbar, by a second-order forward difference
     # (x - dx leaves the domain where qbar = 0); the difference floor is about 1e-8
     dx = 1e-5 * (1.0 + params.x + params.t * q_bar)
-    f1, f2 = (_phi_rs_at(replace(params, x=params.x + k * dx), q_bar)[0] for k in (1, 2))
+    shifted = [replace(params, x=params.x + k * dx) for k in (1, 2)]
+    means = _log_cosh_means([p.beta_h for p in shifted], [p.x + p.t * q_bar for p in shifted])
+    f1, f2 = (_phi_rs(p, q_bar, _one(e_log_cosh)) for p, e_log_cosh in zip(shifted, means))
     return abs((4.0 * f1 - 3.0 * phi - f2) / (2.0 * dx) + q_bar)
 
 

@@ -153,10 +153,10 @@ def test_validation_failures_exit_2_with_one_line():
 
 
 def test_numerical_failure_exits_3_with_partial_record(monkeypatch):
-    def explode(params):
+    def explode(points):
         raise spinflow.ConvergenceError("fixed point stalled", residual=0.5)
 
-    monkeypatch.setattr(cli.sk_rs, "rs_action", explode)
+    monkeypatch.setattr(cli.sk_rs, "rs_actions", explode)
     code, out, err = run_cli(["sk", "rs", "--x", "0.3", "--t", "1.2", "--beta-h", "0.2"])
     assert code == 3
     record = json.loads(out)
@@ -591,6 +591,36 @@ def test_failing_point_fails_alike_in_its_sweep(command, model, quantity, inputs
             assert value == inputs[_ECHOED[column]], column
         elif column != "converged":
             assert value is None, column
+
+
+# an rs-critical-like grid whose far corner overflows, whose far edges overflow in the
+# action's E log cosh only, and whose near corner converges
+_WIDE_GRID = ["--x-min", "0", "--x-max", "1e308", "--n-x", "2",
+              "--t-min", "0.5", "--t-max", "1e308", "--n-t", "2"]
+
+
+@pytest.mark.parametrize("quantity, converged", [("rs", [True, False, False, False]),
+                                                 ("caustic", [True, True, True, False])])
+def test_multi_row_sweep_rows_are_their_one_row_sweeps(quantity, converged):
+    # the grid is solved in lockstep; each row still has the bits of its one-row sweep
+    argv = ["sweep", "--model", "sk-rs", "--quantity", quantity, *_WIDE_GRID]
+    code, out, _ = run_cli(argv + ["--format", "json"])
+    assert code == 3
+    rows = json.loads(out)
+    assert [(row["t"], row["x"]) for row in rows] == [(0.5, 0.0), (0.5, 1e308), (1e308, 0.0),
+                                                        (1e308, 1e308)]
+    assert [row["converged"] for row in rows] == converged
+    code, csv_out, _ = run_cli(argv + ["--format", "csv"])
+    assert code == 3
+    header, *csv_rows = csv_out.splitlines()
+    for row, csv_row in zip(rows, csv_rows, strict=True):
+        one = ["sweep", "--model", "sk-rs", "--quantity", quantity,
+               f"--x-min={row['x']!r}", f"--x-max={row['x']!r}", "--n-x=1",
+               f"--t-min={row['t']!r}", f"--t-max={row['t']!r}", "--n-t=1"]
+        code, out, _ = run_cli(one + ["--format", "json"])
+        assert (code, json.loads(out)) == (0 if row["converged"] else 3, [row])
+        code, out, _ = run_cli(one + ["--format", "csv"])
+        assert out.splitlines() == [header, csv_row]
 
 
 def test_convergence_report_action_rate():

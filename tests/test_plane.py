@@ -7,7 +7,7 @@ import pytest
 
 from spinflow import characteristic, rs_characteristic
 from spinflow.plane import (LOG2, ConvergenceError, bracketed_newton, gauss_rule, log_cosh,
-                            straight_line)
+                            newton_steps, straight_line)
 
 
 def test_converges_from_both_orientations():
@@ -76,6 +76,39 @@ def test_returns_the_last_point_where_f_was_evaluated():
     root = bracketed_newton(flat, 0.0, 1.0, 0.5, 1e-6)
     assert root == points[-1] and root != 1.0 / 3.0
     assert abs(root - 1.0 / 3.0) < 2e-6
+
+
+def test_newton_steps_interleaved_are_each_their_own_root():
+    # two roots driven in lockstep by hand: each takes the iterates and the
+    # stop it takes alone, and a failing one raises from its own send
+    functions = [(lambda x: (x * x - 2.0, 2.0 * x), (0.0, 2.0, 1.9, 1e-15)),
+                 (lambda x: (math.atan(x - 0.3), 1.0 / (1.0 + (x - 0.3) ** 2)),
+                  (-1.0, 6.0, 5.0, 1e-15)),
+                 (lambda x: ((1.0 if x > 1.0 / 3.0 else -1.0), 1.0), (0.0, 1.0, 0.5, 0.0))]
+    alone = []
+    for f, bracket in functions:
+        g, points = _recorded(f)
+        try:
+            alone.append((bracketed_newton(g, *bracket), points))
+        except ConvergenceError as err:
+            alone.append((err.residual, points))
+    lockstep = [None] * len(functions)
+    running = []
+    for i, (_, bracket) in enumerate(functions):
+        steps = newton_steps(*bracket)
+        running.append((i, steps, next(steps), []))
+    while running:
+        still = []
+        for i, steps, x, points in running:
+            points.append(x)
+            try:
+                still.append((i, steps, steps.send(functions[i][0](x)), points))
+            except StopIteration as stop:
+                lockstep[i] = (stop.value, points)
+            except ConvergenceError as err:
+                lockstep[i] = (err.residual, points)
+        running = still
+    assert lockstep == alone
 
 
 @pytest.mark.parametrize("builder, order", [(np.polynomial.legendre.leggauss, 20),

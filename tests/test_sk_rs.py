@@ -74,18 +74,25 @@ def _map_and_slope_from_public_kinds(params, q):
     return gaussian_expectation("tanh_sq", params.beta_h, v), params.t * (3.0 * e4 - 2.0 * e2)
 
 
+def _map_and_slope(params, q):
+    # the overlap map at q and its slope t (3 E sech^4 - 2 E sech^2), from the
+    # one-lane node pass that the solve makes at q
+    ((mapped, e2, e4),) = sk_rs._tanh_moments([params.beta_h], [params.x + params.t * q])
+    return mapped, params.t * (3.0 * e4 - 2.0 * e2)
+
+
 def test_the_two_zero_variance_collapses_agree_bitwise():
     # x = t = 0 puts the overlap map at v = 0, where both routes reduce to tanh(beta_h)^2
     for k in range(1, 200):
         beta_h = 0.0137 * k
         collapsed = gaussian_expectation("tanh_sq", beta_h, 0.0)
         params = SkParams(0.0, 0.0, beta_h)
-        assert sk_rs._map_and_slope(params, 0.0)[0] == collapsed, beta_h
+        assert _map_and_slope(params, 0.0)[0] == collapsed, beta_h
         assert solve_qbar(params) == collapsed, beta_h
         # at v = 0 and v > 0 the map and its slope have the bits of the three public tanh kinds
         for point, q in ((params, 0.0), (SkParams(0.0, 1.0 + 0.01 * k, beta_h), 0.003 * k),
                          (SkParams(0.01 * k, 0.7, beta_h), 0.5)):
-            assert (sk_rs._map_and_slope(point, q)
+            assert (_map_and_slope(point, q)
                     == _map_and_slope_from_public_kinds(point, q)), (point, q)
 
 
@@ -129,7 +136,7 @@ def test_qbar_satisfies_its_fixed_point(x, t, beta_h):
                                           (1.0, 0.7, 0.0, 0.6)])
 def test_map_slope_matches_a_central_difference(x, t, beta_h, q):
     params = SkParams(x, t, beta_h)
-    mapped, slope = sk_rs._map_and_slope(params, q)
+    mapped, slope = _map_and_slope(params, q)
     assert mapped == pytest.approx(gaussian_expectation("tanh_sq", beta_h, x + t * q), abs=1e-15)
     h = 1e-5
     difference = (gaussian_expectation("tanh_sq", beta_h, x + t * (q + h))
@@ -154,14 +161,14 @@ def _counted(monkeypatch, name):
                                         (0.2, 1.3, 0.25)])
 def test_caustic_margin_is_the_newton_slope_gap(monkeypatch, x, t, beta_h):
     params = SkParams(x, t, beta_h)
-    _, slope = sk_rs._map_and_slope(params, solve_qbar(params))
+    _, slope = _map_and_slope(params, solve_qbar(params))
     assert 1.0 - slope == pytest.approx(3.0 * caustic_margin(params), abs=1e-14)
     # the solve accepts q on its last node pass, which sits at q; that pass's
     # residual has the bits of |E tanh^2 - q| formed through gaussian_expectation
-    passes = _counted(monkeypatch, "_map_and_slope")
+    passes = _counted(monkeypatch, "_tanh_moments")
     q = solve_qbar(params)
-    (_, last_q), (mapped, _) = passes[-1]
-    assert last_q == q
+    (_, (last_v,)), ((mapped, _, _),) = passes[-1]
+    assert last_v == x + t * q
     residual = abs(gaussian_expectation("tanh_sq", beta_h, x + t * q) - q)
     assert abs(q - mapped) == residual < 1e-12
 
@@ -170,23 +177,106 @@ def test_rs_action_makes_only_the_node_passes_of_its_solve(monkeypatch):
     # the margin and the acceptance residual come from the solve's last pass,
     # so the action adds only its E log cosh to the solve's own passes
     params = SkParams(0.3, 1.2, 0.2)
-    passes = _counted(monkeypatch, "_map_and_slope")
+    passes = _counted(monkeypatch, "_tanh_moments")
     solve_qbar(params)
     solve_passes = len(passes)
     passes.clear()
-    expectations = _counted(monkeypatch, "gaussian_expectation")
+    expectations = _counted(monkeypatch, "_log_cosh_means")
     rs_action(params)
     assert len(passes) == solve_passes
-    assert [kind for (kind, _, _), _ in expectations] == ["log_cosh"]
+    # one E log cosh pass, of one lane, at y* = x + t q_bar
+    assert [v for (_, v), _ in expectations] == [[params.x + params.t * solve_qbar(params)]]
 
 
 @pytest.mark.parametrize("t", [1.0001, 1.001, 1.01])
 def test_near_critical_solve_takes_tens_of_node_passes(monkeypatch, t):
-    calls = _counted(monkeypatch, "_map_and_slope")
+    calls = _counted(monkeypatch, "_tanh_moments")
     q = solve_qbar(SkParams(0.0, t, 0.0))
     assert q > 0.0
     assert abs(q - gaussian_expectation("tanh_sq", 0.0, t * q)) < 1e-12
     assert len(calls) <= 40
+
+
+def _outcome(result):
+    # a lane's value, or the type, message and residual of its exception
+    if isinstance(result, Exception):
+        return type(result), str(result), getattr(result, "residual", None)
+    return result
+
+
+def _one_point(f, *args):
+    try:
+        return f(*args)
+    except (ArithmeticError, RuntimeError) as err:
+        return _outcome(err)
+
+
+def test_lane_pass_is_the_one_lane_pass_bitwise():
+    # every lane of a block, wherever it sits and whatever its neighbours, has the
+    # bits of its own one-lane pass; v = 0 lanes collapse among the others, and the
+    # lanes run past two block boundaries
+    lanes = [(b, v) for b in (0.0, 0.1, 0.7, -1.3)
+             for v in (0.0, 1e-300, 1e-6, 0.37, 1.0, 2.5, 4.0, 1e308)]
+    lanes = (lanes * 5)[:2 * sk_rs._LANES + 5]
+    beta_h, v = [b for b, _ in lanes], [w for _, w in lanes]
+    assert sk_rs._tanh_moments(beta_h, v) == [sk_rs._tanh_moments([b], [w])[0] for b, w in lanes]
+    # the E log cosh pass, with lanes whose bound overflows among them
+    beta_h[3::7] = [1e308] * len(beta_h[3::7])
+    means = [_outcome(m) for m in sk_rs._log_cosh_means(beta_h, v)]
+    assert means == [_outcome(sk_rs._log_cosh_means([b], [w])[0]) for b, w in zip(beta_h, v)]
+    assert any(isinstance(m, tuple) for m in means)
+
+
+# the symmetric t > 1 start, the crawl just above t = 1 and a v = 0 collapse at x = t = 0
+_GRID = [SkParams(x, t, beta_h) for x in (0.0, 0.3) for beta_h in (0.0, 0.1, 0.7)
+         for t in (0.0, 0.5, 1.0, 1.0 + 1e-6, 1.05, 1.5, 4.0)]
+# points whose solve or action fails: x + t overflows, or y* does in the action
+_FAILING = [SkParams(1e308, 1e308, 0.0), SkParams(1e308, 0.5, 0.0), SkParams(0.0, 1e308, 0.0)]
+
+
+def test_lockstep_solve_is_the_one_point_solve_bitwise(monkeypatch):
+    points = (_GRID + _FAILING) * 3
+    assert len(points) > 2 * sk_rs._LANES  # past two block boundaries
+    lone = [_outcome(sk_rs._solve_lanes([p])[0]) for p in points]
+    assert [_outcome(s) for s in sk_rs._solve_lanes(points)] == lone
+    assert [_one_point(solve_qbar, p) for p in points] == [
+        s if isinstance(s[0], type) else s[0] for s in lone]
+    assert [_outcome(s) for s in sk_rs.rs_actions(points)] == [
+        _one_point(rs_action, p) for p in points]
+    assert [_outcome(m) for m in sk_rs.caustic_margins(points)] == [
+        _one_point(caustic_margin, p) for p in points]
+    # all the points take their Newton steps together: the grid takes the node
+    # passes of its slowest point
+    passes = _counted(monkeypatch, "_tanh_moments")
+    sk_rs._solve_lanes(points)
+    rounds = len(passes)
+    slowest = 0
+    for p in points:
+        passes.clear()
+        sk_rs._solve_lanes([p])
+        slowest = max(slowest, len(passes))
+    assert rounds == slowest
+
+
+_GRID_POINTS = st.tuples(st.one_of(st.just(0.0), st.floats(0.0, 3.0)),
+                         st.one_of(st.sampled_from([1.0, 1.0 + 1e-6]), st.floats(0.0, 4.0)),
+                         st.one_of(st.just(0.0), st.floats(-2.0, 2.0)))
+
+
+@given(grid=st.lists(_GRID_POINTS, min_size=1, max_size=2 * sk_rs._LANES + 3))
+@settings(max_examples=25, deadline=None)
+def test_lockstep_actions_are_the_point_actions(grid):
+    points = [SkParams(*p) for p in grid]
+    assert [_outcome(s) for s in sk_rs.rs_actions(points)] == [
+        _one_point(rs_action, p) for p in points]
+
+
+def test_caustic_root_takes_its_frozen_number_of_node_passes(monkeypatch):
+    # the golden section asks for one margin at a time, each a one-lane solve
+    passes = _counted(monkeypatch, "_tanh_moments")
+    assert caustic_root(0.0) == float.fromhex("0x1.fffffffffff4cp-1")
+    assert len(passes) == 897
+    assert {len(v) for (_, v), _ in passes} == {1}
 
 
 @pytest.mark.parametrize("eps", [1e-6, 1e-8])
