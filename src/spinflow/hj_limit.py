@@ -6,6 +6,10 @@ heat equation with initial datum ``(2 cosh x)**N``, whose kernel
 representation is evaluated here (``viscous_*``) by composite
 Gauss-Legendre quadrature on a window about its minimizers, with panels
 doubled until two levels agree and their gap kept as the error estimate.
+One node pass forms the first three levels (1, 2 and 4 panels per
+segment) with the sums of both routes, and the last point's levels are
+kept, so the velocity asked right after the action at the same point
+costs no new pass unless its own stop rule needs a further doubling.
 As N grows the action converges to the Lax-Oleinik variational solution
 
     phi(x, t) = min_y [ (x - y)**2 / (2 t) - log 2 - log cosh y ],
@@ -18,6 +22,7 @@ breaking limit along tilted approach lines.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -184,24 +189,47 @@ def _window_end(x: float, t: float, n: int, g_min: float, y: float, direction: f
     raise QuadratureError(f"could not bracket the kernel integrand at x={x}, t={t}, n={n}")
 
 
-def _panel_sums(x: float, t: float, n: int, g_min: float, edges: np.ndarray, panels: int,
-                with_velocity: bool) -> np.ndarray:
-    # Gauss-Legendre sums over `panels` equal panels per segment of `edges`:
-    # (integral of the weight, of (x - y) / t times it, of |x - y| / t times it)
-    width = np.diff(edges) / panels
-    half = np.repeat(0.5 * width, panels)[:, None]
-    mid = (edges[:-1, None] + width[:, None] * (np.arange(panels) + 0.5)).reshape(-1, 1)
+@functools.cache
+def _panel_layout(segments: int, first: int, stop: int) -> tuple:
+    # per row of a pass over the levels range(first, stop): its segment, its level's panel
+    # count 2**level and its panel's centre k + 1/2, with the rows of each level together,
+    # segment by segment; and the row at which each level starts, plus the end
+    counts = [2 ** level for level in range(first, stop)]
+    layout = (np.concatenate([np.repeat(np.arange(segments), c) for c in counts]),
+              np.concatenate([np.full(segments * c, float(c)) for c in counts]),
+              np.concatenate([np.tile(np.arange(c) + 0.5, segments) for c in counts]))
+    for array in layout:
+        array.setflags(write=False)
+    return (*layout, np.cumsum([0] + [segments * c for c in counts]).tolist())
+
+
+def _panel_sums(x: float, t: float, n: int, g_min: float, edges: np.ndarray, first: int,
+                stop: int) -> list:
+    # per level in range(first, stop), Gauss-Legendre sums over 2**level equal panels per
+    # segment of `edges`: (integral of the weight, of (x - y) / t times it, of |x - y| / t
+    # times it).  The levels share one node pass; each level's sums run over its own
+    # contiguous rows, which numpy sums pairwise as it would a pass of that level alone
+    segment, panels, centre, starts = _panel_layout(len(edges) - 1, first, stop)
+    width = (edges[1:] - edges[:-1])[segment] / panels
+    half = (0.5 * width)[:, None]
+    mid = (edges[segment] + width * centre)[:, None]
     nodes, weights = gauss_rule(np.polynomial.legendre.leggauss, _GL_ORDER)
     y = mid + half * nodes
-    g = (x - y) ** 2 / (2.0 * t) - LOG2 - log_cosh(y)
-    w = np.exp(-n * (g - g_min)) * (half * weights)
-    if not with_velocity:
-        return np.array([w.sum(), 0.0, 0.0])
-    vw = (x - y) / t * w
-    return np.array([w.sum(), vw.sum(), np.abs(vw).sum()])
+    d = x - y
+    g = d ** 2 / (2.0 * t) - LOG2 - log_cosh(y)
+    terms = np.empty((3, *y.shape))
+    np.multiply(np.exp(-n * (g - g_min)), half * weights, out=terms[0])
+    np.multiply(d / t, terms[0], out=terms[1])
+    np.abs(terms[1], out=terms[2])
+    return [tuple(terms[:, a:b].reshape(3, -1).sum(axis=1).tolist())
+            for a, b in zip(starts[:-1], starts[1:])]
 
 
-def _kernel_integrals(x: float, t: float, n: int, with_velocity: bool):
+@functools.lru_cache(maxsize=1)
+def _kernel_levels(x: float, x_sign: float, t: float, n: int) -> tuple:
+    # one point's quadrature state: (g_min, edges, sums of the levels formed so far).  The
+    # routes extend the level list in place, so the velocity after the action at the same
+    # point reuses its levels; x_sign keeps x = -0.0 and 0.0 apart
     roots = _stationary_points(x, t)
     objective = [_objective(y, x, t) for y in roots]
     g_min = min(objective)
@@ -215,16 +243,27 @@ def _kernel_integrals(x: float, t: float, n: int, with_velocity: bool):
     lo = _window_end(x, t, n, g_min, outer[0], -1.0)
     hi = _window_end(x, t, n, g_min, outer[-1], 1.0)
     edges = np.array([lo, *(y for y in roots if lo < y < hi), hi])
-    # double the panels until two levels agree; their gap is the error estimate
-    sums = _panel_sums(x, t, n, g_min, edges, 1, with_velocity)
-    gaps = np.full(2, math.inf)
+    # most points stop at 2 or 4 panels per segment, so the first pass forms 1, 2 and 4
+    return g_min, edges, _panel_sums(x, t, n, g_min, edges, 0, 3)
+
+
+def _kernel_integrals(x: float, t: float, n: int, with_velocity: bool):
+    g_min, edges, levels = _kernel_levels(x, math.copysign(1.0, x), t, n)
+    # double the panels until two levels agree; their gap is the error estimate.  A level
+    # the memo lacks is formed on its own; the cap is read here, not where levels are formed
+    sums, gaps = levels[0], (math.inf, math.inf)
     for level in range(1, _MAX_DOUBLINGS + 1):
-        previous, sums = sums, _panel_sums(x, t, n, g_min, edges, 2 ** level, with_velocity)
-        gaps = np.abs(sums[:2] - previous[:2])
-        if gaps[0] <= _QUAD_RTOL * sums[0] and gaps[1] <= _QUAD_RTOL * sums[2]:
+        if level == len(levels):
+            # a slice store, so that a level formed meanwhile by another thread is
+            # replaced by the same sums rather than appended after it
+            levels[level:level + 1] = _panel_sums(x, t, n, g_min, edges, level, level + 1)
+        previous, sums = sums, levels[level]
+        gaps = (abs(sums[0] - previous[0]), abs(sums[1] - previous[1]))
+        if gaps[0] <= _QUAD_RTOL * sums[0] and (not with_velocity
+                                                or gaps[1] <= _QUAD_RTOL * sums[2]):
             break
-    i0, i1, _ = (float(v) for v in sums)
-    err0, err1 = (float(v) for v in gaps)
+    i0, i1, _ = sums
+    err0, err1 = gaps
     if i0 <= 0 or err0 > max(1e-10 * i0, 5e-13):
         raise QuadratureError(
             f"kernel normalization uncertain at x={x}, t={t}, n={n}", error_estimate=err0)
@@ -246,6 +285,8 @@ def viscous_action(p: PlanePoint, n: int) -> float:
     split at the stationary points and double until two levels agree to
     2e-12, and that gap is the error estimate carried by QuadratureError.
     Agrees with the sector sum of ``cw_exact`` to quadrature accuracy.
+    The level sums of the last (x, t, n) asked, with the sign of x, are
+    kept for ``viscous_velocity``; a pass that raises keeps nothing.
     """
     check_size(n)
     if p.t == 0.0:
@@ -260,7 +301,10 @@ def viscous_velocity(p: PlanePoint, n: int) -> float:
     The weight and the Gauss-Legendre panels are those of
     ``viscous_action``; the numerator carries the factor (x - y) / t, and
     its doubling gap is measured against the integral of |x - y| / t times
-    the weight.  At x = 0 the integrand is odd around the
+    the weight.  Both routes read one set of level sums per point: after
+    ``viscous_action`` at the same point and size, this forms only the
+    doublings its own stop rule needs past those, and either order gives
+    the bits of each route alone.  At x = 0 the integrand is odd around the
     origin and the velocity is returned as exactly zero; at t = 0 the
     closed boundary form -tanh(x) is returned.
     """

@@ -71,10 +71,10 @@ def _node_args(nodes, beta_h: list, v: list):
     return np.array(beta_h, dtype=np.float64)[:, None] + scale[:, None] * nodes
 
 
-def _node_means(weights, rows) -> list:
+def _node_means(weights, rows) -> np.ndarray:
     # E_g of each row; a stacked matmul of (1, n) by (n, 1) products keeps the
     # bits of np.dot(weights, row), which gemv, einsum and row sums do not
-    return (np.matmul(rows[:, None, :], weights[:, None])[:, 0, 0] * _GH_NORM).tolist()
+    return np.matmul(rows[:, None, :], weights[:, None])[:, 0, 0] * _GH_NORM
 
 
 def _blocks(values: list) -> list:
@@ -90,6 +90,8 @@ def _tanh_moments(beta_h: list, v: list) -> list:
     node pass, in blocks of at most _LANES.  sech^2 is 1 - tanh^2, which
     keeps the map's relative precision at small variance, where the
     symmetric root sits just above t = 1; a lane at v = 0 collapses exactly.
+    Each mean is clamped to at most 1: the weights times 1/sqrt(pi) sum to
+    1 + 2^-52, so a row of ones would read just above 1.
     """
     nodes, weights = gauss_rule(np.polynomial.hermite.hermgauss, _GH_ORDER)
     if len(v) == 1 and v[0] != 0.0:
@@ -100,19 +102,28 @@ def _tanh_moments(beta_h: list, v: list) -> list:
         np.tanh(th2, out=th2)
         th2 *= th2
         s2 = 1.0 - th2
-        return [(float(np.dot(weights, th2)) * _GH_NORM, float(np.dot(weights, s2)) * _GH_NORM,
-                 float(np.dot(weights, s2 * s2)) * _GH_NORM)]
+        tanh_sq = float(np.dot(weights, th2)) * _GH_NORM
+        sech_sq = float(np.dot(weights, s2)) * _GH_NORM
+        sech_4 = float(np.dot(weights, s2 * s2)) * _GH_NORM
+        # clamped by comparisons, which keep a NaN as min(m, 1.0) would and cost
+        # less than three calls to min
+        return [(1.0 if tanh_sq > 1.0 else tanh_sq, 1.0 if sech_sq > 1.0 else sech_sq,
+                 1.0 if sech_4 > 1.0 else sech_4)]
     moments = [None] * len(v)
     for i, w in enumerate(v):
         if w == 0.0:
             th2 = np.tanh(beta_h[i]) ** 2
             moments[i] = (float(th2), float(1.0 - th2), float((1.0 - th2) ** 2))
     for lanes in _blocks(moments):
-        th2 = np.tanh(_node_args(nodes, [beta_h[i] for i in lanes], [v[i] for i in lanes])) ** 2
-        s2 = 1.0 - th2
-        sums = zip(_node_means(weights, th2), _node_means(weights, s2),
-                   _node_means(weights, s2 * s2))
-        for i, lane in zip(lanes, sums):
+        # the three kinds' rows stacked, so that one matmul and one clamp serve them all
+        rows = np.empty((3, len(lanes), _GH_ORDER))
+        th2, s2, s4 = rows
+        np.tanh(_node_args(nodes, [beta_h[i] for i in lanes], [v[i] for i in lanes]), out=th2)
+        np.square(th2, out=th2)
+        np.subtract(1.0, th2, out=s2)
+        np.multiply(s2, s2, out=s4)
+        means = np.minimum(_node_means(weights, rows.reshape(-1, _GH_ORDER)), 1.0)
+        for i, lane in zip(lanes, zip(*means.reshape(3, -1).tolist())):
             moments[i] = lane
     return moments
 
@@ -135,7 +146,7 @@ def _log_cosh_means(beta_h: list, v: list) -> list:
             means[i] = OverflowError(f"E log cosh overflows at beta_h={b}, v={w}")
     for lanes in _blocks(means):
         rows = log_cosh(_node_args(nodes, [beta_h[i] for i in lanes], [v[i] for i in lanes]))
-        for i, mean in zip(lanes, _node_means(weights, rows)):
+        for i, mean in zip(lanes, _node_means(weights, rows).tolist()):
             means[i] = mean
     return means
 

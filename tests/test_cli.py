@@ -202,6 +202,14 @@ def test_overflowing_limit_bracket_is_a_domain_error():
     assert "argmin" not in err
 
 
+def test_saturated_overlap_record_keeps_the_velocity_in_range():
+    code, out, _ = run_cli(["sk", "rs", "--x", "1e5", "--t", "0.5"])
+    assert code == 0
+    record = json.loads(out)
+    assert record["q_bar"] == 1.0
+    assert abs(record["u"]) <= 1.0
+
+
 @pytest.mark.parametrize("argv", [
     ["cw", "shock", "--t", "1e308"],
     ["convergence", "--model", "cw-velocity", "--x", "0.3", "--t", "1e308",

@@ -316,3 +316,121 @@ def test_quadrature_error_carries_the_doubling_gap_when_the_cap_runs_out(monkeyp
         route(p, 50000)
     assert math.isfinite(info.value.error_estimate)
     assert info.value.error_estimate > 1e-10
+
+
+# float.hex of each route at a point, each route alone with a fresh memo, and the panels
+# per segment at which that route's doubling stops; the velocity is exactly 0 at x = 0
+FROZEN_KERNEL_ROUTES = {
+    (0.05, 1.0, 10000): (2, "-0x1.6cc0537e3551bp-1", 2, "-0x1.00c1a0ceb6388p-1"),
+    (0.1, 0.5, 100): (2, "-0x1.699da474af2ebp-1", 4, "-0x1.885fc1a9ce9bap-3"),
+    (0.3, 0.5, 7): (4, "-0x1.9df134e3a7cbep-1", 4, "-0x1.c4ea460037d09p-2"),
+    (0.2, 1.2, 100): (4, "-0x1.beba4bc018764p-1", 8, "-0x1.a6cf6e1dabcfbp-1"),
+    (1e-12, 1.5, 1000): (8, "-0x1.9e5ac75aa2565p-1", 8, "-0x1.94a2418f24aefp-31"),
+    (-1e-12, 3.0, 1000): (16, "-0x1.80d32b6424280p+0", 16, "0x1.101728282e624p-30"),
+    (-1.2, 0.9, 50000): (32, "-0x1.aa51177fac163p+0", 32, "0x1.f00277c4811b0p-1"),
+    (-1e-12, 3.0, 50000): (128, "-0x1.80a5a74bdccddp+0", 128, "0x1.a92a6d109bf7ep-25"),
+    (0.0, 1.0, 50): (4, "-0x1.704820448568fp-1", None, "0x0.0p+0"),
+}
+
+
+@pytest.fixture
+def node_passes(monkeypatch):
+    # a fresh kernel memo, and the (first, stop) level range of every _panel_sums call
+    hj_limit._kernel_levels.cache_clear()
+    calls = []
+    helper = hj_limit._panel_sums
+
+    def counted(*args):
+        calls.append(args[-2:])
+        return helper(*args)
+
+    monkeypatch.setattr(hj_limit, "_panel_sums", counted)
+    yield calls
+    hj_limit._kernel_levels.cache_clear()
+
+
+def frozen_routes(point):
+    _, action, _, velocity = FROZEN_KERNEL_ROUTES[point]
+    return float.fromhex(action), float.fromhex(velocity)
+
+
+def passes_to(panels):
+    # the first pass forms 1, 2 and 4 panels; each doubling past 4 is a pass of its own
+    return [(0, 3)] + [(level, level + 1) for level in range(3, int(math.log2(panels)) + 1)]
+
+
+@pytest.mark.parametrize("point", list(FROZEN_KERNEL_ROUTES))
+def test_kernel_routes_keep_their_frozen_bits_and_stop_levels(node_passes, point):
+    x, t, n = point
+    action_panels, _, velocity_panels, _ = FROZEN_KERNEL_ROUTES[point]
+    action, velocity = frozen_routes(point)
+    assert viscous_action(PlanePoint(x, t), n) == action
+    assert node_passes == passes_to(action_panels)
+    hj_limit._kernel_levels.cache_clear()
+    node_passes.clear()
+    assert viscous_velocity(PlanePoint(x, t), n) == velocity
+    assert node_passes == ([] if velocity_panels is None else passes_to(velocity_panels))
+
+
+@pytest.mark.parametrize("point", list(FROZEN_KERNEL_ROUTES))
+def test_either_route_first_gives_the_solo_bits(node_passes, point):
+    x, t, n = point
+    action_panels, _, velocity_panels, _ = FROZEN_KERNEL_ROUTES[point]
+    p = PlanePoint(x, t)
+    assert (viscous_action(p, n), viscous_velocity(p, n)) == frozen_routes(point)
+    # the velocity stops at or after the action, so its levels extend the action's
+    assert node_passes == passes_to(max(action_panels, velocity_panels or 0))
+    hj_limit._kernel_levels.cache_clear()
+    node_passes.clear()
+    assert viscous_velocity(p, n) == frozen_routes(point)[1]
+    assert viscous_action(p, n) == frozen_routes(point)[0]
+    assert node_passes == passes_to(max(action_panels, velocity_panels or 0))
+
+
+def test_action_then_velocity_at_a_four_panel_point_is_one_node_pass(node_passes):
+    p = PlanePoint(0.3, 0.5)
+    viscous_action(p, 7)
+    viscous_velocity(p, 7)
+    assert node_passes == [(0, 3)]
+
+
+def test_a_point_revisited_after_another_gets_its_own_bits(node_passes):
+    a, b = (0.2, 1.2, 100), (-1e-12, 3.0, 1000)
+    values = []
+    for x, t, n in (a, b, a):
+        values += [viscous_velocity(PlanePoint(x, t), n), viscous_action(PlanePoint(x, t), n)]
+    expected = [frozen_routes(p)[i] for p in (a, b, a) for i in (1, 0)]
+    assert values == expected
+    # the memo holds one point, so the return to a forms its levels again
+    assert node_passes == passes_to(8) + passes_to(16) + passes_to(8)
+
+
+def test_signed_zero_and_neighbouring_sizes_never_share_levels(node_passes):
+    action = frozen_routes((0.0, 1.0, 50))[0]
+    for x, t, n in ((0.0, 1.0, 50), (-0.0, 1.0, 50), (-0.0, 1.0, 51), (-0.0, 1.0, 50)):
+        value = viscous_action(PlanePoint(x, t), n)
+        if n == 50:
+            assert value == action
+    assert node_passes == [(0, 3)] * 4
+
+
+def test_a_failed_node_pass_leaves_no_levels_behind(node_passes, monkeypatch):
+    # at (0.2, 1.2) with n = 100 the action stops at 4 panels and the velocity needs 8
+    p, n = PlanePoint(0.2, 1.2), 100
+    counted = hj_limit._panel_sums
+
+    def failing(*args):
+        counted(*args)
+        raise FloatingPointError("node pass failed")
+
+    monkeypatch.setattr(hj_limit, "_panel_sums", failing)
+    with pytest.raises(FloatingPointError):
+        viscous_action(p, n)
+    monkeypatch.setattr(hj_limit, "_panel_sums", counted)
+    assert viscous_action(p, n) == frozen_routes((0.2, 1.2, 100))[0]
+    monkeypatch.setattr(hj_limit, "_panel_sums", failing)
+    with pytest.raises(FloatingPointError):
+        viscous_velocity(p, n)
+    monkeypatch.setattr(hj_limit, "_panel_sums", counted)
+    assert viscous_velocity(p, n) == frozen_routes((0.2, 1.2, 100))[1]
+    assert node_passes == [(0, 3), (0, 3), (3, 4), (3, 4)]

@@ -132,6 +132,29 @@ def test_qbar_satisfies_its_fixed_point(x, t, beta_h):
     assert 0.0 <= q <= 1.0
 
 
+@pytest.mark.parametrize("x", [1e5, 1e308])
+def test_overlap_is_one_where_every_node_saturates(x):
+    # every node has tanh^2 = 1 there, and the unclamped weighted sum reads 1 + 2^-52
+    assert solve_qbar(SkParams(x, 0.5, 0.0)) == 1.0
+
+
+_UNIT_VARIANCES = [0.0, 1e-30, 1e-3, 1.0, 1e5, 1e308]
+
+
+@pytest.mark.parametrize("kind", ["tanh_sq", "sech_sq", "sech_4"])
+@pytest.mark.parametrize("beta_h", [0.0, 0.3, 2.0])
+@pytest.mark.parametrize("v", _UNIT_VARIANCES)
+def test_bounded_kinds_lie_in_the_unit_interval(kind, beta_h, v):
+    assert 0.0 <= gaussian_expectation(kind, beta_h, v) <= 1.0
+
+
+def test_bounded_kinds_lie_in_the_unit_interval_on_a_lane_block():
+    lanes = [(beta_h, v) for beta_h in (0.0, 0.3, 2.0) for v in _UNIT_VARIANCES]
+    moments = sk_rs._tanh_moments([b for b, _ in lanes], [v for _, v in lanes])
+    assert all(0.0 <= mean <= 1.0 for lane in moments for mean in lane)
+    assert moments[_UNIT_VARIANCES.index(1e-30)][1:] == (1.0, 1.0)
+
+
 @pytest.mark.parametrize("x,t,beta_h,q", [(0.3, 1.2, 0.2, 0.34), (0.0, 2.0, 0.5, 0.4),
                                           (1.0, 0.7, 0.0, 0.6)])
 def test_map_slope_matches_a_central_difference(x, t, beta_h, q):
