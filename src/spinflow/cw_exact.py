@@ -21,8 +21,8 @@ largest log-weight of all sectors, and one sector step moves it by at most
 log N + 2|t| + 2|x|; so every pair left out is an exact zero, and each peak is
 kept, the minority one at t > 1 too.  A call costs O(window) time and memory
 plus N/64 anchors; away from the critical point the window is O(sqrt N)
-sectors, and N = 1e7 takes tens of milliseconds.  Small N is a window that
-holds every block.
+sectors, and N = 1e7 takes tens of milliseconds.  Small N takes the same path,
+whose coarse pass there keeps every block.
 
 Moments of ``m`` are weighted pair averages: even moments weigh a**j by a
 pair's summed weight, odd ones by the difference of its two weights, formed
@@ -86,9 +86,6 @@ def _window(x: float, t: float, n: int):
                             "so phi and its derivatives cannot be formed in double precision")
     anchors = _anchor_log_binomials(n)
     blocks = np.arange(len(anchors))
-    if n * (LOG2 + 0.5 * abs_t + 2.0 * abs_x) <= _UNDERFLOW:
-        # log-weights span at most n (log 2 + |t|/2 + 2|x|): every block is kept
-        return anchors, blocks
     _, ends = _pair_log_weights(x, t, n, blocks * float(_BINOMIAL_BLOCK), anchors)
     walk = 0.5 * _BINOMIAL_BLOCK * (math.log(n) + 2.0 * (abs_t + abs_x))
     keep = np.maximum(ends[:-1], ends[1:]) >= float(ends.max()) - _UNDERFLOW - walk
@@ -104,8 +101,6 @@ def _anchor_log_binomials(n: int) -> np.ndarray:
     # jumps between blocks moved the velocity by 6e-14 at n = 2.5e4.
     half = n // 2 + 1
     anchors = np.zeros(-(-half // _BINOMIAL_BLOCK))
-    if len(anchors) == 1:
-        return anchors  # below 64 spins block 0, anchored at 0, is the only one
     j = np.arange(_BINOMIAL_BLOCK, half, _BINOMIAL_BLOCK, dtype=np.float64)
     r = n - j
     tail_j, tail_r = _stirling_tail(np.stack((j, r)))

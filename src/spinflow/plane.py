@@ -70,10 +70,9 @@ def newton_steps(lo: float, hi: float, x0: float, tol: float,
         residual=abs(value))
 
 
-def bracketed_newton(f, lo: float, hi: float, x0: float, tol: float,
-                     residual_tol: float = math.inf) -> float:
+def bracketed_newton(f, lo: float, hi: float, x0: float, tol: float) -> float:
     """Root of f on [lo, hi] by ``newton_steps``, where ``f(x)`` returns (value, slope)."""
-    steps = newton_steps(lo, hi, x0, tol, residual_tol)
+    steps = newton_steps(lo, hi, x0, tol)
     x = next(steps)
     try:
         while True:

@@ -129,17 +129,17 @@ def _walsh_series(constant, fields: np.ndarray, pairs: np.ndarray, out: np.ndarr
     the order, of the matching butterfly of `_fwht`.  The butterflies also
     add the zero entries of the coefficient vector, which the fold skips;
     that can flip the sign of a zero in D_k but no other bit, and since no
-    E_k is -0.0 unless the constant is, it moves no bit of the result.  A
-    block with a -0.0 constant takes the transform.  The fold costs about
-    4 2^n element operations instead of n 2^n, with `work`'s two halves as
-    its only scratch.  Below _FOLD_SITES the coefficients are scattered
-    into `out` and transformed.
+    E_k is -0.0 unless the constant is, it moves no bit of the result, so
+    no constant may be -0.0 (callers pass +0.0 and n c(empty set) > 0).
+    The fold costs about 4 2^n element operations instead of n 2^n, with
+    `work`'s two halves as its only scratch.  Below _FOLD_SITES the
+    coefficients are scattered into `out` and transformed.
 
     `out` and `work` are C-contiguous (rows, 2^n) planes, both
     overwritten.  Returns the one that holds the result, as `_fwht` does.
     """
     rows, n = fields.shape
-    if n < _FOLD_SITES or np.any((constant == 0.0) & np.signbit(constant)):
+    if n < _FOLD_SITES:
         sites, pair_masks, _ = _walsh_masks(n)
         out.fill(0.0)
         out[:, 0] = constant

@@ -327,6 +327,86 @@ def test_odd_moments_keep_their_relative_accuracy_near_zero_field(x, t, n, u, m3
     assert fields.moments[2] == pytest.approx(m3, rel=2e-13, abs=0)
 
 
+# exact_fields as float.hex (phi, u, potential, moments 1..4) at small N: below 64
+# spins one block holds every anchor, and where n (log 2 + |t|/2 + 2|x|) <= 746
+# (all but n = 300 at t = 5) no sector is far enough below the peak to drop
+_FROZEN_SMALL_N = {
+    (0.3, 1.5, 1): (
+        "-0x1.7ccc02a487ec2p+0", "-0x1.2a4dda7d914fap-2", "0x1.d48cd4f4cff5ep-2",
+        "0x1.2a4dda7d914fap-2", "0x1.0000000000000p+0", "0x1.2a4dda7d914fap-2",
+        "0x1.0000000000000p+0"),
+    (0.3, 1.5, 2): (
+        "-0x1.4493228d47b7fp+0", "-0x1.ced3386a91ff6p-2", "0x1.464d8220a3bacp-2",
+        "0x1.ced3386a91ff6p-2", "0x1.aee563dd7a1cfp-1", "0x1.ced3386a91ff6p-2",
+        "0x1.aee563dd7a1cfp-1"),
+    (0.3, 1.5, 63): (
+        "-0x1.14c96732a2b92p+0", "-0x1.dce8f08ce4e1ep-1", "0x1.5bc51baf9abcbp-10",
+        "0x1.dce8f08ce4e1ep-1", "0x1.bd954e5c19e29p-1", "0x1.a182ede4a0133p-1",
+        "0x1.8844b00dde309p-1"),
+    (0.3, 1.5, 64): (
+        "-0x1.14c7986ca5e6cp+0", "-0x1.dcf28888f8a9dp-1", "0x1.55d1ce23cbcb3p-10",
+        "0x1.dcf28888f8a9dp-1", "0x1.bda13a90080b9p-1", "0x1.a18be677f21abp-1",
+        "0x1.8846e80f69982p-1"),
+    (0.3, 1.5, 65): (
+        "-0x1.14c5d871b70dcp+0", "-0x1.dcfbd06405d60p-1", "0x1.5011cc99588aep-10",
+        "0x1.dcfbd06405d60p-1", "0x1.bdacc51fbb159p-1", "0x1.a1949687bab15p-1",
+        "0x1.88490d657b26ap-1"),
+    (0.3, 1.5, 300): (
+        "-0x1.1470bbd30c315p+0", "-0x1.deb82f555b563p-1", "0x1.0f8334e1e27ddp-12",
+        "0x1.deb82f555b563p-1", "0x1.bfde0b70a2bd4p-1", "0x1.a33fb3187dc11p-1",
+        "0x1.88af9cad4a511p-1"),
+    (-0.7, 0.4, 1): (
+        "-0x1.1ed3ace578018p+0", "0x1.356fb17af2e91p-1", "0x1.44fc9668e6f7cp-2",
+        "-0x1.356fb17af2e91p-1", "0x1.0000000000000p+0", "-0x1.356fb17af2e91p-1",
+        "0x1.0000000000000p+0"),
+    (-0.7, 0.4, 2): (
+        "-0x1.10ae326a08f37p+0", "0x1.59989fe89ee5ep-1", "0x1.3a25fef017e2bp-3",
+        "-0x1.59989fe89ee5ep-1", "0x1.86595c77ae24dp-1", "-0x1.59989fe89ee5ep-1",
+        "0x1.86595c77ae24dp-1"),
+    (-0.7, 0.4, 63): (
+        "-0x1.0412e362c2e04p+0", "0x1.85a314542eca1p-1", "0x1.06c05547ecaa1p-8",
+        "-0x1.85a314542eca1p-1", "0x1.2c9f832a7d343p-1", "-0x1.d5c41e10753d4p-2",
+        "0x1.735185b5482cfp-2"),
+    (-0.7, 0.4, 64): (
+        "-0x1.041164c28b7aap+0", "0x1.85a90e8270cd4p-1", "0x1.029a1a3cd75f6p-8",
+        "-0x1.85a90e8270cd4p-1", "0x1.2c9803473d4b1p-1", "-0x1.d58fa8e86f967p-2",
+        "0x1.72f950e095618p-2"),
+    (-0.7, 0.4, 65): (
+        "-0x1.040ff1f5c60cap+0", "0x1.85aed987b3064p-1", "0x1.fd29c96fce162p-9",
+        "-0x1.85aed987b3064p-1", "0x1.2c90bfd4494bdp-1", "-0x1.d55ccc6ab57c6p-2",
+        "0x1.72a3c2aba7231p-2"),
+    (-0.7, 0.4, 300): (
+        "-0x1.03c7978c8c748p+0", "0x1.86d0df35bcdacp-1", "0x1.b59de1960ae06p-11",
+        "-0x1.86d0df35bcdacp-1", "0x1.2b2b583265b3ap-1", "-0x1.cb50ff52805c1p-2",
+        "0x1.6191e0c669c6ap-2"),
+    (0.0, 5.0, 1): (
+        "-0x1.98b90bfbe8e7cp+1", "0x0.0p+0", "0x1.0000000000000p-1", "0x0.0p+0",
+        "0x1.0000000000000p+0", "0x0.0p+0", "0x1.0000000000000p+0"),
+    (0.0, 5.0, 2): (
+        "-0x1.6cca8c347d8a8p+1", "0x0.0p+0", "0x1.fc92c130538e2p-2", "0x0.0p+0",
+        "0x1.fc92c130538e2p-1", "0x0.0p+0", "0x1.fc92c130538e2p-1"),
+    (0.0, 5.0, 63): (
+        "-0x1.416a44e783147p+1", "0x0.0p+0", "0x1.ffe483e26a835p-2", "0x0.0p+0",
+        "0x1.ffe483e26a839p-1", "0x0.0p+0", "0x1.ffcac150a5facp-1"),
+    (0.0, 5.0, 64): (
+        "-0x1.4164a1b2d2478p+1", "0x0.0p+0", "0x1.ffe49394f3c59p-2", "0x0.0p+0",
+        "0x1.ffe49394f3c5bp-1", "0x0.0p+0", "0x1.ffcad8f7c1b29p-1"),
+    (0.0, 5.0, 65): (
+        "-0x1.415f2ae6d3264p+1", "0x0.0p+0", "0x1.ffe4a2c358fcbp-2", "0x0.0p+0",
+        "0x1.ffe4a2c358fcbp-1", "0x0.0p+0", "0x1.ffcaefdaa408cp-1"),
+    (0.0, 5.0, 300): (
+        "-0x1.404d3fbb75b73p+1", "0x0.0p+0", "0x1.ffe773833a2f3p-2", "0x0.0p+0",
+        "0x1.ffe773833a2f3p-1", "0x0.0p+0", "0x1.ffcf3bc7d330cp-1"),
+}
+
+
+@pytest.mark.parametrize("x, t, n", sorted(_FROZEN_SMALL_N))
+def test_small_n_fields_frozen_bits(x, t, n):
+    f = exact_fields(PlanePoint(x, t), n)
+    fields = (f.phi, f.u, f.potential, *map(float, f.moments))
+    assert fields == tuple(map(float.fromhex, _FROZEN_SMALL_N[(x, t, n)]))
+
+
 def test_mirror_symmetry():
     # x -> -x negates u and the odd moments and leaves the rest, bit for bit
     for n in (33, 25_000):

@@ -67,9 +67,15 @@ def test_returns_the_last_point_where_f_was_evaluated():
     # callers reuse what f computed at the root, so every stop must return that point
     exact, points = _recorded(lambda x: (x - 0.5, 1.0))
     assert bracketed_newton(exact, 0.0, 1.0, 0.25, 1e-15) == points[-1] == 0.5
-    # residual-and-step stop: |f| is below residual_tol and the Newton step below tol
+    # newton_steps' residual-and-step stop: |f| below residual_tol and the step below tol
     newton, points = _recorded(lambda x: (x * x - 2.0, 2.0 * x))
-    root = bracketed_newton(newton, 0.0, 2.0, 1.9, 1e-15, residual_tol=1e-12)
+    steps = newton_steps(0.0, 2.0, 1.9, 1e-15, residual_tol=1e-12)
+    root = next(steps)
+    try:
+        while True:
+            root = steps.send(newton(root))
+    except StopIteration as stop:
+        root = stop.value
     assert root == points[-1] and abs(root * root - 2.0) < 1e-12
     # bracket stop: a slope of zero only bisects, so the bracket shrinks below tol
     flat, points = _recorded(lambda x: (x - 1.0 / 3.0, 0.0))
