@@ -280,6 +280,11 @@ _SWEEP_ECHO = {"beta_h": "beta_h", "n": "n", "n_samples": "samples", "seed": "se
 _SWEEP_FLAGS = (*_SWEEP_ECHO.values(), "branch")
 
 
+# points per sweep: its rows are Python objects held until they are written,
+# about a kilobyte each
+_MAX_SWEEP_POINTS = 1 << 20
+
+
 def _axis(lo: float, hi: float, count: int, name: str):
     if count < 1:
         raise ValueError(f"{name} must be >= 1, got {count}")
@@ -313,6 +318,9 @@ def _cmd_sweep(args) -> int:
             raise ValueError(f"{column} must be finite, got {value}")
     if args.t_min < 0:
         raise ValueError(f"t_min must be >= 0, got {args.t_min}")
+    n_x = args.n_x if "x" in columns else 1
+    if args.n_t * n_x > _MAX_SWEEP_POINTS:
+        raise ValueError(f"a sweep takes at most 2^20 points, got n_t={args.n_t} by n_x={n_x}")
     ts = _axis(args.t_min, args.t_max, args.n_t, "n_t")
     xs = _axis(args.x_min, args.x_max, args.n_x, "n_x") if "x" in columns else [None]
 

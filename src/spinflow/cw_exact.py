@@ -49,6 +49,9 @@ from .plane import LOG2, PlanePoint, check_size
 _BINOMIAL_BLOCK = 32
 # exp(v) is exactly 0.0 for v < -745.14
 _UNDERFLOW = 746.0
+# largest N: peak memory grows with the N/64 anchors and their temporaries,
+# 149 MB at N = 1e8, so 2^30 spins take about 1.6 GB
+MAX_SPINS = 1 << 30
 
 
 @dataclass(frozen=True)
@@ -76,7 +79,8 @@ def _window(x: float, t: float, n: int):
     # sector of a block lies within half a block of one of its two anchors (its
     # first sector and the next block's), hence the walk of 16 sector steps.  The
     # middle block has no anchor at its far end and is always kept.
-    #
+    if n > MAX_SPINS:
+        raise ValueError(f"system size n must be at most 2^30 for the sector sum, got {n}")
     # |log-weight| <= n (|t|/2 + |x| + log 2); twice that bounds the spread that
     # the max shift subtracts.  Python floats, so that a numpy scalar from a sweep
     # axis cannot warn while the bounds are formed.

@@ -58,7 +58,9 @@ class LaxSolution:
     """Variational solution at one plane point.
 
     ``y_star`` is the minimizer of the Lax-Oleinik objective, ``phi`` the
-    limiting action, ``u = (x - y_star) / t`` the velocity.  On the shock
+    limiting action, ``u = -tanh(y_star)`` the velocity: it equals
+    (x - y_star) / t, but keeps full relative precision where that difference
+    cancels (t -> 0, or |x| much larger than t).  On the shock
     half-line (x = 0, t > 1) two symmetric minimizers tie; ``branch``
     records which one was requested, otherwise it is "unique".
     """
@@ -157,23 +159,24 @@ def lax_action(p: PlanePoint, branch: str | None = None) -> LaxSolution:
     if branch is not None and branch not in _BRANCHES:
         raise ValueError(f"branch must be one of {_BRANCHES}, got {branch!r}")
     x, t = p.x, p.t
+    on_shock = x == 0.0 and t > 1.0
     if t == 0.0:
-        return LaxSolution(y_star=x, phi=-LOG2 - _log_cosh(x), u=-math.tanh(x),
-                           on_shock=False, branch="unique")
-    if x == 0.0 and t > 1.0:
+        y_star = x
+    elif on_shock:
         if branch is None:
             raise ValueError(
                 "point lies on the shock line (x = 0, t > 1): pass branch='plus' or branch='minus'")
-        y = t * spontaneous_magnetization(t)
+        y_star = t * spontaneous_magnetization(t)
         if branch == "minus":
-            y = -y
-        return LaxSolution(y_star=y, phi=_objective(y, 0.0, t), u=-y / t,
-                           on_shock=True, branch=branch)
-    roots = _stationary_points(x, t)
-    # g(y) - g(-y) = -2xy/t: the minimizer is the outer root on the side of x
-    y_star = roots[-1] if x > 0.0 else roots[0]
-    return LaxSolution(y_star=y_star, phi=_objective(y_star, x, t), u=(x - y_star) / t,
-                       on_shock=False, branch="unique")
+            y_star = -y_star
+    else:
+        roots = _stationary_points(x, t)
+        # g(y) - g(-y) = -2xy/t: the minimizer is the outer root on the side of x
+        y_star = roots[-1] if x > 0.0 else roots[0]
+    phi = _objective(y_star, x, t) if t > 0.0 else -LOG2 - _log_cosh(x)
+    # 0.0 - tanh: +0.0 at y_star = 0, so that no output prints a negative zero
+    return LaxSolution(y_star=y_star, phi=phi, u=0.0 - math.tanh(y_star), on_shock=on_shock,
+                       branch=branch if on_shock else "unique")
 
 
 def _window_end(x: float, t: float, n: int, g_min: float, y: float, direction: float) -> float:

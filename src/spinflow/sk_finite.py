@@ -35,6 +35,8 @@ import numpy as np
 from .plane import SkParams
 
 MAX_SITES = 14
+# the per-sample statistics, 5 doubles a sample, are held at once: 42 MB at most
+MAX_SAMPLES = 1 << 20
 
 
 def _check_site_count(n) -> None:
@@ -419,8 +421,8 @@ def quenched_overlap_moments(params: SkParams, n: int, n_samples: int,
     sample could overflow.
     """
     _check_site_count(n)
-    if not isinstance(n_samples, (int, np.integer)) or n_samples < 2:
-        raise ValueError(f"need at least 2 disorder samples, got {n_samples}")
+    if not isinstance(n_samples, (int, np.integer)) or not 2 <= n_samples <= MAX_SAMPLES:
+        raise ValueError(f"need 2 to 2^20 disorder samples, got {n_samples}")
     _check_key("seed", seed)
 
     block = min(max(1, _BLOCK_ENTRIES >> n), n_samples)

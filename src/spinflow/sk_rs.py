@@ -206,17 +206,20 @@ def solve_qbar(params: SkParams) -> float:
     and falls back to bisection whenever it would leave the bracket.
     At beta_h = 0, x = 0 the equation always admits q = 0.  For t <= 1
     it is the root, and the start map(0) = 0 is already an exact zero of
-    the residual; for t > 1 Newton descends from q = 1 on the bracket
-    [1e-30, 1], which excludes the trivial root.
+    the residual; for t > 1 Newton runs on the bracket [1e-30, 1], which
+    excludes the trivial root, from q = 1.
 
-    Close to the critical point the slope tends to 1 and the root to 0;
-    Newton from q = 1 then halves q per step until it reaches the root
-    and converges quadratically, so a solve costs tens of node passes.
-    There a residual below 1e-12 does not yet bound the error in q, so
-    the iteration stops only once the Newton step is below 2.5e-13 as
-    well.  The returned value satisfies |q - map(q)| < 1e-12, read from
-    the Newton's last node pass; otherwise, or when the Newton budget runs
-    out, ConvergenceError is raised with the residual.  That residual is
+    Close to the critical point the slope tends to 1 and the root to 0,
+    so for 1 < t < 1.5 Newton starts from the series root
+    q0 = (t - 1) / (2 t^2) instead, and a solve costs 3 to 6 node passes.
+    There a small residual does not yet bound the error in q, so the
+    iteration stops only once both the residual and the Newton step are
+    below 2.5e-13 q0 (2.5e-13 from q = 1).  q - map(q) still cancels to
+    O((t - 1) q), so q keeps a relative error of about 1e-16 / (t - 1):
+    2e-4 at t - 1 = 1e-12, 3e-12 at 1e-4.  The returned value satisfies
+    |q - map(q)| < 1e-12, read from the Newton's last node pass;
+    otherwise, or when the Newton budget runs out, ConvergenceError is
+    raised with the residual.  That residual is
     |q - gaussian_expectation("tanh_sq", ...)| by construction, since both
     read ``_tanh_moments``, so it cannot see the rule's own error.
     OverflowError is raised when the variance x + t q can overflow on the
@@ -251,7 +254,11 @@ def _solve_lanes(points: list) -> list:
             solved[i] = OverflowError(f"overlap variance x + t q overflows at x={params.x}, "
                                       f"t={params.t}, beta_h={params.beta_h}")
         elif params.beta_h == 0.0 and params.x == 0.0 and params.t > 1.0:
-            steps = newton_steps(1e-30, 1.0, 1.0, stop, residual_tol=stop)
+            # below t = 1.5 from the series root (t - 1)/(2 t^2), with stops
+            # relative to it, since q_bar is about that small; above, from q = 1
+            t = params.t
+            start = (t - 1.0) / (2.0 * t * t) if t < 1.5 else 1.0
+            steps = newton_steps(1e-30, 1.0, start, stop * start, residual_tol=stop * start)
             running.append((params, steps, next(steps), i))
         else:
             running.append((params, None, 0.0, i))

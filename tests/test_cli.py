@@ -142,6 +142,15 @@ def test_validation_failures_exit_2_with_one_line():
         ["sweep", "--model", "cw", "--quantity", "rs",
          "--x-min", "0", "--x-max", "1", "--n-x", "2",
          "--t-min", "0", "--t-max", "1", "--n-t", "2"],
+        # sizes whose tables could not be allocated, refused before any is
+        ["cw", "exact", "--x", "0.5", "--t", "1", "--n", "1000000000000"],
+        ["sk", "finite", "--x", "0.1", "--t", "0.5", "--n", "6", "--samples", "1000000000000",
+         "--seed", "1"],
+        ["sweep", "--model", "cw", "--quantity", "shock",
+         "--t-min", "1.5", "--t-max", "2", "--n-t", "10000000000000"],
+        ["sweep", "--model", "cw", "--quantity", "limit",
+         "--x-min", "0", "--x-max", "1", "--n-x", "2000",
+         "--t-min", "0", "--t-max", "1", "--n-t", "1000"],
     ]
     for argv in cases:
         code, out, err = run_cli(argv)
@@ -200,6 +209,13 @@ def test_overflowing_limit_bracket_is_a_domain_error():
     assert out == ""
     assert "x=1e+308" in err and "t=1e+308" in err
     assert "argmin" not in err
+
+
+def test_saturated_limit_record_reads_the_velocity_of_its_launch_point():
+    # y* = 1e300 + 3 rounds to x, so u comes from -tanh(y*), not from (x - y*) / t
+    code, out, _ = run_cli(["cw", "limit", "--x", "1e300", "--t", "3"])
+    assert code == 0
+    assert json.loads(out)["u"] == -1.0
 
 
 def test_saturated_overlap_record_keeps_the_velocity_in_range():

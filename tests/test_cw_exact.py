@@ -21,7 +21,8 @@ from spinflow import (
     viscous_action,
     viscous_velocity,
 )
-from spinflow.cw_exact import _anchor_log_binomials, _log_binomials, _pair_weights, _window
+from spinflow.cw_exact import (MAX_SPINS, _anchor_log_binomials, _log_binomials, _pair_weights,
+                               _window)
 
 
 def every_sector(n: int):
@@ -517,6 +518,10 @@ def test_domain_validation():
         PlanePoint(0.1, -0.5)
     with pytest.raises(ValueError):
         exact_fields(PlanePoint(0.1, 0.5), 0)
+    # refused before the N/64 anchors are allocated
+    for route in (exact_fields, log_partition, hj_residual):
+        with pytest.raises(ValueError, match="at most 2"):
+            route(PlanePoint(0.1, 0.5), MAX_SPINS + 1)
     with pytest.raises(ValueError):
         hj_residual(PlanePoint(0.1, 0.5), 10, step=0.0)
     # the heat-kernel routes refuse a size that is not a positive integer, as exact_fields does

@@ -259,6 +259,20 @@ def test_saturated_velocity_is_found_at_the_end_of_the_interval(x, t):
     assert u == lax_action(PlanePoint(x, t)).u
 
 
+# (x, t, u) with u = -tanh(y*) to 40 digits (an mpmath Newton on y = x + t tanh y);
+# here y* is x up to a shift that (x - y*) / t would read with few or no digits
+@pytest.mark.parametrize("x, t, u", [
+    (1.0, 1e-10, -7.615941559877498885414075846359138414617e-1),
+    (3.0, 1e-12, -9.950547536867402685790616968495775499556e-1),
+    (1e300, 3.0, -1.0),
+    (1e155, 1e154, -1.0),
+])
+def test_velocity_is_read_from_the_launch_point(x, t, u):
+    sol = lax_action(PlanePoint(x, t))
+    assert sol.u == pytest.approx(u, rel=2.0 ** -52, abs=0)
+    assert lax_action(PlanePoint(-x, t)).u == -sol.u
+
+
 @pytest.mark.parametrize("x", [1.1e-16, -1.1e-16, 5e-324, -5e-324])
 @pytest.mark.parametrize("t", [1.05, 1.3, 1.5, 1.75, 2.0])
 def test_minimizer_sits_on_the_side_of_x_next_to_the_shock(x, t):

@@ -63,6 +63,10 @@ def test_disorder_stream_validation():
         draw_disorder(0, 2 ** 64, 4)
     with pytest.raises(ValueError):
         draw_disorder(0, 0, 15)
+    # refused before the table of per-sample statistics is allocated
+    for n_samples in (1, sk_finite.MAX_SAMPLES + 1):
+        with pytest.raises(ValueError, match="disorder samples"):
+            quenched_overlap_moments(SkParams(0.3, 0.8, 0.15), 4, n_samples, seed=0)
 
 
 def test_free_spins_have_one_body_correlators():

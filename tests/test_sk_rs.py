@@ -297,8 +297,8 @@ def test_lockstep_actions_are_the_point_actions(grid):
 def test_caustic_root_takes_its_frozen_number_of_node_passes(monkeypatch):
     # the golden section asks for one margin at a time, each a one-lane solve
     passes = _counted(monkeypatch, "_tanh_moments")
-    assert caustic_root(0.0) == float.fromhex("0x1.fffffffffff4cp-1")
-    assert len(passes) == 897
+    assert caustic_root(0.0) == float.fromhex("0x1.0000000000015p+0")
+    assert len(passes) == 237
     assert {len(v) for (_, v), _ in passes} == {1}
 
 
@@ -309,6 +309,38 @@ def test_near_critical_root_follows_its_expansion(eps):
     params = SkParams(0.0, 1.0 + eps, 0.0)
     assert solve_qbar(params) == pytest.approx(eps / 2.0, rel=1e-4)
     assert caustic_margin(params) == pytest.approx(eps / 3.0, rel=1e-4)
+
+
+# (t - 1, q_bar, margin) at x = beta_h = 0 and the float t = 1.0 + (t - 1), to 40
+# digits: an mpmath findroot of q = E tanh^2(g sqrt(t q)) with 70-digit quadrature
+_NEAR_CRITICAL = [
+    (1e-12, 5.000444502908787872791589615705214864592e-13,
+     3.333629668603080310169212165657591678824e-13),
+    (1e-10, 5.00000041341018828052901028089107395799e-11,
+     3.333333608662347696687650713259879194187e-11),
+    (1e-08, 4.999999940445978923519502036041649436034e-9,
+     3.333333265852875971835425864971237130665e-9),
+    (1e-06, 4.999997082922903403534860403656868406624e-7,
+     3.333328610845454556614543041776178977401e-7),
+    (1e-04, 4.999708342362826322985642084737394091531e-5,
+     3.332861196739113608455624152944780394218e-5),
+    (1e-03, 4.997084238367730879275396063127636096977e-4,
+     3.328619656198000704794940527887776007225e-4),
+    (1e-02, 4.970925784562188450188853865671976771497e-3,
+     3.286948359048753296775669747236988279915e-3),
+    (5e-02, 2.428327627765336006070164303871249812938e-2,
+     1.55823291545902187683007407855604876505e-2),
+]
+
+
+@pytest.mark.parametrize("eps, q_bar, margin", _NEAR_CRITICAL)
+def test_near_critical_overlap_and_margin_match_their_references(eps, q_bar, margin):
+    # q - map(q) and 1 - map'(q) are O(t - 1) differences of O(1) terms, so a map
+    # rounded to the unit roundoff moves both by about eps / (t - 1) relatively
+    params = SkParams(0.0, 1.0 + eps, 0.0)
+    bound = 8.0 * 2.0 ** -52 / eps
+    assert solve_qbar(params) == pytest.approx(q_bar, rel=bound, abs=0)
+    assert caustic_margin(params) == pytest.approx(margin, rel=bound, abs=0)
 
 
 def test_qbar_grows_with_cavity_strength():
@@ -330,8 +362,9 @@ def test_rs_action_frozen_point():
 FROZEN_RS_ACTIONS = {
     (0.3, 1.2, 0.2): ("0x1.5f7760f1148ecp-2", "0x1.5686b40e7bb76p+0", None,
                       "0x1.ea6ffcb13e8edp-3", "0x1.6c7ad3c3d9227p-1"),
-    (0.0, 1.05, 0.0): ("0x1.8ddb715cf1bbfp-6", "0x1.62e3dc4868303p+0", "0x1.e94a42aece96ap-1",
-                       "0x1.fe9a0d0ea7080p-7", "0x1.a1c003d4ca9efp-6"),
+    # started from the series root: q_bar 7.8e-16 from its 40-digit reference
+    (0.0, 1.05, 0.0): ("0x1.8ddb715cf1ba4p-6", "0x1.62e3dc4868304p+0", "0x1.e94a42aece96ap-1",
+                       "0x1.fe9a0d0ea702bp-7", "0x1.a1c003d4ca9d3p-6"),
     (0.0, 1.5, 0.1): ("0x1.a4486d889a6edp-3", "0x1.640edfe95e01cp+0", "0x1.12076ff4af00ep+0",
                       "0x1.d5f424a18bfb5p-4", "0x1.3b36522673d32p-2"),
     # the v = 0 collapse
@@ -350,7 +383,7 @@ def test_rs_action_frozen_bits(point):
 
 def test_margin_root_and_pressure_frozen_bits():
     assert caustic_margin(SkParams(0.0, 2.5, 0.0)) == float.fromhex("0x1.6c80e19ceb814p-3")
-    assert caustic_root(0.0) == float.fromhex("0x1.fffffffffff4cp-1")
+    assert caustic_root(0.0) == float.fromhex("0x1.0000000000015p+0")
     assert rs_pressure(1.5, 0.1) == float.fromhex("0x1.3efd87d12ddd0p+0")
     assert rs_pressure_detail(2.0, 0.3) == (float.fromhex("0x1.aad4a422b2dd4p+0"), 0.0)
 
