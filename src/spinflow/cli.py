@@ -26,6 +26,7 @@ import functools
 import json
 import math
 import sys
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -63,14 +64,36 @@ def _output(path):
         raise ValueError(f"cannot write --out {path}: {err.strerror}") from None
 
 
-def _emit(payload, stream, columns=None) -> None:
-    """Write `payload` to `stream` as JSON, or as CSV rows under `columns`."""
-    if columns is None:
-        stream.write(json.dumps(payload, indent=2, allow_nan=False) + "\n")
+def _json_cell(value) -> str:
+    # the scalars of json's own encoder; any other type raises TypeError, as there
+    if isinstance(value, float):
+        return float.__repr__(value)
+    if value is None:
+        return "null"
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    return encode_basestring_ascii(value)
+
+
+def _write_rows(stream, columns, rows, fmt: str) -> None:
+    """Write flat `rows`, sequences of scalars under `columns`, as JSON or CSV.
+
+    The JSON is ``json.dumps`` of the rows as dicts with ``indent=2``, byte
+    for byte, from one ``%`` template for the whole sweep: with ``indent``,
+    ``json`` itself walks every row in pure Python.  The rows must hold
+    finite floats only.
+    """
+    if fmt == "csv":
+        template = ",".join(["%s"] * len(columns)) + "\n"
+        stream.write(",".join(columns) + "\n"
+                     + "".join(template % tuple(map(_csv_cell, row)) for row in rows))
     else:
-        stream.write(",".join(columns) + "\n")
-        for row in payload:
-            stream.write(",".join(_csv_cell(row.get(c)) for c in columns) + "\n")
+        template = "  {\n" + ",\n".join(
+            f"    {encode_basestring_ascii(c).replace('%', '%%')}: %s" for c in columns) + "\n  }"
+        body = ",\n".join(template % tuple(map(_json_cell, row)) for row in rows)
+        stream.write(f"[\n{body}\n]\n" if rows else "[]\n")
 
 
 def _non_finite(value, name=None) -> list:
@@ -240,7 +263,7 @@ def _report(command: str, echo: dict, evaluate) -> int:
         _require_finite(result)
     except _NUMERICAL_ERRORS as err:
         result = {**record, "converged": False, "error": str(err)}
-    _emit(result, sys.stdout)
+    sys.stdout.write(json.dumps(result, indent=2, allow_nan=False) + "\n")
     return 0 if result["converged"] else 3
 
 
@@ -324,21 +347,23 @@ def _cmd_sweep(args) -> int:
     ts = _axis(args.t_min, args.t_max, args.n_t, "n_t")
     xs = _axis(args.x_min, args.x_max, args.n_x, "n_x") if "x" in columns else [None]
 
-    def keep(row):
-        return {c: row.get(c) for c in columns}
-
     # opened before any row is evaluated, so that a bad --out fails at once
     with _output(args.out) as stream:
         points = [(x, t) for t in ts for x in xs]
-        rows = []
+        rows, converged = [], True
         for (x, t), fields in zip(points, evaluator(points, flags)):
             point = {"t": t, "x": x, **echo}
-            row = None if isinstance(fields, Exception) else keep(
-                {**point, **fields, "converged": True})
-            rows.append(keep({**point, "converged": False})
-                        if row is None or _non_finite(row) else row)
-        _emit(rows, stream, columns if args.format == "csv" else None)
-    return 0 if all(row["converged"] for row in rows) else 3
+            if not isinstance(fields, Exception):
+                row = {**point, **fields, "converged": True}
+                cells = [row.get(c) for c in columns]
+                if all(math.isfinite(v) for v in cells if isinstance(v, float)):
+                    rows.append(cells)
+                    continue
+            converged = False
+            row = {**point, "converged": False}
+            rows.append([row.get(c) for c in columns])
+        _write_rows(stream, columns, rows, args.format)
+    return 0 if converged else 3
 
 
 # -------------------------------------------------------------- convergence
