@@ -331,6 +331,10 @@ def _cmd_sweep(args) -> int:
     evaluator, columns = _SWEEP_TABLE[key]
     flags = vars(args)
     echo = {column: flags[flag] for column, flag in _SWEEP_ECHO.items()}
+    # the library's allocation bounds: the point query refuses a size above them
+    # before allocating, and so does the sweep before its first row
+    most = {"n": cw_exact.MAX_SPINS if args.model == "cw" else sk_finite.MAX_SITES,
+            "n_samples": sk_finite.MAX_SAMPLES}
     for column, flag in _SWEEP_ECHO.items():
         value = echo[column]
         if column in columns and value is None:
@@ -339,6 +343,9 @@ def _cmd_sweep(args) -> int:
         # the point query's refusal, before a row is written
         if column in columns and isinstance(value, float) and not math.isfinite(value):
             raise ValueError(f"{column} must be finite, got {value}")
+        if column in columns and column in most and value > most[column]:
+            raise ValueError(f"sweep {args.model}/{args.quantity} takes --{flag} at most"
+                             f" {most[column]}, got {value}")
     if args.t_min < 0:
         raise ValueError(f"t_min must be >= 0, got {args.t_min}")
     n_x = args.n_x if "x" in columns else 1

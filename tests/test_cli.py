@@ -128,6 +128,18 @@ def test_the_cached_parser_keeps_no_state_between_calls():
     assert cli.build_parser() is cli.build_parser()
 
 
+# sweeps whose size flag is above the library's allocation bound
+_OVERSIZED_SWEEPS = [
+    ["sweep", "--model", "cw", "--quantity", quantity, "--x-min", "0", "--x-max", "1",
+     "--n-x", "2", "--t-min", "0.5", "--t-max", "1", "--n-t", "2", "--n", "1000000000000"]
+    for quantity in ("exact", "identities")
+] + [
+    ["sweep", "--model", "sk-finite", "--quantity", "identities", "--x-min", "0", "--x-max", "0.2",
+     "--n-x", "2", "--t-min", "0.3", "--t-max", "0.6", "--n-t", "2", "--seed", "1", *sizes]
+    for sizes in (("--n", "6", "--samples", "1000000000000"), ("--n", "15", "--samples", "4"))
+]
+
+
 def test_validation_failures_exit_2_with_one_line():
     cases = [
         ["cw", "exact", "--x", "0.2", "--t", "-1", "--n", "10"],
@@ -151,6 +163,7 @@ def test_validation_failures_exit_2_with_one_line():
         ["sweep", "--model", "cw", "--quantity", "limit",
          "--x-min", "0", "--x-max", "1", "--n-x", "2000",
          "--t-min", "0", "--t-max", "1", "--n-t", "1000"],
+        *_OVERSIZED_SWEEPS,
     ]
     for argv in cases:
         code, out, err = run_cli(argv)
@@ -488,6 +501,19 @@ def test_sweep_refuses_an_unwritable_out_before_any_row(where, tmp_path, monkeyp
     assert len(err.splitlines()) == 1 and err.startswith(f"error: cannot write --out {target}")
 
 
+@pytest.mark.parametrize("argv", _OVERSIZED_SWEEPS, ids=lambda argv: " ".join(argv[2:5]))
+def test_sweep_refuses_an_oversized_flag_before_any_row(argv, monkeypatch):
+    def untouched(*args, **kwargs):
+        raise AssertionError("a row was evaluated")
+
+    for module, name in ((cli.cw_exact, "exact_fields"), (cli.cw_exact, "conservation_residuals"),
+                         (cli.sk_finite, "quenched_overlap_moments")):
+        monkeypatch.setattr(module, name, untouched)
+    code, out, err = run_cli(argv)
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1 and err.startswith("error: ") and "at most" in err
+
+
 def test_sweep_degrades_per_row_and_signals_failure():
     code, out, _ = run_cli(["sweep", "--model", "cw", "--quantity", "critical-line",
                             "--t-min", "0.5", "--t-max", "2", "--n-t", "4",
@@ -535,6 +561,86 @@ def test_sweep_json_format_round_trips():
         assert row["converged"] is True
         sol = rs_action(SkParams(row["x"], row["t"], 0.1))
         assert row["q_bar"] == sol.q_bar
+
+
+# finite floats with the extremes and signed zero, also as numpy scalars (cw exact rows
+# carry them); strings with quotes, backslashes, non-ASCII and template characters
+_CELL_FLOATS = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                         st.sampled_from([-0.0, 5e-324, -5e-324, 1e308, -1e308]))
+_CELLS = st.one_of(_CELL_FLOATS, _CELL_FLOATS.map(np.float64), st.integers(), st.booleans(),
+                   st.none(), st.text(), st.sampled_from(['"', "\\", "é\u2028", "%s", "%"]))
+
+
+@st.composite
+def flat_tables(draw):
+    columns = draw(st.lists(st.one_of(st.text(), st.sampled_from(["%", '"', "é"])), min_size=1,
+                            max_size=5, unique=True))
+    width = len(columns)
+    return columns, draw(st.lists(st.lists(_CELLS, min_size=width, max_size=width), max_size=4))
+
+
+@given(table=flat_tables())
+@example(table=(["t", "converged"], []))
+@example(table=(["x", "x_c"], [[-0.0, 5e-324], [np.float64(1e308), np.float64(-0.0)]]))
+@settings(max_examples=300, deadline=None)
+def test_row_writer_is_json_dumps_and_the_csv_join_byte_for_byte(table):
+    columns, rows = table
+    expected = {
+        "json": json.dumps([dict(zip(columns, row)) for row in rows], indent=2) + "\n",
+        "csv": "".join(",".join(map(cli._csv_cell, row)) + "\n" for row in rows),
+    }
+    expected["csv"] = ",".join(columns) + "\n" + expected["csv"]
+    for fmt, text in expected.items():
+        stream = io.StringIO()
+        cli._write_rows(stream, columns, rows, fmt)
+        assert stream.getvalue() == text, fmt
+
+
+def csv_text(value):
+    """A JSON row value as a CSV cell: floats under %.17g."""
+    if value is None:
+        return "nan"
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return "%.17g" % value if isinstance(value, float) else str(value)
+
+
+# per sweep quantity, a grid with a failed row, and the rows that converge: the last t
+# fails, except in the overlap sweeps, whose rows fail only together (--samples=1)
+_MIXED_SWEEPS = [
+    ("cw", "limit", ["--x-min=0.3", "--x-max=0.3", "--t-min=0.5", "--t-max=1e308"], 2),
+    ("cw", "exact", ["--x-min=0.3", "--x-max=0.3", "--t-min=0.5", "--t-max=1e308", "--n=10"], 2),
+    ("cw", "identities",
+     ["--x-min=0.3", "--x-max=0.3", "--t-min=0.5", "--t-max=1e308", "--n=10"], 2),
+    ("cw", "shock", ["--t-min=1.5", "--t-max=0.5"], 1),
+    ("cw", "critical-line", ["--t-min=1.5", "--t-max=0.5"], 1),
+    ("sk-rs", "rs", ["--x-min=0", "--x-max=1e308", "--t-min=0.5", "--t-max=1e308"], 1),
+    ("sk-rs", "caustic", ["--x-min=0", "--x-max=1e308", "--t-min=0.5", "--t-max=1e308"], 3),
+    ("sk-finite", "identities", ["--x-min=0", "--x-max=0.2", "--t-min=0.3", "--t-max=0.6",
+                                 "--n=4", "--samples=4", "--seed=3"], 4),
+    ("sk-finite", "identities", ["--x-min=0", "--x-max=0.2", "--t-min=0.3", "--t-max=0.6",
+                                 "--n=4", "--samples=1", "--seed=3"], 0),
+]
+
+
+def test_mixed_sweeps_cover_the_sweep_table():
+    assert {(model, quantity) for model, quantity, *_ in _MIXED_SWEEPS} == set(cli._SWEEP_TABLE)
+
+
+@pytest.mark.parametrize("model, quantity, grid, good", _MIXED_SWEEPS)
+def test_sweep_output_is_what_json_and_17g_would_write(model, quantity, grid, good):
+    argv = ["sweep", "--model", model, "--quantity", quantity, "--n-x=2", "--n-t=2", *grid]
+    code, out, _ = run_cli(argv + ["--format", "json"])
+    rows = strict_json(out)
+    assert json.dumps(rows, indent=2) + "\n" == out
+    assert [row["converged"] for row in rows] == [True] * good + [False] * (len(rows) - good)
+    assert code == (0 if good == len(rows) else 3)
+    code, csv_out, _ = run_cli(argv + ["--format", "csv"])
+    assert code == (0 if good == len(rows) else 3)
+    header, *lines = csv_out.splitlines()
+    assert header.split(",") == list(rows[0])
+    assert [line.split(",") for line in lines] == [[csv_text(v) for v in row.values()]
+                                                   for row in rows]
 
 
 # point subcommand, its sweep (model, quantity), a good input and the
