@@ -117,21 +117,36 @@ def _stationary_points(x: float, t: float) -> list[float]:
         th = math.tanh(y)
         return sign * (y - (x + t * th)), sign * (1.0 - t * (1.0 - th * th))
 
+    def value(y):
+        return y - (x + t * math.tanh(y))
+
     # (bracket, orientation, Newton start) per monotone piece; the starts are
-    # the fixed-point images x + t tanh(x) and x -+ t, or the centre
+    # the fixed-point images x + t tanh(x) and x -+ t, or the centre.  Newton's
+    # stop is absolute below |y| = 1, so it is scaled by a bound on every |root|
+    # there: y - tanh y >= y^3 / 5 turns the root equation into
+    # r^3 <= 5 (|x| + (t - 1) r) / t, which t < 1 tightens by r <= |x| / (1 - t)
+    # and t > 1 solves as r <= max((10 |x| / t)^(1/3), sqrt(10 (t - 1) / t)).
+    # The bound is within a factor 1.83 of the outer root on the side of x.
+    # Under 1e-300 the stop stays absolute, above the subnormal spacing
     if t <= 1.0:
         pieces = [(-hi, hi, 1.0, x + t * math.tanh(x))]
+        bound = math.cbrt(5.0 * abs(x) / t)
+        if t < 1.0:
+            bound = min(bound, abs(x) / (1.0 - t))
     else:
         yc = math.acosh(math.sqrt(t))
         pieces = [(-hi, -yc, 1.0, x - t), (-yc, yc, -1.0, 0.0), (yc, hi, 1.0, x + t)]
+        bound = max(math.cbrt(10.0 * abs(x) / t), math.sqrt(10.0 * (t - 1.0) / t))
+    tol = _ROOT_TOL * bound if 1e-300 < bound < 1.0 else _ROOT_TOL
     roots = []
     for a, b, sign, start in pieces:
-        fa, fb = f(a, sign)[0], f(b, sign)[0]
+        fa, fb = sign * value(a), sign * value(b)
         if fa == 0.0:
             roots.append(a)
         elif fa < 0.0 < fb:
-            roots.append(bracketed_newton(lambda y: f(y, sign), a, b, start, _ROOT_TOL))
-    if f(hi)[0] == 0.0:
+            roots.append(bracketed_newton(lambda y: f(y, sign), a, b, start, tol))
+    # the last piece ends at hi, oriented as f itself
+    if fb == 0.0:
         roots.append(hi)
     if not roots:
         raise ValueError(f"|x| + t is beyond double precision for the root bracket"
