@@ -11,6 +11,12 @@ convergence reports, JSON or CSV for sweeps.
 Output is deterministic byte for byte at fixed inputs: floats are
 serialized with repr round-tripping in JSON and 17 significant digits
 in CSV, rows are ordered t-major, and nothing is seeded from the clock.
+Sweep rows are flat, one scalar per column, and are formed once in
+column order, with a flat finite check; one writer fills a template
+built per sweep with their cells, so its JSON is byte for byte that of
+``json.dumps(rows, indent=2)``, whose pure-Python encoder would walk
+every row.  Point records and reports nest, and go through
+``json.dumps`` with ``allow_nan=False`` after a recursive finite check.
 
 Exit codes: 0 success, 2 validation failure (one-line diagnostic on
 stderr), 3 numerical non-convergence (partial record still emitted,
