@@ -121,23 +121,19 @@ def _stationary_points(x: float, t: float) -> list[float]:
         return y - (x + t * math.tanh(y))
 
     # (bracket, orientation, Newton start) per monotone piece; the starts are
-    # the fixed-point images x + t tanh(x) and x -+ t, or the centre.  Newton's
-    # stop is absolute below |y| = 1, so it is scaled by a bound on every |root|
-    # there: y - tanh y >= y^3 / 5 turns the root equation into
-    # r^3 <= 5 (|x| + (t - 1) r) / t, which t < 1 tightens by r <= |x| / (1 - t)
-    # and t > 1 solves as r <= max((10 |x| / t)^(1/3), sqrt(10 (t - 1) / t)).
-    # The bound is within a factor 1.83 of the outer root on the side of x.
-    # Under 1e-300 the stop stays absolute, above the subnormal spacing
+    # the fixed-point images x + t tanh(x) and x -+ t, or the centre
     if t <= 1.0:
         pieces = [(-hi, hi, 1.0, x + t * math.tanh(x))]
-        bound = math.cbrt(5.0 * abs(x) / t)
-        if t < 1.0:
-            bound = min(bound, abs(x) / (1.0 - t))
     else:
         yc = math.acosh(math.sqrt(t))
         pieces = [(-hi, -yc, 1.0, x - t), (-yc, yc, -1.0, 0.0), (yc, hi, 1.0, x + t)]
-        bound = max(math.cbrt(10.0 * abs(x) / t), math.sqrt(10.0 * (t - 1.0) / t))
-    tol = _ROOT_TOL * bound if 1e-300 < bound < 1.0 else _ROOT_TOL
+    # Newton's stop is absolute below |y| = 1.  For t < 1 the root is at most
+    # |x| / (1 - t) and the slope at least 1 - t, so rounding in y - x - t tanh y
+    # moves a step by about 2^-52 |x| / (1 - t)^2 at most: scaled by that where it
+    # is below 1, the stop keeps the digits of a small root without chasing steps
+    # inside the rounding.  The floor keeps it above the subnormal spacing.  From
+    # t = 1 on, where the slope at a small root vanishes, it stays absolute
+    tol = _ROOT_TOL * min(1.0, max(abs(x) / (1.0 - t) ** 2, 1e-300)) if t < 1.0 else _ROOT_TOL
     roots = []
     for a, b, sign, start in pieces:
         fa, fb = sign * value(a), sign * value(b)
