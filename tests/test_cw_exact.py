@@ -408,6 +408,112 @@ def test_small_n_fields_frozen_bits(x, t, n):
     assert fields == tuple(map(float.fromhex, _FROZEN_SMALL_N[(x, t, n)]))
 
 
+# exact_fields as float.hex, as _FROZEN_SMALL_N, where windows drop sectors: the
+# cw-plane sweep rows at N = 25 000 (t from 0.25 to 2 in thirds, x = 0, 0.5, 1), its
+# convergence ladder at (0.3, 0.5), and one point with t > 1 and x < 0
+_FROZEN_LARGE_N = {
+    (0.0, 0.25, 25000): (
+        "-0x1.62e4f0fea93d4p-1", "0x0.0p+0", "0x1.bf626cd817d98p-16",
+        "0x0.0p+0", "0x1.bf626cd817d95p-15", "0x0.0p+0",
+        "0x1.252dc45b3878ap-27"),
+    (0.5, 0.25, 25000): (
+        "-0x1.b1385449cd069p-1", "-0x1.21bd64142d098p-1", "0x1.12c8ce96d2c4ap-16",
+        "0x1.21bd64142d098p-1", "0x1.47f5be58ef506p-2", "0x1.73427c3b7f903p-3",
+        "0x1.a451b7139f54fp-4"),
+    (1.0, 0.25, 25000): (
+        "-0x1.34fd5b4fe9340p+0", "-0x1.ac3d8e4da6e91p-1", "0x1.b3f6ac7a2bddap-18",
+        "0x1.ac3d8e4da6e91p-1", "0x1.6630a5470f95cp-1", "0x1.2b9a93c36a87bp-1",
+        "0x1.f5359f3821fe6p-2"),
+    (0.0, 0.8333333333333334, 25000): (
+        "-0x1.62e8e207cf48dp-1", "0x0.0p+0", "0x1.f6b6df3a62b27p-14",
+        "0x0.0p+0", "0x1.f6b6df3a62b26p-13", "0x0.0p+0",
+        "0x1.71d8264745dc5p-23"),
+    (0.5, 0.8333333333333334, 25000): (
+        "-0x1.fc58c0829560bp-1", "-0x1.a9b506fcfc50fp-1", "0x1.16e3ac84a60bap-17",
+        "0x1.a9b506fcfc50fp-1", "0x1.61f77662c8e28p-1", "0x1.2652b00e4efa4p-1",
+        "0x1.e9787022527cap-2"),
+    (1.0, 0.8333333333333334, 25000): (
+        "-0x1.716af6a8f9318p+0", "-0x1.e41dd67ef43b5p-1", "0x1.37f692506cc5cp-19",
+        "0x1.e41dd67ef43b5p-1", "0x1.c9c1074075261p-1", "0x1.b0d44d04a8f7bp-1",
+        "0x1.99438c7c504f7p-1"),
+    (0.0, 1.4166666666666667, 25000): (
+        "-0x1.8ec7d113f70d7p-1", "0x0.0p+0", "0x1.5ab28e85e746dp-2",
+        "0x0.0p+0", "0x1.5ab28e85e746ep-1", "0x0.0p+0",
+        "0x1.d5980be4f083bp-2"),
+    (0.5, 1.4166666666666667, 25000): (
+        "-0x1.3b2f5f55a2848p+0", "-0x1.e7322f02faa6bp-1", "0x1.250a7be256f00p-19",
+        "0x1.e7322f02faa6bp-1", "0x1.cf988edf1baa4p-1", "0x1.b9242330c174fp-1",
+        "0x1.a3c6aa7846011p-1"),
+    (1.0, 1.4166666666666667, 25000): (
+        "-0x1.b7691ec55a18ep+0", "-0x1.f787063617e62p-1", "0x1.719cbe3ae2447p-21",
+        "0x1.f787063617e62p-1", "0x1.ef321f03a7564p-1", "0x1.e700b00fe3a62p-1",
+        "0x1.def22199ae652p-1"),
+    (0.0, 2.0, 25000): (
+        "-0x1.050b37fc583c2p+0", "0x0.0p+0", "0x1.d566dc3952e88p-2",
+        "0x0.0p+0", "0x1.d566dc3952e88p-1", "0x0.0p+0",
+        "0x1.ae5af15d40407p-1"),
+    (0.5, 2.0, 25000): (
+        "-0x1.81c49698c5c15p+0", "-0x1.f8bfa997d38a1p-1", "0x1.3ffd881862d89p-21",
+        "0x1.f8bfa997d38a1p-1", "0x1.f199c5a1d9eeap-1", "0x1.ea8df317cb37bp-1",
+        "0x1.e39bd259633e0p-1"),
+    (1.0, 2.0, 25000): (
+        "-0x1.0051f44506d91p+1", "-0x1.fd6a867705202p-1", "0x1.b94c10feec666p-23",
+        "0x1.fd6a867705202p-1", "0x1.fad8714ed6515p-1", "0x1.f849bc01a1772p-1",
+        "0x1.f5be620fb39a7p-1"),
+    (0.3, 0.5, 1000): (
+        "-0x1.8cd5fe0ca5173p-1", "-0x1.002e3b546700ep-1", "0x1.3a27affe50dc0p-11",
+        "0x1.002e3b546700ep-1", "0x1.0196a6b22c678p-2", "0x1.043851476eb72p-3",
+        "0x1.0816cf99e0b09p-4"),
+    (0.3, 0.5, 1847): (
+        "-0x1.8cc7e261fffc0p-1", "-0x1.004b04aa872e8p-1", "0x1.541bf667d99a8p-12",
+        "0x1.004b04aa872e8p-1", "0x1.01402d4bfe4acp-2", "0x1.02df96d6004ebp-3",
+        "0x1.052ab12d8e085p-4"),
+    (0.3, 0.5, 3411): (
+        "-0x1.8cc03f699d6a4p-1", "-0x1.005a9cb337d81p-1", "0x1.704939c10647cp-13",
+        "0x1.005a9cb337d81p-1", "0x1.01116bc76ddfbp-2", "0x1.0224abadd475fp-3",
+        "0x1.0394fe4d4e1c6p-4"),
+    (0.3, 0.5, 6300): (
+        "-0x1.8cbc1cc0fb657p-1", "-0x1.00630f5ecad82p-1", "0x1.8ec6ec78ab2aap-14",
+        "0x1.00630f5ecad82p-1", "0x1.00f81df00902bp-2", "0x1.01bf5b413f481p-3",
+        "0x1.02b9141caa83cp-4"),
+    (0.3, 0.5, 11635): (
+        "-0x1.8cb9dfa1e8557p-1", "-0x1.0067a26daead9p-1", "0x1.afd6535d75301p-15",
+        "0x1.0067a26daead9p-1", "0x1.00ea6c34ae83fp-2", "0x1.01887b22bb312p-3",
+        "0x1.0241f5a4d62b0p-4"),
+    (0.3, 0.5, 21488): (
+        "-0x1.8cb8a94e4efe6p-1", "-0x1.006a1c9869fedp-1", "0x1.d3a422d3117f3p-16",
+        "0x1.006a1c9869fedp-1", "0x1.00e3024d9bffcp-2", "0x1.016ac279a5060p-3",
+        "0x1.02017104ed4c0p-4"),
+    (0.3, 0.5, 39685): (
+        "-0x1.8cb80146a0310p-1", "-0x1.006b73fec50c7p-1", "0x1.fa6ab6b7339cfp-17",
+        "0x1.006b73fec50c7p-1", "0x1.00defec2907d2p-2", "0x1.015aaa12254dep-3",
+        "0x1.01de8078130b3p-4"),
+    (0.3, 0.5, 73293): (
+        "-0x1.8cb7a64aeacdap-1", "-0x1.006c2df14cb31p-1", "0x1.1233931717c9ep-17",
+        "0x1.006c2df14cb31p-1", "0x1.00dcd267b19a0p-2", "0x1.0151f2d154ce3p-3",
+        "0x1.01cb94d7ec4c0p-4"),
+    (0.3, 0.5, 135364): (
+        "-0x1.8cb77507555f3p-1", "-0x1.006c92a0c6844p-1", "0x1.28eebdb95df64p-18",
+        "0x1.006c92a0c6844p-1", "0x1.00dba52b141e7p-2", "0x1.014d3aa048759p-3",
+        "0x1.01c1561467981p-4"),
+    (0.3, 0.5, 250000): (
+        "-0x1.8cb75a5adb3bfp-1", "-0x1.006cc924eb869p-1", "0x1.418d263c4ebc1p-19",
+        "0x1.006cc924eb869p-1", "0x1.00db0211527b4p-2", "0x1.014aac7116ab7p-3",
+        "0x1.01bbc9f6376f9p-4"),
+    (-0.35, 1.6, 5000): (
+        "-0x1.2be7ae11d887ep+0", "0x1.e887efe1587c7p-1", "0x1.5ee0eb9c8b001p-17",
+        "-0x1.e887efe1587c7p-1", "0x1.d226031ed81f7p-1", "-0x1.bccd3935d4298p-1",
+        "0x1.a8712eba9b376p-1"),
+}
+
+
+@pytest.mark.parametrize("x, t, n", sorted(_FROZEN_LARGE_N))
+def test_large_n_fields_frozen_bits(x, t, n):
+    f = exact_fields(PlanePoint(x, t), n)
+    fields = (f.phi, f.u, f.potential, *map(float, f.moments))
+    assert fields == tuple(map(float.fromhex, _FROZEN_LARGE_N[(x, t, n)]))
+
+
 def test_mirror_symmetry():
     # x -> -x negates u and the odd moments and leaves the rest, bit for bit
     for n in (33, 25_000):
