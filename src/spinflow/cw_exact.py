@@ -19,10 +19,15 @@ both its ends sit more than 746 + 16 (log N + 2|t| + 2|x|) below the largest
 anchor b.  b bounds both log-weights of its pair, its largest value is the
 largest log-weight of all sectors, and one sector step moves it by at most
 log N + 2|t| + 2|x|; so every pair left out is an exact zero, and each peak is
-kept, the minority one at t > 1 too.  A call costs O(window) time and memory
-plus N/64 anchors; away from the critical point the window is O(sqrt N)
-sectors, and N = 1e7 takes tens of milliseconds.  Small N takes the same path,
-whose coarse pass there keeps every block.
+kept, the minority one at t > 1 too.  A call costs O(window) time and memory;
+away from the critical point the window is O(sqrt N) sectors, and N = 1e7
+takes tens of milliseconds.  The tables that depend on N alone (the blocks'
+first sectors, their Stirling anchors and |m| there) are built once per N: a
+one-entry, read-only memo keyed by N keeps the last size's, N/64 doubles per
+table, so a sweep at one N builds them once and a new N rebuilds them.  Small N
+takes the same path, whose coarse pass there keeps every block; below about
+1 000 spins a call is some sixty numpy calls, about 50 us on a 2-vCPU Xeon
+guest (70 us with a new N), where it was 80 to 100 us.
 
 Moments of ``m`` are weighted pair averages: even moments weigh a**j by a
 pair's summed weight, odd ones by the difference of its two weights, formed
@@ -38,6 +43,7 @@ identity with centered finite differences.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -50,8 +56,11 @@ _BINOMIAL_BLOCK = 32
 # exp(v) is exactly 0.0 for v < -745.14
 _UNDERFLOW = 746.0
 # largest N: peak memory grows with the N/64 anchors and their temporaries,
-# 149 MB at N = 1e8, so 2^30 spins take about 1.6 GB
+# 149 MB at N = 1e8, so 2^30 spins take about 1.6 GB; the memo then keeps 400 MB
 MAX_SPINS = 1 << 30
+# a sector's offset in its block
+_OFFSETS = np.arange(float(_BINOMIAL_BLOCK))
+_OFFSETS.setflags(write=False)
 
 
 @dataclass(frozen=True)
@@ -73,12 +82,37 @@ class ExactCwFields:
     moments: np.ndarray
 
 
-def _window(x: float, t: float, n: int):
-    # (anchors, blocks): log C(n, k) at the first sector of every block of
-    # k <= n/2, and the blocks kept by the rule of the module docstring.  Every
-    # sector of a block lies within half a block of one of its two anchors (its
-    # first sector and the next block's), hence the walk of 16 sector steps.  The
-    # middle block has no anchor at its far end and is always kept.
+@functools.lru_cache(maxsize=1)
+def _size_tables(n: int) -> tuple:
+    # (starts, anchors, a) per block of k <= n/2: its first sector j, log C(n, j) and
+    # a = |m| there.  They depend on n alone, so the last size asked keeps them, read-only:
+    # N/64 doubles per table.  log C(n, j) is 0 at j = 0 and from j = 32 on Stirling's
+    # series without cancellation,
+    #   log C(n, j) = j log(n/j) + r log1p(j/r) + log(n / (2 pi j r)) / 2
+    #                 + c(n) - c(j) - c(r),   r = n - j >= j >= 32;
+    # math.lgamma differences are off by a few spacings of log n!, and their
+    # jumps between blocks moved the velocity by 6e-14 at n = 2.5e4.
+    starts = np.arange(0.0, n // 2 + 1, _BINOMIAL_BLOCK)
+    anchors = np.zeros(len(starts))
+    jr = np.empty((2, len(starts) - 1))
+    j, r = jr
+    j[:] = starts[1:]
+    np.subtract(n, j, out=r)
+    tail_j, tail_r = _stirling_tail(jr)
+    anchors[1:] = (j * np.log(n / j) + r * np.log1p(j / r)
+                   + 0.5 * np.log(n / (2.0 * math.pi * j * r))
+                   + (_stirling_tail(float(n)) - tail_j - tail_r))
+    tables = (starts, anchors, (n - 2.0 * starts) / n)
+    for table in tables:
+        table.setflags(write=False)
+    return tables
+
+
+def _window(x: float, t: float, n: int) -> np.ndarray:
+    # The blocks kept by the rule of the module docstring, as a mask over the blocks of
+    # k <= n/2.  Every sector of a block lies within half a block of one of its two
+    # anchors (its first sector and the next block's), hence the walk of 16 sector
+    # steps.  The middle block has no anchor at its far end and is always kept.
     if n > MAX_SPINS:
         raise ValueError(f"system size n must be at most 2^30 for the sector sum, got {n}")
     # |log-weight| <= n (|t|/2 + |x| + log 2); twice that bounds the spread that
@@ -88,43 +122,32 @@ def _window(x: float, t: float, n: int):
     if not math.isfinite(2.0 * int(n) * (0.5 * abs_t + abs_x + 1.0)):
         raise OverflowError(f"sector log-weights overflow at x={x}, t={t}, n={n}, "
                             "so phi and its derivatives cannot be formed in double precision")
-    anchors = _anchor_log_binomials(n)
-    blocks = np.arange(len(anchors))
-    _, ends = _pair_log_weights(x, t, n, blocks * float(_BINOMIAL_BLOCK), anchors)
+    _, anchors, a = _size_tables(n)
+    ends = _pair_log_weights(x, t, n, a, anchors)
     walk = 0.5 * _BINOMIAL_BLOCK * (math.log(n) + 2.0 * (abs_t + abs_x))
-    keep = np.maximum(ends[:-1], ends[1:]) >= float(ends.max()) - _UNDERFLOW - walk
-    return anchors, blocks[np.append(keep, True)]
+    keep = np.empty(len(ends), dtype=bool)
+    keep[-1] = True
+    np.greater_equal(np.maximum(ends[:-1], ends[1:]), float(ends.max()) - _UNDERFLOW - walk,
+                     out=keep[:-1])
+    return keep
 
 
-def _anchor_log_binomials(n: int) -> np.ndarray:
-    # log C(n, j) at the first sector j of every block of k <= n/2, 0 at j = 0 and
-    # from j = 32 on Stirling's series without cancellation,
-    #   log C(n, j) = j log(n/j) + r log1p(j/r) + log(n / (2 pi j r)) / 2
-    #                 + c(n) - c(j) - c(r),   r = n - j >= j >= 32;
-    # math.lgamma differences are off by a few spacings of log n!, and their
-    # jumps between blocks moved the velocity by 6e-14 at n = 2.5e4.
-    half = n // 2 + 1
-    anchors = np.zeros(-(-half // _BINOMIAL_BLOCK))
-    j = np.arange(_BINOMIAL_BLOCK, half, _BINOMIAL_BLOCK, dtype=np.float64)
-    r = n - j
-    tail_j, tail_r = _stirling_tail(np.stack((j, r)))
-    anchors[1:] = (j * np.log(n / j) + r * np.log1p(j / r)
-                   + 0.5 * np.log(n / (2.0 * math.pi * j * r))
-                   + (_stirling_tail(float(n)) - tail_j - tail_r))
-    return anchors
-
-
-def _log_binomials(n: int, anchors: np.ndarray, blocks: np.ndarray):
-    # Sectors k <= n/2 of the blocks, in increasing order, with log C(n, k); the
-    # last block is the middle one.  Each block is a running sum of
-    # log((n - k + 1) / k) from its anchor, so rounding builds up over 32 terms
-    # only (unanchored, the sum drifts by 3e-9 at n = 2.5e5).  The middle block
-    # runs past k = n/2, and capping k at n keeps that junk, trimmed below, finite.
-    k = np.minimum(blocks[:, None] * float(_BINOMIAL_BLOCK) + np.arange(_BINOMIAL_BLOCK), n)
-    steps = np.log((n - k[:, 1:] + 1.0) / k[:, 1:])
-    terms = np.concatenate((anchors[blocks, None], steps), axis=1)
+def _log_binomials(n: int, blocks) -> tuple:
+    # Sectors k <= n/2 of the blocks (an index or mask over the blocks of _size_tables),
+    # in increasing order, with log C(n, k); the last block is the middle one.  Each
+    # block is a running sum of log((n - k + 1) / k) from its anchor, so rounding builds
+    # up over 32 terms only (unanchored, the sum drifts by 3e-9 at n = 2.5e5).  The
+    # middle block runs past k = n/2, and capping k at n keeps that junk, trimmed below,
+    # finite.
+    starts, anchors, _ = _size_tables(n)
+    k = np.add.outer(starts[blocks], _OFFSETS)
+    np.minimum(k, n, out=k)
+    table = np.empty_like(k)
+    table[:, 0] = anchors[blocks]
+    np.log((n + 1.0 - k[:, 1:]) / k[:, 1:], out=table[:, 1:])
+    np.cumsum(table, axis=1, out=table)
     end = k.size - (_BINOMIAL_BLOCK * len(anchors) - n // 2 - 1)
-    return k.ravel()[:end], terms.cumsum(axis=1).ravel()[:end]
+    return k.ravel()[:end], table.ravel()[:end]
 
 
 def _stirling_tail(m):
@@ -133,11 +156,9 @@ def _stirling_tail(m):
     return (1.0 / 12.0 - (1.0 / 360.0 - (1.0 / 1260.0 - inv2 / 1680.0) * inv2) * inv2) / m
 
 
-def _pair_log_weights(x: float, t: float, n: int, k: np.ndarray, log_binomials: np.ndarray):
-    # |m| of the sectors k <= n/2, and the log-weight of the heavier sector of
-    # each mirror pair k, n - k
-    a = (n - 2.0 * k) / n
-    return a, log_binomials + n * (0.5 * t * a * a + abs(x) * a)
+def _pair_log_weights(x: float, t: float, n: int, a: np.ndarray, log_binomials: np.ndarray):
+    # the log-weight of the heavier sector of each mirror pair with |m| = a
+    return log_binomials + n * (0.5 * t * a * a + abs(x) * a)
 
 
 def _pair_weights(x: float, t: float, n: int):
@@ -148,15 +169,18 @@ def _pair_weights(x: float, t: float, n: int):
     # gap = -2 n |x| a increases along the window, and before the index tail
     # exp(gap) is exactly 0.0 and -expm1(gap) exactly 1.0; so both are formed
     # from the tail on only, and light holds the tail's values.
-    a, b = _pair_log_weights(x, t, n, *_log_binomials(n, *_window(x, t, n)))
+    k, log_binomials = _log_binomials(n, _window(x, t, n))
+    a = (n - 2.0 * k) / n
+    b = _pair_log_weights(x, t, n, a, log_binomials)
     shift = b.max()
-    w = np.exp(b - shift)
+    w = np.exp(np.subtract(b, shift, out=b), out=b)
     gap = -2.0 * n * abs(x) * a
     tail = int(np.searchsorted(gap, -_UNDERFLOW))
     light = w[tail:] * np.exp(gap[tail:])
     if n % 2 == 0:
         light[-1] = 0.0  # the middle sector k = n/2 is its own mirror
-    even = np.concatenate((w[:tail], w[tail:] + light))
+    even = w.copy()
+    even[tail:] += light
     w[tail:] *= -np.expm1(gap[tail:])  # w is now the odd weight
     return a, even, w, light, tail, shift
 
@@ -186,17 +210,18 @@ def exact_fields(p: PlanePoint, n: int, k_max: int = 4) -> ExactCwFields:
     a, even, odd, light, tail, shift = _pair_weights(p.x, p.t, n)
     z = even.sum()
 
-    # |m|**j as a running product: numpy's a**3 and a**4 go through libm pow
-    terms = np.empty((k_max, len(a)))
-    terms[0] = a
-    for j in range(1, k_max):
-        np.multiply(terms[j - 1], a, out=terms[j])
-    terms[0::2] *= odd
-    terms[1::2] *= even
-    moments = terms.sum(axis=1) / z
+    # |m|**j as a running product (numpy's a**3 and a**4 go through libm pow), weighted
+    # and summed one order at a time, so that a large window holds two rows, not k_max
+    moments = np.empty(k_max)
+    power, term = np.ones_like(a), np.empty_like(a)
+    for j in range(k_max):
+        power *= a
+        moments[j] = np.multiply(power, even if j % 2 else odd, out=term).sum()
+    moments /= z
     # with c = |<m>|, a pair's heavier sector adds w (a - c)**2 to the variance
     # and its lighter one light (a + c)**2, together even (a - c)**2 + 4 c light a
-    variance = np.dot(even, (a - moments[0]) ** 2) + 4.0 * moments[0] * np.dot(light, a[tail:])
+    spread = np.square(np.subtract(a, moments[0], out=term), out=term)
+    variance = np.dot(even, spread) + 4.0 * moments[0] * np.dot(light, a[tail:])
     moments[0::2] *= -1.0 if p.x < 0 else 1.0  # +0.0 at x = -0.0
 
     phi = -(shift + math.log(z)) / n

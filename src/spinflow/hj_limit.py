@@ -107,21 +107,14 @@ def _objective(y: float, x: float, t: float) -> float:
         raise OverflowError(f"Lax-Oleinik objective overflows at x={x}, t={t} (y={y})") from None
 
 
-def _stationary_points(x: float, t: float) -> list[float]:
-    """All roots of y = x + t tanh(y), each found on a monotone bracket."""
+def _root_pieces(x: float, t: float) -> tuple:
+    # (hi, tol, pieces) for the roots of y = x + t tanh(y): the bracket end, Newton's
+    # stop and, per monotone piece of y - x - t tanh y in increasing order, its bracket,
+    # orientation and Newton start.  The starts are the fixed-point images x + t tanh(x)
+    # and x -+ t, or the centre
     hi = abs(x) + t + 1.0
     if not math.isfinite(hi):
         raise ValueError(f"|x| + t overflows the root bracket at x={x}, t={t}")
-
-    def f(y, sign=1.0):
-        th = math.tanh(y)
-        return sign * (y - (x + t * th)), sign * (1.0 - t * (1.0 - th * th))
-
-    def value(y):
-        return y - (x + t * math.tanh(y))
-
-    # (bracket, orientation, Newton start) per monotone piece; the starts are
-    # the fixed-point images x + t tanh(x) and x -+ t, or the centre
     if t <= 1.0:
         pieces = [(-hi, hi, 1.0, x + t * math.tanh(x))]
     else:
@@ -134,6 +127,20 @@ def _stationary_points(x: float, t: float) -> list[float]:
     # inside the rounding.  The floor keeps it above the subnormal spacing.  From
     # t = 1 on, where the slope at a small root vanishes, it stays absolute
     tol = _ROOT_TOL * min(1.0, max(abs(x) / (1.0 - t) ** 2, 1e-300)) if t < 1.0 else _ROOT_TOL
+    return hi, tol, pieces
+
+
+def _piece_roots(x: float, t: float, hi: float, tol: float, pieces) -> list[float]:
+    # the roots on the given pieces, in order: an end where the residual is exactly
+    # zero (the far end only for the last piece, which ends at hi), else a bracketed
+    # Newton root where the oriented residual changes sign
+    def f(y, sign=1.0):
+        th = math.tanh(y)
+        return sign * (y - (x + t * th)), sign * (1.0 - t * (1.0 - th * th))
+
+    def value(y):
+        return y - (x + t * math.tanh(y))
+
     roots = []
     for a, b, sign, start in pieces:
         fa, fb = sign * value(a), sign * value(b)
@@ -141,9 +148,14 @@ def _stationary_points(x: float, t: float) -> list[float]:
             roots.append(a)
         elif fa < 0.0 < fb:
             roots.append(bracketed_newton(lambda y: f(y, sign), a, b, start, tol))
-    # the last piece ends at hi, oriented as f itself
-    if fb == 0.0:
-        roots.append(hi)
+        if b == hi and fb == 0.0:
+            roots.append(hi)
+    return roots
+
+
+def _stationary_points(x: float, t: float) -> list[float]:
+    """All roots of y = x + t tanh(y), each found on a monotone bracket."""
+    roots = _piece_roots(x, t, *_root_pieces(x, t))
     if not roots:
         raise ValueError(f"|x| + t is beyond double precision for the root bracket"
                          f" at x={x}, t={t}")
@@ -155,6 +167,16 @@ def _stationary_points(x: float, t: float) -> list[float]:
     return out
 
 
+def _minimizer(x: float, t: float) -> float:
+    # g(y) - g(-y) = -2xy/t: the minimizer is the outer root on the side of x, so only
+    # the outer monotone piece there is solved.  Where it holds no root, the selection
+    # is made from all of them
+    hi, tol, pieces = _root_pieces(x, t)
+    outer = pieces[-1] if x > 0.0 else pieces[0]
+    roots = _piece_roots(x, t, hi, tol, [outer]) or _stationary_points(x, t)
+    return roots[-1] if x > 0.0 else roots[0]
+
+
 def lax_action(p: PlanePoint, branch: str | None = None) -> LaxSolution:
     """Lax-Oleinik solution: minimize the variational objective over y.
 
@@ -162,7 +184,8 @@ def lax_action(p: PlanePoint, branch: str | None = None) -> LaxSolution:
     ignored.  Since the objective g obeys g(y) - g(-y) = -2xy/t, it is the
     outer stationary point on the side of x (a middle root lies on the
     other side), so no objective values are compared: near x = 0 they tie
-    to rounding.  Exactly on the shock line (x = 0, t > 1) the two
+    to rounding.  Only the outer monotone piece on that side is solved, one
+    Newton root per point.  Exactly on the shock line (x = 0, t > 1) the two
     symmetric minimizers tie and a branch must be requested explicitly:
     "plus" is the x -> 0+ limit (y_star > 0, u = -m*), "minus" the mirror
     image.
@@ -181,9 +204,7 @@ def lax_action(p: PlanePoint, branch: str | None = None) -> LaxSolution:
         if branch == "minus":
             y_star = -y_star
     else:
-        roots = _stationary_points(x, t)
-        # g(y) - g(-y) = -2xy/t: the minimizer is the outer root on the side of x
-        y_star = roots[-1] if x > 0.0 else roots[0]
+        y_star = _minimizer(x, t)
     phi = _objective(y_star, x, t) if t > 0.0 else -LOG2 - _log_cosh(x)
     # 0.0 - tanh: +0.0 at y_star = 0, so that no output prints a negative zero
     return LaxSolution(y_star=y_star, phi=phi, u=0.0 - math.tanh(y_star), on_shock=on_shock,
@@ -337,8 +358,8 @@ def self_consistent_magnetization(p: PlanePoint) -> float:
     For t <= 1 the root is unique.  For t > 1 there may be three; the
     branch continuous with sign(-x) is selected.  On the shock line
     (x = 0, t > 1) the velocity is two-valued and ValueError is raised.
-    Each branch is a bracketed Newton solve on a piece where u + tanh(x - u t)
-    is monotone.
+    The branch is a bracketed Newton solve on a piece where u + tanh(x - u t)
+    is monotone, and only its piece is solved.
     """
     x, t = p.x, p.t
     if t == 0.0:
@@ -359,20 +380,21 @@ def self_consistent_magnetization(p: PlanePoint) -> float:
             if -1.0 < c < 1.0:
                 cuts.append(c)
     cuts = sorted(cuts)
-    roots = []
-    for a, b in zip(cuts[:-1], cuts[1:]):
-        fa, fb = f(a)[0], f(b)[0]
+    values = [f(c)[0] for c in cuts]
+    # the branch is the lowest root for x > 0 and the highest otherwise: walk the pieces
+    # from that end and solve only the first that holds a root, an exact zero at its near
+    # end or a sign change across it; u = -1 or u = 1 is the root once tanh rounds to -+1
+    pieces = list(zip(cuts, cuts[1:], values, values[1:]))
+    for a, b, fa, fb in (pieces if x > 0 else pieces[::-1]):
+        if (fa if x > 0 else fb) == 0.0:
+            return a if x > 0 else b
         if fa * fb < 0.0:
             sign = 1.0 if fa < 0.0 else -1.0
-            roots.append(bracketed_newton(lambda u: f(u, sign), a, b, 0.5 * (a + b), _ROOT_TOL))
-    # the end cuts too: u = -1 or u = 1 is the root once tanh rounds to -+1
-    for c in cuts:
-        if f(c)[0] == 0.0:
-            roots.append(c)
-    if not roots:
-        raise ConvergenceError(f"no self-consistent velocity found at x={x}, t={t}")
-    roots = sorted(roots)
-    return roots[0] if x > 0 else roots[-1]
+            return bracketed_newton(lambda u: f(u, sign), a, b, 0.5 * (a + b), _ROOT_TOL)
+    far = -1 if x > 0 else 0
+    if values[far] == 0.0:
+        return cuts[far]
+    raise ConvergenceError(f"no self-consistent velocity found at x={x}, t={t}")
 
 
 def spontaneous_magnetization(t: float) -> float:

@@ -21,14 +21,12 @@ from spinflow import (
     viscous_action,
     viscous_velocity,
 )
-from spinflow.cw_exact import (MAX_SPINS, _anchor_log_binomials, _log_binomials, _pair_weights,
-                               _window)
+from spinflow.cw_exact import MAX_SPINS, _log_binomials, _pair_weights, _window
 
 
 def every_sector(n: int):
     # sectors k <= n/2 and their log-binomials, from the window that holds every block
-    anchors = _anchor_log_binomials(n)
-    return _log_binomials(n, anchors, np.arange(len(anchors)))
+    return _log_binomials(n, slice(None))
 
 
 def every_sector_log_weight(x: float, t: float, n: int):
@@ -164,7 +162,7 @@ def test_window_holds_every_sector_with_a_nonzero_weight(x, t, n):
     # the window holds the pair k <= n/2 of every live sector
     _, log_w = every_sector_log_weight(x, t, n)
     alive = np.flatnonzero(np.exp(log_w - log_w.max()) > 0.0)
-    k, _ = _log_binomials(n, *_window(x, t, n))
+    k, _ = _log_binomials(n, _window(x, t, n))
     assert np.all(np.diff(k) > 0)
     assert np.isin(np.minimum(alive, n - alive), k).all()
 
@@ -173,11 +171,11 @@ def test_window_evaluates_a_few_blocks_about_each_peak():
     # at (0.3, 0.8), 18 194 of the 250 001 sectors carry a weight above exp(-745)
     # of the largest; the window holds at most twice that, in whole blocks
     n = 250_000
-    k, _ = _log_binomials(n, *_window(0.3, 0.8, n))
+    k, _ = _log_binomials(n, _window(0.3, 0.8, n))
     assert len(k) <= 32 * -(-2 * 18_194 // 32)
     # at x = 0 too it drops sectors
     for t, n in ((0.8, 25_000), (1.0, 25_001), (1.5, 250_000)):
-        k, _ = _log_binomials(n, *_window(0.0, t, n))
+        k, _ = _log_binomials(n, _window(0.0, t, n))
         assert len(k) < n // 2 + 1
 
 
