@@ -100,6 +100,16 @@ def _log_cosh(y: float) -> float:
     return a + math.log1p(math.exp(-2.0 * a)) - LOG2
 
 
+def _tanh_gap(z: float) -> float:
+    # z - tanh z from _TANH_SERIES, for |z| < _TANH_SERIES_MAX, where the difference loses
+    # its digits
+    z2 = z * z
+    tail = 0.0
+    for c in reversed(_TANH_SERIES):
+        tail = tail * z2 + c
+    return z * z2 * tail
+
+
 def _objective(y: float, x: float, t: float) -> float:
     try:
         return (x - y) ** 2 / (2.0 * t) - LOG2 - _log_cosh(y)
@@ -108,42 +118,63 @@ def _objective(y: float, x: float, t: float) -> float:
 
 
 def _root_pieces(x: float, t: float) -> tuple:
-    # (hi, tol, pieces) for the roots of y = x + t tanh(y): the bracket end, Newton's
-    # stop and, per monotone piece of y - x - t tanh y in increasing order, its bracket,
-    # orientation and Newton start.  The starts are the fixed-point images x + t tanh(x)
-    # and x -+ t, or the centre
+    # (hi, tol, series, pieces) for the roots of y = x + t tanh(y): the bracket end,
+    # Newton's stop, whether the residual takes its series form and, per monotone piece
+    # of y - x - t tanh y in increasing order, its bracket, orientation and Newton start.
     hi = abs(x) + t + 1.0
     if not math.isfinite(hi):
         raise ValueError(f"|x| + t overflows the root bracket at x={x}, t={t}")
+    # A bound on the outer roots' |y|, valid where it is below 0.1: up to there
+    # |y| - tanh |y| >= |y|^3 / 3.05.  Below t = 1, (1 - t) |y| and t (|y| - tanh |y|) sum
+    # to |x|; from t = 1 on an outer root solves t (|y| - tanh |y|) = |x| + (t - 1) |y|.
+    # A middle root is smaller
+    if t < 1.0:
+        bound = abs(x) / (1.0 - t)
+        if t > 0.0:
+            bound = min(bound, (3.05 * abs(x) / t) ** (1.0 / 3.0))
+    else:
+        bound = max((6.1 * abs(x) / t) ** (1.0 / 3.0), math.sqrt(6.1 * (t - 1.0) / t))
+    series = bound < _TANH_SERIES_MAX
+    # Where it is not, Newton starts from the fixed-point images x + t tanh(x) and x -+ t
+    # (the middle piece from its centre) and stops at 2.5e-16, absolute below |y| = 1;
+    # below t = 1 the stop is scaled by 2^-52 |x| / (1 - t)^2, the most that rounding in
+    # y - x - t tanh y moves a step there.  Where it is, _piece_roots forms the residual
+    # and slope below |y| = 0.1 without cancellation, so a step is resolved to about
+    # 2^-52 |y|: the stop is 2.5e-16 times the bound, relative to the root, and the outer
+    # pieces start at the bound, beyond the root on the side where Newton closes in on it
+    # monotonically; from x + t tanh(x) it would crawl down a near-triple root by a
+    # factor 2/3 a step.  The floor keeps the stop above the subnormal spacing
+    if series:
+        tol = _ROOT_TOL * max(bound, 1e-300)
+        low, high, centre = -bound, bound, math.copysign(bound, x)
+    else:
+        tol = _ROOT_TOL * min(1.0, max(abs(x) / (1.0 - t) ** 2, 1e-300)) if t < 1.0 else _ROOT_TOL
+        low, high, centre = x - t, x + t, x + t * math.tanh(x)
     if t <= 1.0:
-        pieces = [(-hi, hi, 1.0, x + t * math.tanh(x))]
+        pieces = [(-hi, hi, 1.0, centre)]
     else:
         yc = math.acosh(math.sqrt(t))
-        pieces = [(-hi, -yc, 1.0, x - t), (-yc, yc, -1.0, 0.0), (yc, hi, 1.0, x + t)]
-    # Newton's stop is absolute below |y| = 1.  For t < 1 the root is at most
-    # |x| / (1 - t) and the slope at least 1 - t, so rounding in y - x - t tanh y
-    # moves a step by about 2^-52 |x| / (1 - t)^2 at most: scaled by that where it
-    # is below 1, the stop keeps the digits of a small root without chasing steps
-    # inside the rounding.  The floor keeps it above the subnormal spacing.  From
-    # t = 1 on, where the slope at a small root vanishes, it stays absolute
-    tol = _ROOT_TOL * min(1.0, max(abs(x) / (1.0 - t) ** 2, 1e-300)) if t < 1.0 else _ROOT_TOL
-    return hi, tol, pieces
+        pieces = [(-hi, -yc, 1.0, low), (-yc, yc, -1.0, 0.0), (yc, hi, 1.0, high)]
+    return hi, tol, series, pieces
 
 
-def _piece_roots(x: float, t: float, hi: float, tol: float, pieces) -> list[float]:
+def _piece_roots(x: float, t: float, hi: float, tol: float, series: bool,
+                 pieces) -> list[float]:
     # the roots on the given pieces, in order: an end where the residual is exactly
     # zero (the far end only for the last piece, which ends at hi), else a bracketed
     # Newton root where the oriented residual changes sign
     def f(y, sign=1.0):
         th = math.tanh(y)
+        if series and abs(y) < _TANH_SERIES_MAX:
+            # y - x - t tanh y and 1 - t sech^2 y cancel where both 1 - t and y are
+            # small; these forms do not
+            return (sign * ((1.0 - t) * y + t * _tanh_gap(y) - x),
+                    sign * ((1.0 - t) + t * th * th))
         return sign * (y - (x + t * th)), sign * (1.0 - t * (1.0 - th * th))
-
-    def value(y):
-        return y - (x + t * math.tanh(y))
 
     roots = []
     for a, b, sign, start in pieces:
-        fa, fb = sign * value(a), sign * value(b)
+        fa, fb = f(a, sign)[0], f(b, sign)[0]
         if fa == 0.0:
             roots.append(a)
         elif fa < 0.0 < fb:
@@ -171,9 +202,9 @@ def _minimizer(x: float, t: float) -> float:
     # g(y) - g(-y) = -2xy/t: the minimizer is the outer root on the side of x, so only
     # the outer monotone piece there is solved.  Where it holds no root, the selection
     # is made from all of them
-    hi, tol, pieces = _root_pieces(x, t)
+    *solve, pieces = _root_pieces(x, t)
     outer = pieces[-1] if x > 0.0 else pieces[0]
-    roots = _piece_roots(x, t, hi, tol, [outer]) or _stationary_points(x, t)
+    roots = _piece_roots(x, t, *solve, [outer]) or _stationary_points(x, t)
     return roots[-1] if x > 0.0 else roots[0]
 
 
@@ -415,11 +446,7 @@ def spontaneous_magnetization(t: float) -> float:
         z = t * m
         th = math.tanh(z)
         if z < _TANH_SERIES_MAX:
-            z2 = z * z
-            tail = 0.0
-            for c in reversed(_TANH_SERIES):
-                tail = tail * z2 + c
-            value = z * z2 * tail - (t - 1.0) * m
+            value = _tanh_gap(z) - (t - 1.0) * m
         else:
             value = m - th
         return value, 1.0 - t * (1.0 - th * th)

@@ -302,6 +302,30 @@ def test_minimizer_sits_on_the_side_of_x_next_to_the_shock(x, t):
     assert math.copysign(1.0, sol.y_star) == math.copysign(1.0, x)
 
 
+# (x, t, y*, u) to 40 digits (an mpmath root of y = x + t tanh y at 60 digits) where both
+# 1 - t and y* are small, so that y - x - t tanh y cancels: the limit grid's t = 1 row at
+# x = 2^-53, the points of the critical cubic y^3 / 3 = x, and both sides of t = 1
+@pytest.mark.parametrize("x, t, y_star, u", [
+    (1.1102230246251565e-16, 1.0, 6.931764956832051052375706316167819376646e-6,
+     -6.931764956721028749913190662125456209837e-6),
+    (1e-30, 1.0, 1.442249570307408422389610581529555261749e-10,
+     -1.442249570307408422379610581529555260916e-10),
+    (1e-10, 1.0, 6.694329900821718347348161507203260789766e-4,
+     -6.694328900821718347348125075005945292025e-4),
+    (-2.76e-13, 1 - 1.1e-12, -9.389070445667512293701617016429761293174e-5,
+     9.389070418077840355407742075428720545152e-5),
+    (3e-8, 1 + 1e-12, 4.481416969753200520046460430305250665287e-3,
+     -4.481386969748718734681481451113386419651e-3),
+    (-1e-20, 1 + 1e-15, -3.142961234032095641739456791971298193593e-7,
+     3.142961234031992152351529265363970985435e-7),
+])
+def test_minimizer_keeps_its_relative_precision_next_to_the_critical_point(x, t, y_star, u):
+    sol = lax_action(PlanePoint(x, t))
+    assert sol.y_star == pytest.approx(y_star, rel=2.0 ** -52, abs=0)
+    assert sol.u == pytest.approx(u, rel=2.0 ** -52, abs=0)
+    assert lax_action(PlanePoint(-x, t)).y_star == -sol.y_star
+
+
 def quad_kernel(x: float, t: float, n: int) -> tuple[float, float]:
     """(action, velocity) of the heat kernel by scipy's adaptive quadrature.
 
