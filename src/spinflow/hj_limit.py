@@ -414,7 +414,9 @@ def self_consistent_magnetization(p: PlanePoint) -> float:
     values = [f(c)[0] for c in cuts]
     # the branch is the lowest root for x > 0 and the highest otherwise: walk the pieces
     # from that end and solve only the first that holds a root, an exact zero at its near
-    # end or a sign change across it; u = -1 or u = 1 is the root once tanh rounds to -+1
+    # end or a sign change across it.  u = -1 or u = 1 is the root once tanh rounds to -+1,
+    # and then so is the near end of the walk: for x > 0, tanh(x - t) = -1 needs
+    # t - x > 19, so tanh(x + t) = 1 too
     pieces = list(zip(cuts, cuts[1:], values, values[1:]))
     for a, b, fa, fb in (pieces if x > 0 else pieces[::-1]):
         if (fa if x > 0 else fb) == 0.0:
@@ -422,9 +424,6 @@ def self_consistent_magnetization(p: PlanePoint) -> float:
         if fa * fb < 0.0:
             sign = 1.0 if fa < 0.0 else -1.0
             return bracketed_newton(lambda u: f(u, sign), a, b, 0.5 * (a + b), _ROOT_TOL)
-    far = -1 if x > 0 else 0
-    if values[far] == 0.0:
-        return cuts[far]
     raise ConvergenceError(f"no self-consistent velocity found at x={x}, t={t}")
 
 

@@ -21,7 +21,8 @@ from spinflow import (
     viscous_action,
     viscous_velocity,
 )
-from spinflow.cw_exact import MAX_SPINS, _log_binomials, _pair_weights, _window
+from spinflow.cw_exact import (MAX_SPINS, _log_binomials, _pair_weights, _size_tables,
+                               _window)
 
 
 def every_sector(n: int):
@@ -56,6 +57,66 @@ def binomial_moment(x: float, n: int, power: int) -> float:
     weights = binom.pmf(k, n, p_up)
     m_values = (2.0 * k - n) / n
     return float(np.sum(weights * m_values ** power))
+
+
+@pytest.fixture
+def size_memo():
+    # an empty size memo, and its counters: misses are tables built
+    _size_tables.cache_clear()
+    yield _size_tables.cache_info
+    _size_tables.cache_clear()
+
+
+def fields_bits(x: float, t: float, n: int) -> tuple:
+    f = exact_fields(PlanePoint(x, t), n)
+    return tuple(v.hex() for v in (f.phi, f.u, f.potential, *map(float, f.moments)))
+
+
+def test_a_sweep_at_one_size_builds_its_tables_once(size_memo):
+    for x in (0.0, 0.5, 1.0):
+        for t in (0.25, 2.0):
+            exact_fields(PlanePoint(x, t), 25_000)
+    assert size_memo().misses == 1 and size_memo().currsize == 1
+
+
+def test_a_refused_size_leaves_no_tables_behind(size_memo):
+    exact_fields(PlanePoint(0.3, 0.5), 100)
+    for n, x, error in ((MAX_SPINS + 1, 0.3, ValueError), (10, 1e308, OverflowError)):
+        with pytest.raises(error):
+            exact_fields(PlanePoint(x, 0.5), n)
+    # the size before the refusals is still the one kept
+    assert size_memo().misses == 1 and size_memo().currsize == 1
+    exact_fields(PlanePoint(0.3, 0.5), 100)
+    assert size_memo().misses == 1
+
+
+def test_size_tables_are_read_only(size_memo):
+    for table in _size_tables(1000):
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0] = 1.0
+
+
+def test_neighbouring_sizes_never_share_tables(size_memo):
+    solo = {}
+    for n in (64, 65):
+        _size_tables.cache_clear()
+        solo[n] = fields_bits(0.3, 1.5, n)
+    _size_tables.cache_clear()
+    assert [fields_bits(0.3, 1.5, n) for n in (64, 65, 64)] == [solo[64], solo[65], solo[64]]
+    assert size_memo().misses == 3
+
+
+def test_sizes_asked_in_turn_give_their_solo_bits(size_memo):
+    # A, B, A: the memo holds one size, so the return to A builds its tables again
+    a, b = (0.5, 0.8333333333333334, 25_000), (0.3, 0.5, 250_000)
+    solo = {}
+    for point in (a, b):
+        _size_tables.cache_clear()
+        solo[point] = fields_bits(*point)
+    _size_tables.cache_clear()
+    assert [fields_bits(*p) for p in (a, b, a)] == [solo[a], solo[b], solo[a]]
+    assert solo[a] == tuple(_FROZEN_LARGE_N[a]) and size_memo().misses == 3
 
 
 @pytest.mark.parametrize("x,t,n", [(0.2, 0.5, 10), (0.0, 1.5, 6), (0.7, 0.0, 3), (1.0, 2.0, 8)])

@@ -326,6 +326,94 @@ def test_minimizer_keeps_its_relative_precision_next_to_the_critical_point(x, t,
     assert lax_action(PlanePoint(-x, t)).y_star == -sol.y_star
 
 
+def all_roots_velocity(x: float, t: float) -> float:
+    # self_consistent_magnetization as it was before it solved one branch: every piece's
+    # root and every exact zero at a cut, then the branch continuous with sign(-x)
+    def f(u, sign=1.0):
+        th = math.tanh(x - u * t)
+        return sign * (u + th), sign * (1.0 - t * (1.0 - th * th))
+
+    if t == 0.0:
+        return -math.tanh(x)
+    if x == 0.0 and t > 1.0:
+        raise ValueError("point lies on the shock line (x = 0, t > 1), where the velocity"
+                         " is two-valued")
+    cuts = [-1.0, 1.0]
+    if t > 1.0:
+        a = math.acosh(math.sqrt(t))
+        cuts += [c for c in ((x - a) / t, (x + a) / t) if -1.0 < c < 1.0]
+    cuts = sorted(cuts)
+    roots = []
+    for a, b in zip(cuts[:-1], cuts[1:]):
+        fa, fb = f(a)[0], f(b)[0]
+        if fa * fb < 0.0:
+            sign = 1.0 if fa < 0.0 else -1.0
+            roots.append(hj_limit.bracketed_newton(lambda u: f(u, sign), a, b, 0.5 * (a + b),
+                                                   hj_limit._ROOT_TOL))
+    roots += [c for c in cuts if f(c)[0] == 0.0]
+    if not roots:
+        raise hj_limit.ConvergenceError(f"no self-consistent velocity found at x={x}, t={t}")
+    roots = sorted(roots)
+    return roots[0] if x > 0 else roots[-1]
+
+
+def all_roots_minimizer(x: float, t: float) -> float:
+    # the outer root on the side of x, selected from every stationary point
+    roots = hj_limit._stationary_points(x, t)
+    return roots[-1] if x > 0.0 else roots[0]
+
+
+def outcome(route, *args):
+    # the bits of a value, or the type and message of what was raised
+    try:
+        return float(route(*args)).hex()
+    except (ValueError, ArithmeticError, RuntimeError) as err:
+        return type(err).__name__, str(err)
+
+
+def branch_points():
+    # the cw limit sweep's 41 x 25 grid, both spinodal points x = +-x_c(t) at a few t, and
+    # extremes of x and t, off the shock half-line
+    grid = [(float(x), float(t)) for t in np.linspace(0.0, 2.0, 25)
+            for x in np.linspace(-1.0, 1.0, 41)]
+    spinodal = [(s * critical_line(t), t) for t in (1.0 + 1e-9, 1.05, 1.5, 2.0, 3.0)
+                for s in (1.0, -1.0)]
+    extremes = [(s * x, t) for x in (1e300, 5e-324, 1e-16) for s in (1.0, -1.0)
+                for t in (1e-300, 1.0, 1.0 + 1e-15, 2.0, 1e300)]
+    return [(x, t) for x, t in grid + spinodal + extremes if not (x == 0.0 and t > 1.0)]
+
+
+def test_one_branch_solves_return_the_all_roots_selection():
+    # lax_action's minimizer and the self-consistent velocity, or what each raises, bit for bit
+    for x, t in branch_points():
+        assert outcome(hj_limit._minimizer, x, t) == outcome(all_roots_minimizer, x, t), (x, t)
+        assert (outcome(self_consistent_magnetization, PlanePoint(x, t))
+                == outcome(all_roots_velocity, x, t)), (x, t)
+
+
+def test_one_newton_root_per_point_above_the_critical_point(monkeypatch):
+    calls = []
+    counted = hj_limit.bracketed_newton
+
+    def counting(*args):
+        calls.append(args[1:3])
+        return counted(*args)
+
+    monkeypatch.setattr(hj_limit, "bracketed_newton", counting)
+    # at |x| = 1e300 the root is the bracket's end, where the residual rounds to zero
+    points = [(x, t) for x, t in branch_points() if 1.0 < t < 1e300 and 1e-16 <= abs(x) < 1e300]
+    for x, t in points:
+        calls.clear()
+        lax_action(PlanePoint(x, t))
+        assert len(calls) == 1, (x, t)
+    # the all-roots selection solves the middle and far pieces too, where they hold a root:
+    # 722 roots for these 494 points
+    calls.clear()
+    for x, t in points:
+        all_roots_minimizer(x, t)
+    assert len(calls) > len(points)
+
+
 def quad_kernel(x: float, t: float, n: int) -> tuple[float, float]:
     """(action, velocity) of the heat kernel by scipy's adaptive quadrature.
 
