@@ -127,14 +127,16 @@ def _root_pieces(x: float, t: float) -> tuple:
     # A bound on the outer roots' |y|, valid where it is below 0.1: up to there
     # |y| - tanh |y| >= |y|^3 / 3.05.  Below t = 1, (1 - t) |y| and t (|y| - tanh |y|) sum
     # to |x|; from t = 1 on an outer root solves t (|y| - tanh |y|) = |x| + (t - 1) |y|.
-    # A middle root is smaller
-    if t < 1.0:
-        bound = abs(x) / (1.0 - t)
-        if t > 0.0:
-            bound = min(bound, (3.05 * abs(x) / t) ** (1.0 / 3.0))
-    else:
-        bound = max((6.1 * abs(x) / t) ** (1.0 / 3.0), math.sqrt(6.1 * (t - 1.0) / t))
-    series = bound < _TANH_SERIES_MAX
+    # A middle root is smaller.  The bound is at least |x|
+    series = abs(x) < _TANH_SERIES_MAX
+    if series:
+        if t < 1.0:
+            bound = abs(x) / (1.0 - t)
+            if t > 0.0:
+                bound = min(bound, (3.05 * abs(x) / t) ** (1.0 / 3.0))
+        else:
+            bound = max((6.1 * abs(x) / t) ** (1.0 / 3.0), math.sqrt(6.1 * (t - 1.0) / t))
+        series = bound < _TANH_SERIES_MAX
     # Where it is not, Newton starts from the fixed-point images x + t tanh(x) and x -+ t
     # (the middle piece from its centre) and stops at 2.5e-16, absolute below |y| = 1;
     # below t = 1 the stop is scaled by 2^-52 |x| / (1 - t)^2, the most that rounding in
@@ -146,16 +148,16 @@ def _root_pieces(x: float, t: float) -> tuple:
     # factor 2/3 a step.  The floor keeps the stop above the subnormal spacing
     if series:
         tol = _ROOT_TOL * max(bound, 1e-300)
-        low, high, centre = -bound, bound, math.copysign(bound, x)
+    elif t < 1.0:
+        tol = _ROOT_TOL * min(1.0, max(abs(x) / (1.0 - t) ** 2, 1e-300))
     else:
-        tol = _ROOT_TOL * min(1.0, max(abs(x) / (1.0 - t) ** 2, 1e-300)) if t < 1.0 else _ROOT_TOL
-        low, high, centre = x - t, x + t, x + t * math.tanh(x)
+        tol = _ROOT_TOL
     if t <= 1.0:
-        pieces = [(-hi, hi, 1.0, centre)]
-    else:
-        yc = math.acosh(math.sqrt(t))
-        pieces = [(-hi, -yc, 1.0, low), (-yc, yc, -1.0, 0.0), (yc, hi, 1.0, high)]
-    return hi, tol, series, pieces
+        return hi, tol, series, [(-hi, hi, 1.0, math.copysign(bound, x) if series
+                                  else x + t * math.tanh(x))]
+    yc = math.acosh(math.sqrt(t))
+    low, high = (-bound, bound) if series else (x - t, x + t)
+    return hi, tol, series, [(-hi, -yc, 1.0, low), (-yc, yc, -1.0, 0.0), (yc, hi, 1.0, high)]
 
 
 def _piece_roots(x: float, t: float, hi: float, tol: float, series: bool,
@@ -165,12 +167,19 @@ def _piece_roots(x: float, t: float, hi: float, tol: float, series: bool,
     # Newton root where the oriented residual changes sign
     def f(y, sign=1.0):
         th = math.tanh(y)
-        if series and abs(y) < _TANH_SERIES_MAX:
+        return sign * (y - (x + t * th)), sign * (1.0 - t * (1.0 - th * th))
+
+    if series:
+        direct = f
+
+        def f(y, sign=1.0):
+            if abs(y) >= _TANH_SERIES_MAX:
+                return direct(y, sign)
             # y - x - t tanh y and 1 - t sech^2 y cancel where both 1 - t and y are
             # small; these forms do not
+            th = math.tanh(y)
             return (sign * ((1.0 - t) * y + t * _tanh_gap(y) - x),
                     sign * ((1.0 - t) + t * th * th))
-        return sign * (y - (x + t * th)), sign * (1.0 - t * (1.0 - th * th))
 
     roots = []
     for a, b, sign, start in pieces:
@@ -202,9 +211,9 @@ def _minimizer(x: float, t: float) -> float:
     # g(y) - g(-y) = -2xy/t: the minimizer is the outer root on the side of x, so only
     # the outer monotone piece there is solved.  Where it holds no root, the selection
     # is made from all of them
-    *solve, pieces = _root_pieces(x, t)
+    hi, tol, series, pieces = _root_pieces(x, t)
     outer = pieces[-1] if x > 0.0 else pieces[0]
-    roots = _piece_roots(x, t, *solve, [outer]) or _stationary_points(x, t)
+    roots = _piece_roots(x, t, hi, tol, series, [outer]) or _stationary_points(x, t)
     return roots[-1] if x > 0.0 else roots[0]
 
 
