@@ -25,9 +25,9 @@ takes tens of milliseconds.  The tables that depend on N alone (the blocks'
 first sectors, their Stirling anchors and |m| there) are built once per N: a
 one-entry, read-only memo keyed by N keeps the last size's, N/64 doubles per
 table, so a sweep at one N builds them once and a new N rebuilds them.  Small N
-takes the same path, whose coarse pass there keeps every block; below about
-1 000 spins a call is some sixty numpy calls, about 50 us on a 2-vCPU Xeon
-guest (70 us with a new N), where it was 80 to 100 us.
+takes the same path, whose coarse pass there keeps every block; up to 1 000
+spins a call takes 45 to 65 us on a 2-vCPU Xeon guest (65 to 85 us at a new N),
+mostly numpy's cost per call.
 
 Moments of ``m`` are weighted pair averages: even moments weigh a**j by a
 pair's summed weight, odd ones by the difference of its two weights, formed
