@@ -197,8 +197,7 @@ def _stationary_points(x: float, t: float) -> list[float]:
     """All roots of y = x + t tanh(y), each found on a monotone bracket."""
     roots = _piece_roots(x, t, *_root_pieces(x, t))
     if not roots:
-        raise ValueError(f"|x| + t is beyond double precision for the root bracket"
-                         f" at x={x}, t={t}")
+        raise _beyond_bracket(x, t)
     # Deduplicate bracket-endpoint coincidences.
     out: list[float] = []
     for r in roots:
@@ -209,12 +208,16 @@ def _stationary_points(x: float, t: float) -> list[float]:
 
 def _minimizer(x: float, t: float) -> float:
     # g(y) - g(-y) = -2xy/t: the minimizer is the outer root on the side of x, so only
-    # the outer monotone piece there is solved.  Where it holds no root, the selection
-    # is made from all of them
+    # the outer monotone piece there is solved
     hi, tol, series, pieces = _root_pieces(x, t)
-    outer = pieces[-1] if x > 0.0 else pieces[0]
-    roots = _piece_roots(x, t, hi, tol, series, [outer]) or _stationary_points(x, t)
+    roots = _piece_roots(x, t, hi, tol, series, [pieces[-1] if x > 0.0 else pieces[0]])
+    if not roots:
+        raise _beyond_bracket(x, t)
     return roots[-1] if x > 0.0 else roots[0]
+
+
+def _beyond_bracket(x: float, t: float) -> ValueError:
+    return ValueError(f"|x| + t is beyond double precision for the root bracket at x={x}, t={t}")
 
 
 def lax_action(p: PlanePoint, branch: str | None = None) -> LaxSolution:
