@@ -23,11 +23,14 @@ kept, the minority one at t > 1 too.  A call costs O(window) time and memory;
 away from the critical point the window is O(sqrt N) sectors, and N = 1e7
 takes tens of milliseconds.  The tables that depend on N alone (the blocks'
 first sectors, their Stirling anchors and |m| there) are built once per N: a
-one-entry, read-only memo keyed by N keeps the last size's, N/64 doubles per
-table, so a sweep at one N builds them once and a new N rebuilds them.  Small N
-takes the same path, whose coarse pass there keeps every block; up to 1 000
-spins a call takes 45 to 65 us on a 2-vCPU Xeon guest (65 to 85 us at a new N),
-mostly numpy's cost per call.
+one-entry, read-only memo keyed by N keeps the last size's, so a sweep at one N
+builds them once and a new N rebuilds them.  After a call the memo holds those
+three tables of N/64 doubles each until another size replaces them: 9 KB at
+N = 25 000, 400 MB at N = 2^30 (``_size_tables.cache_clear()`` frees them).
+The window's own rows share one work table per call.  Small N takes the same
+path, whose coarse pass there keeps every block; up to 1 000 spins a call takes
+50 to 70 us on a 2-vCPU Xeon guest (70 to 90 us at a new N), mostly numpy's
+cost per call.
 
 Moments of ``m`` are weighted pair averages: even moments weigh a**j by a
 pair's summed weight, odd ones by the difference of its two weights, formed
@@ -132,19 +135,22 @@ def _window(x: float, t: float, n: int) -> np.ndarray:
     return keep
 
 
-def _log_binomials(n: int, blocks) -> tuple:
+def _log_binomials(n: int, blocks, out=None) -> tuple:
     # Sectors k <= n/2 of the blocks (an index or mask over the blocks of _size_tables),
     # in increasing order, with log C(n, k); the last block is the middle one.  Each
     # block is a running sum of log((n - k + 1) / k) from its anchor, so rounding builds
     # up over 32 terms only (unanchored, the sum drifts by 3e-9 at n = 2.5e5).  The
     # middle block runs past k = n/2, and capping k at n keeps that junk, trimmed below,
-    # finite.
+    # finite.  out, if given, is the (2, blocks, 32) table that k and log C(n, k) fill.
     starts, anchors, _ = _size_tables(n)
-    k = np.add.outer(starts[blocks], _OFFSETS)
+    first = starts[blocks]
+    k, table = np.empty((2, len(first), _BINOMIAL_BLOCK)) if out is None else out
+    np.add.outer(first, _OFFSETS, out=k)
     np.minimum(k, n, out=k)
-    table = np.empty_like(k)
     table[:, 0] = anchors[blocks]
-    np.log((n + 1.0 - k[:, 1:]) / k[:, 1:], out=table[:, 1:])
+    steps = table[:, 1:]
+    np.divide(np.subtract(n + 1.0, k[:, 1:], out=steps), k[:, 1:], out=steps)
+    np.log(steps, out=steps)
     np.cumsum(table, axis=1, out=table)
     end = k.size - (_BINOMIAL_BLOCK * len(anchors) - n // 2 - 1)
     return k.ravel()[:end], table.ravel()[:end]
@@ -156,39 +162,57 @@ def _stirling_tail(m):
     return (1.0 / 12.0 - (1.0 / 360.0 - (1.0 / 1260.0 - inv2 / 1680.0) * inv2) * inv2) / m
 
 
-def _pair_log_weights(x: float, t: float, n: int, a: np.ndarray, log_binomials: np.ndarray):
-    # the log-weight of the heavier sector of each mirror pair with |m| = a
-    return log_binomials + n * (0.5 * t * a * a + abs(x) * a)
+def _pair_log_weights(x: float, t: float, n: int, a: np.ndarray, log_binomials: np.ndarray,
+                      out=None):
+    # the log-weight of the heavier sector of each mirror pair with |m| = a,
+    # log_binomials + n (t a^2 / 2 + |x| a), formed in out (by default a new array)
+    b = np.multiply(0.5 * t, a, out=out)
+    b *= a
+    b += abs(x) * a
+    b *= n
+    b += log_binomials
+    return b
 
 
 def _pair_weights(x: float, t: float, n: int):
     # The window's mirror pairs, weights divided by the largest one:
-    # (a, even, odd, light, tail, shift) with a = |m|, w the heavier weight of a
-    # pair and light = w exp(gap) the lighter, even = w + light, and the odd
+    # (a, even, odd, light, tail, shift, spare) with a = |m|, w the heavier weight
+    # of a pair and light = w exp(gap) the lighter, even = w + light, and the odd
     # weight w - light formed as w * -expm1(gap), without cancellation.
     # gap = -2 n |x| a increases along the window, and before the index tail
     # exp(gap) is exactly 0.0 and -expm1(gap) exactly 1.0; so both are formed
     # from the tail on only, and light holds the tail's values.
-    k, log_binomials = _log_binomials(n, _window(x, t, n))
-    a = (n - 2.0 * k) / n
-    b = _pair_log_weights(x, t, n, a, log_binomials)
+    # The window's rows share one work table, allocated once per call: k then a,
+    # log C(n, k) then gap, b then w, even, and two spare rows for the caller.  One
+    # allocation instead of one per row also keeps glibc from trimming the heap
+    # after each large window and faulting its pages back in on the next call
+    # (about 300 page faults per call at n = 2.5e5 with a new array per row).
+    blocks = _window(x, t, n)
+    table = np.empty((6, np.count_nonzero(blocks), _BINOMIAL_BLOCK))
+    k, log_binomials = _log_binomials(n, blocks, table[:2])
+    rows = table.reshape(6, -1)[:, :len(k)]
+    a = np.multiply(k, 2.0, out=k)
+    np.subtract(n, a, out=a)
+    a /= n
+    b = _pair_log_weights(x, t, n, a, log_binomials, out=rows[2])
     shift = b.max()
     w = np.exp(np.subtract(b, shift, out=b), out=b)
-    gap = -2.0 * n * abs(x) * a
+    gap = np.multiply(-2.0 * n * abs(x), a, out=log_binomials)
     tail = int(np.searchsorted(gap, -_UNDERFLOW))
     light = w[tail:] * np.exp(gap[tail:])
     if n % 2 == 0:
         light[-1] = 0.0  # the middle sector k = n/2 is its own mirror
-    even = w.copy()
+    even = rows[3]
+    even[:] = w
     even[tail:] += light
     w[tail:] *= -np.expm1(gap[tail:])  # w is now the odd weight
-    return a, even, w, light, tail, shift
+    return a, even, w, light, tail, shift, rows[4:]
 
 
 def log_partition(p: PlanePoint, n: int) -> float:
     """Log-partition per spin, (1/N) log Z(x, t), from the max-shifted sector sum."""
     check_size(n)
-    _, even, _, _, _, shift = _pair_weights(p.x, p.t, n)
+    _, even, _, _, _, shift, _ = _pair_weights(p.x, p.t, n)
     return float(shift + math.log(even.sum())) / n
 
 
@@ -207,13 +231,13 @@ def exact_fields(p: PlanePoint, n: int, k_max: int = 4) -> ExactCwFields:
     check_size(n)
     if k_max < 4:
         raise ValueError(f"k_max must be >= 4 so conservation residuals are computable, got {k_max}")
-    a, even, odd, light, tail, shift = _pair_weights(p.x, p.t, n)
+    a, even, odd, light, tail, shift, (power, term) = _pair_weights(p.x, p.t, n)
     z = even.sum()
 
     # |m|**j as a running product (numpy's a**3 and a**4 go through libm pow), weighted
-    # and summed one order at a time, so that a large window holds two rows, not k_max
+    # and summed one order at a time in the two spare rows, not k_max rows
     moments = np.empty(k_max)
-    power, term = np.ones_like(a), np.empty_like(a)
+    power.fill(1.0)
     for j in range(k_max):
         power *= a
         moments[j] = np.multiply(power, even if j % 2 else odd, out=term).sum()

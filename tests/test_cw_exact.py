@@ -352,7 +352,7 @@ def test_log_binomials_frozen_values(n, k, value):
 def test_sector_log_weights_are_exactly_mirror_symmetric_at_zero_field(n, t):
     # at x = 0 the two sectors k and n - k of a pair weigh the same, bit for bit,
     # and the middle sector of even n, its own mirror, counts once
-    a, even, odd, light, _, _ = _pair_weights(0.0, t, n)
+    a, even, odd, light, *_ = _pair_weights(0.0, t, n)
     pairs = len(a) - (1 - n % 2)  # at even n the last sector, k = n/2, is its own mirror
     assert np.array_equal(even[:pairs], 2.0 * light[:pairs])
     assert np.all(a[pairs:] == 0.0) and np.all(light[pairs:] == 0.0)
