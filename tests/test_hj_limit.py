@@ -195,6 +195,67 @@ def test_crossing_scan_rejects_negative_launch_points():
         crossing_scan([-0.5, 0.5], 3.0)
 
 
+def loop_census(x0_points, t_max: float):
+    # crossing_scan as a double loop over launch points: each pair's crossing time, and per
+    # kept event its classification, in row-major pair order
+    x0s = np.sort(np.asarray(x0_points, dtype=np.float64))
+    slopes = np.tanh(x0s)
+    events = []
+    below = above = supercritical = 0
+    for i in range(x0s.size):
+        dv = slopes[i + 1:] - slopes[i]
+        dx = x0s[i + 1:] - x0s[i]
+        valid = dv > 0
+        s_cross = np.full(dv.shape, np.inf)
+        s_cross[valid] = dx[valid] / dv[valid]
+        for off in np.nonzero((s_cross > 0) & (s_cross <= t_max))[0]:
+            s = float(s_cross[off])
+            x_cross = float(x0s[i] - s * slopes[i])
+            events.append((float(x0s[i]), float(x0s[i + off + 1]), s, x_cross))
+            if s > 1.0:
+                if x_cross < critical_line(s):
+                    below += 1
+                else:
+                    above += 1
+                if x0s[i] >= critical_launch_point(s):
+                    supercritical += 1
+            else:
+                below += 1
+    return np.array(events, dtype=np.float64).reshape(-1, 4), below, above, supercritical
+
+
+@pytest.mark.parametrize("x0_points, t_max", [
+    (np.linspace(0.0, 3.0, 40), 4.0),
+    (np.linspace(0.0, 3.0, 120), 4.0),
+    (np.linspace(0.0, 3.0, 200), 4.0),
+    # unsorted, with duplicate launch points, which never cross
+    ([2.0, 0.5, 1.5, 0.5, 3.0, 1.5, 0.0, 2.5], 4.0),
+    # t_max cuts inside the events
+    (np.linspace(0.0, 3.0, 40), 1.6),
+    (np.random.default_rng(7).uniform(0.0, 5.0, 300), 10.0),
+    # distinct points cross at s = 0.1 / tanh(0.1) > 1
+    ([0.0, 0.1], 1.0),
+])
+def test_crossing_scan_matches_the_pairwise_loop_bit_for_bit(x0_points, t_max):
+    scan = crossing_scan(x0_points, t_max)
+    events, below, above, supercritical = loop_census(x0_points, t_max)
+    assert scan.events.dtype == np.float64 and scan.events.shape == events.shape
+    assert np.array_equal(scan.events, events)
+    assert scan.n_crossings == len(events)
+    assert (scan.n_below_critical_line, scan.n_above_critical_line,
+            scan.n_supercritical_pairs) == (below, above, supercritical)
+
+
+def test_the_census_oracle_inputs_reach_what_they_name():
+    # the cut drops events and keeps some; the two-point set keeps none
+    cut, full = crossing_scan(np.linspace(0.0, 3.0, 40), 1.6), crossing_scan(
+        np.linspace(0.0, 3.0, 40), 4.0)
+    assert 0 < cut.n_crossings < full.n_crossings
+    assert crossing_scan([0.0, 0.1], 1.0).events.shape == (0, 4)
+    duplicates = crossing_scan([2.0, 0.5, 1.5, 0.5, 3.0, 1.5, 0.0, 2.5], 4.0)
+    assert 0 < duplicates.n_crossings < 28
+
+
 def test_shock_jump_is_odd_and_matches_magnetization():
     for t in (1.5, 2.0, 3.0):
         u_minus, u_plus = shock_jump(t)
