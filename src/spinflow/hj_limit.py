@@ -145,11 +145,12 @@ def _root_pieces(x: float, t: float) -> tuple:
     # 2^-52 |y|: the stop is 2.5e-16 times the bound, relative to the root, and the outer
     # pieces start at the bound, beyond the root on the side where Newton closes in on it
     # monotonically; from x + t tanh(x) it would crawl down a near-triple root by a
-    # factor 2/3 a step.  The floor keeps the stop above the subnormal spacing
+    # factor 2/3 a step.  The floor keeps the series stop above the subnormal spacing; the
+    # scaled stop needs none, as |x| >= 0.1 or |x| / (1 - t) >= 0.1 puts it above 0.1
     if series:
         tol = _ROOT_TOL * max(bound, 1e-300)
     elif t < 1.0:
-        tol = _ROOT_TOL * min(1.0, max(abs(x) / (1.0 - t) ** 2, 1e-300))
+        tol = _ROOT_TOL * min(1.0, abs(x) / (1.0 - t) ** 2)
     else:
         tol = _ROOT_TOL
     if t <= 1.0:
@@ -167,19 +168,12 @@ def _piece_roots(x: float, t: float, hi: float, tol: float, series: bool,
     # Newton root where the oriented residual changes sign
     def f(y, sign=1.0):
         th = math.tanh(y)
-        return sign * (y - (x + t * th)), sign * (1.0 - t * (1.0 - th * th))
-
-    if series:
-        direct = f
-
-        def f(y, sign=1.0):
-            if abs(y) >= _TANH_SERIES_MAX:
-                return direct(y, sign)
+        if series and abs(y) < _TANH_SERIES_MAX:
             # y - x - t tanh y and 1 - t sech^2 y cancel where both 1 - t and y are
             # small; these forms do not
-            th = math.tanh(y)
             return (sign * ((1.0 - t) * y + t * _tanh_gap(y) - x),
                     sign * ((1.0 - t) + t * th * th))
+        return sign * (y - (x + t * th)), sign * (1.0 - t * (1.0 - th * th))
 
     roots = []
     for a, b, sign, start in pieces:
@@ -533,31 +527,23 @@ def crossing_scan(x0_points, t_max: float) -> CrossingScan:
     if not math.isfinite(t_max) or t_max <= 0:
         raise ValueError(f"t_max must be finite and > 0, got {t_max}")
     slopes = np.tanh(x0s)
-    events = []
-    below = above = supercritical = 0
-    for i in range(x0s.size):
-        dv = slopes[i + 1:] - slopes[i]
-        dx = x0s[i + 1:] - x0s[i]
-        valid = dv > 0
-        s_cross = np.full(dv.shape, np.inf)
-        s_cross[valid] = dx[valid] / dv[valid]
-        for off in np.nonzero((s_cross > 0) & (s_cross <= t_max))[0]:
-            s = float(s_cross[off])
-            x_cross = float(x0s[i] - s * slopes[i])
-            events.append((float(x0s[i]), float(x0s[i + off + 1]), s, x_cross))
-            if s > 1.0:
-                if x_cross < critical_line(s):
-                    below += 1
-                else:
-                    above += 1
-                if x0s[i] >= critical_launch_point(s):
-                    supercritical += 1
-            else:
-                # Crossings at t <= 1 would contradict the strict s > 1 bound.
-                below += 1
-    arr = np.array(events, dtype=np.float64).reshape(-1, 4)
-    return CrossingScan(events=arr, n_crossings=len(events),
-                        n_below_critical_line=below, n_above_critical_line=above,
+    # every pair i < j in row-major order; equal slopes never cross
+    i, j = np.triu_indices(x0s.size, k=1)
+    dv = slopes[j] - slopes[i]
+    valid = dv > 0
+    i, j = i[valid], j[valid]
+    s_cross = (x0s[j] - x0s[i]) / dv[valid]
+    kept = (s_cross > 0) & (s_cross <= t_max)
+    i, j, s_cross = i[kept], j[kept], s_cross[kept]
+    events = np.column_stack([x0s[i], x0s[j], s_cross, x0s[i] - s_cross * slopes[i]])
+    # a crossing at t <= 1 would contradict the strict s > 1 bound; it counts as below
+    above = supercritical = 0
+    for x0, _, s, x_cross in events.tolist():
+        if s > 1.0:
+            above += x_cross >= critical_line(s)
+            supercritical += x0 >= critical_launch_point(s)
+    return CrossingScan(events=events, n_crossings=len(events),
+                        n_below_critical_line=len(events) - above, n_above_critical_line=above,
                         n_supercritical_pairs=supercritical)
 
 
