@@ -37,7 +37,7 @@ from json.encoder import encode_basestring_ascii
 import numpy as np
 
 from . import __version__
-from .plane import ConvergenceError, PlanePoint, QuadratureError, SkParams
+from .plane import ConvergenceError, PlanePoint, QuadratureError, SkParams, check_size
 from . import cw_exact, hj_limit, sk_finite, sk_rs
 
 _NUMERICAL_ERRORS = (ConvergenceError, QuadratureError, FloatingPointError, OverflowError)
@@ -341,17 +341,25 @@ def _cmd_sweep(args) -> int:
     # before allocating, and so does the sweep before its first row
     most = {"n": cw_exact.MAX_SPINS if args.model == "cw" else sk_finite.MAX_SITES,
             "n_samples": sk_finite.MAX_SAMPLES}
+    # the library's own checks of the other values, which every row would fail
+    check = {"n": check_size if args.model == "cw" else sk_finite._check_site_count,
+             "n_samples": sk_finite._check_sample_count,
+             "seed": functools.partial(sk_finite._check_key, "seed")}
     for column, flag in _SWEEP_ECHO.items():
         value = echo[column]
-        if column in columns and value is None:
+        if column not in columns:
+            continue
+        if value is None:
             raise ValueError(
                 f"sweep {args.model}/{args.quantity} requires --{flag.replace('_', '-')}")
         # the point query's refusal, before a row is written
-        if column in columns and isinstance(value, float) and not math.isfinite(value):
+        if isinstance(value, float) and not math.isfinite(value):
             raise ValueError(f"{column} must be finite, got {value}")
-        if column in columns and column in most and value > most[column]:
+        if column in most and value > most[column]:
             raise ValueError(f"sweep {args.model}/{args.quantity} takes --{flag} at most"
                              f" {most[column]}, got {value}")
+        if column in check:
+            check[column](value)
     if args.t_min < 0:
         raise ValueError(f"t_min must be >= 0, got {args.t_min}")
     n_x = args.n_x if "x" in columns else 1

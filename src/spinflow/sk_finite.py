@@ -193,6 +193,12 @@ def _check_key(name: str, value) -> None:
         raise ValueError(f"{name} must be an integer in [0, 2^64), got {value!r}")
 
 
+def _check_sample_count(n_samples) -> None:
+    # the jackknife needs two samples
+    if not isinstance(n_samples, (int, np.integer)) or not 2 <= n_samples <= MAX_SAMPLES:
+        raise ValueError(f"need 2 to 2^20 disorder samples, got {n_samples}")
+
+
 def _disorder_draws(bitgen: np.random.Philox, seed: int, indices, n: int) -> np.ndarray:
     """Standard normal draws of samples `indices` of the stream `seed`.
 
@@ -421,8 +427,7 @@ def quenched_overlap_moments(params: SkParams, n: int, n_samples: int,
     sample could overflow.
     """
     _check_site_count(n)
-    if not isinstance(n_samples, (int, np.integer)) or not 2 <= n_samples <= MAX_SAMPLES:
-        raise ValueError(f"need 2 to 2^20 disorder samples, got {n_samples}")
+    _check_sample_count(n_samples)
     _check_key("seed", seed)
 
     block = min(max(1, _BLOCK_ENTRIES >> n), n_samples)

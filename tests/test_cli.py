@@ -140,6 +140,40 @@ _OVERSIZED_SWEEPS = [
 ]
 
 
+# sweeps whose size, sample count or seed every row would refuse, each with the point
+# query that refuses the same value
+_UNDERSIZED_SWEEPS = [
+    (["sweep", "--model", "cw", "--quantity", quantity, "--x-min", "0", "--x-max", "1",
+      "--n-x", "2", "--t-min", "0.5", "--t-max", "1", "--n-t", "2", "--n", "0"],
+     ["cw", quantity, "--x", "0", "--t", "0.5", "--n", "0"])
+    for quantity in ("exact", "identities")
+] + [
+    (["sweep", "--model", "sk-finite", "--quantity", "identities", "--x-min", "0",
+      "--x-max", "0.2", "--n-x", "2", "--t-min", "0.3", "--t-max", "0.6", "--n-t", "2", *flags],
+     ["sk", "finite", "--x", "0", "--t", "0.3", *flags])
+    for flags in (("--n", "6", "--samples", "1", "--seed", "1"),
+                  ("--n", "6", "--samples", "4", "--seed", "-1"),
+                  ("--n", "0", "--samples", "4", "--seed", "1"))
+]
+
+
+@pytest.mark.parametrize("argv, point", _UNDERSIZED_SWEEPS,
+                         ids=lambda argv: " ".join(argv[2:5] + argv[-6:]))
+def test_sweep_refuses_an_invalid_flag_as_its_point_query_does(argv, point, monkeypatch):
+    point_refusal = run_cli(point)
+    assert point_refusal[:2] == (2, "")
+
+    def untouched(*args, **kwargs):
+        raise AssertionError("a row was evaluated")
+
+    for module, name in ((cli.cw_exact, "exact_fields"), (cli.cw_exact, "conservation_residuals"),
+                         (cli.sk_finite, "quenched_overlap_moments")):
+        monkeypatch.setattr(module, name, untouched)
+    for fmt in ("json", "csv"):
+        assert run_cli([*argv, "--format", fmt]) == point_refusal
+    assert len(point_refusal[2].splitlines()) == 1
+
+
 def test_validation_failures_exit_2_with_one_line():
     cases = [
         ["cw", "exact", "--x", "0.2", "--t", "-1", "--n", "10"],
@@ -164,6 +198,7 @@ def test_validation_failures_exit_2_with_one_line():
          "--x-min", "0", "--x-max", "1", "--n-x", "2000",
          "--t-min", "0", "--t-max", "1", "--n-t", "1000"],
         *_OVERSIZED_SWEEPS,
+        *(argv for argv, _ in _UNDERSIZED_SWEEPS),
     ]
     for argv in cases:
         code, out, err = run_cli(argv)
@@ -606,7 +641,8 @@ def csv_text(value):
 
 
 # per sweep quantity, a grid with a failed row, and the rows that converge: the last t
-# fails, except in the overlap sweeps, whose rows fail only together (--samples=1)
+# fails, except in the overlap sweeps, whose rows fail only together (--beta-h=1e308
+# overflows every row's log-weights)
 _MIXED_SWEEPS = [
     ("cw", "limit", ["--x-min=0.3", "--x-max=0.3", "--t-min=0.5", "--t-max=1e308"], 2),
     ("cw", "exact", ["--x-min=0.3", "--x-max=0.3", "--t-min=0.5", "--t-max=1e308", "--n=10"], 2),
@@ -619,7 +655,7 @@ _MIXED_SWEEPS = [
     ("sk-finite", "identities", ["--x-min=0", "--x-max=0.2", "--t-min=0.3", "--t-max=0.6",
                                  "--n=4", "--samples=4", "--seed=3"], 4),
     ("sk-finite", "identities", ["--x-min=0", "--x-max=0.2", "--t-min=0.3", "--t-max=0.6",
-                                 "--n=4", "--samples=1", "--seed=3"], 0),
+                                 "--n=4", "--samples=4", "--seed=3", "--beta-h=1e308"], 0),
 ]
 
 
@@ -656,7 +692,7 @@ _QUANTITIES = [
     ("sk caustic", "sk-rs", "caustic", {"x": 0.3, "t": 1.2, "beta_h": 0.2},
      {"x": 1e308, "t": 1e308, "beta_h": 1e308}),
     ("sk finite", "sk-finite", "identities",
-     {"x": 0.1, "t": 0.5, "beta_h": 0.2, "n": 5, "samples": 4, "seed": 3}, {"samples": 1}),
+     {"x": 0.1, "t": 0.5, "beta_h": 0.2, "n": 5, "samples": 4, "seed": 3}, {"beta_h": 1e308}),
 ]
 _OVERLAP = ("q1", "q2", "p1", "p2", "p3", "p4")
 # sweep column -> the point input it echoes
