@@ -209,6 +209,35 @@ def test_validation_failures_exit_2_with_one_line():
         assert "error" in diagnostic[-1]
 
 
+_SWEEP_AXES = ["sweep", "--model", "cw", "--quantity", "limit", "--n-x", "2", "--n-t", "2"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (_SWEEP_AXES + ["--x-min", "nan", "--x-max", "1", "--t-min", "0.5", "--t-max", "1"],
+     "n_x range must be finite"),
+    (_SWEEP_AXES + ["--x-min", "0", "--x-max", "1", "--t-min", "0.5", "--t-max", "inf"],
+     "n_t range must be finite"),
+    (_SWEEP_AXES + ["--x-min=-1.7e308", "--x-max=1.7e308", "--t-min", "0.5", "--t-max", "1"],
+     "n_x range spans more than the largest float"),
+    (["convergence", "--model", "cw-action", "--x", "0.3", "--t", "0.5", "--n-list", "50,1e2,200"],
+     "--n-list must be comma-separated integers"),
+    (["convergence", "--model", "cw-action", "--x", "0.3", "--t", "0.5", "--n-list", "50,100"],
+     "--n-list needs at least 3 entries"),
+    # at x = 0 both velocities are exactly zero
+    (["convergence", "--model", "cw-velocity", "--x", "0", "--t", "0.5", "--n-list", "50,100,200"],
+     "zero error in the sequence"),
+    (["convergence", "--model", "sk-identities", "--x", "0", "--t", "0.5", "--n-list", "4,5,6",
+      "--seed", "1"], "requires --samples and --seed"),
+    (["convergence", "--model", "sk-identities", "--x", "0", "--t", "0.5", "--n-list", "4,5,6",
+      "--samples", "4"], "requires --samples and --seed"),
+], ids=["x nan", "t inf", "x span", "n-list float", "n-list short", "zero error",
+        "no samples", "no seed"])
+def test_refusals_before_computation_name_what_is_wrong(argv, message):
+    code, out, err = run_cli(argv)
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1 and err.startswith("error: ") and message in err
+
+
 def test_numerical_failure_exits_3_with_partial_record(monkeypatch):
     def explode(points):
         raise spinflow.ConvergenceError("fixed point stalled", residual=0.5)

@@ -689,6 +689,12 @@ def test_domain_validation():
             route(PlanePoint(0.1, 0.5), MAX_SPINS + 1)
     with pytest.raises(ValueError):
         hj_residual(PlanePoint(0.1, 0.5), 10, step=0.0)
+    with pytest.raises(ValueError, match="k_max must be >= 4"):
+        exact_fields(PlanePoint(0.1, 0.5), 10, k_max=3)
+    # the backward stencil would leave the half-plane
+    for route in (hj_residual, continuity_residual):
+        with pytest.raises(ValueError, match=r"need t - step >= 0, got t=0\.0005"):
+            route(PlanePoint(0.1, 5e-4), 10)
     # the heat-kernel routes refuse a size that is not a positive integer, as exact_fields does
     for n in (2.5, 10.0):
         for route in (exact_fields, viscous_action, viscous_velocity):

@@ -1,15 +1,28 @@
-"""Smoke test of the demo scripts: each runs to the end against the current API."""
+"""Smoke tests of the demo scripts and of the README's command lines against the current API."""
 
+import contextlib
+import io
 import os
 import pathlib
+import shlex
 import subprocess
 import sys
 
 import pytest
 
 import spinflow
+from spinflow import cli
 
-DEMOS = sorted((pathlib.Path(__file__).parents[1] / "demos").glob("*.py"))
+ROOT = pathlib.Path(__file__).parents[1]
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
+
+
+def readme_command_lines() -> list:
+    """The `spinflow ...` lines of the README's command-line block, continuations joined."""
+    text = (ROOT / "README.md").read_text()
+    block = text.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = block.replace("\\\n", " ").splitlines()
+    return [" ".join(line.split()) for line in lines if line.startswith("spinflow ")]
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.stem)
@@ -21,3 +34,19 @@ def test_demo_runs_cleanly(demo):
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip()
+
+
+def test_the_readme_block_holds_every_command():
+    assert len(readme_command_lines()) == 10
+
+
+@pytest.mark.parametrize("line", readme_command_lines())
+def test_readme_command_line_runs(line, tmp_path, monkeypatch):
+    # in process, in a scratch directory for the sweep's --out file
+    monkeypatch.chdir(tmp_path)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(shlex.split(line)[1:])
+    assert (code, err.getvalue()) == (0, "")
+    written = [path.read_text() for path in tmp_path.iterdir()]
+    assert out.getvalue().strip() or any(text.strip() for text in written)

@@ -640,3 +640,59 @@ def test_a_failed_node_pass_leaves_no_levels_behind(node_passes, monkeypatch):
     monkeypatch.setattr(hj_limit, "_panel_sums", counted)
     assert viscous_velocity(p, n) == frozen_routes((0.2, 1.2, 100))[1]
     assert node_passes == [(0, 3), (0, 3), (3, 4), (3, 4)]
+
+
+def test_a_window_that_never_reaches_the_cut_is_a_quadrature_error(node_passes, monkeypatch):
+    # no window end can lie e^-inf below the minimum, so the growth runs out
+    monkeypatch.setattr(hj_limit, "_WINDOW_CUT", math.inf)
+    with pytest.raises(QuadratureError, match="could not bracket the kernel integrand at x=0.3"):
+        viscous_action(PlanePoint(0.3, 0.5), 7)
+    assert node_passes == []
+
+
+def test_a_velocity_whose_levels_never_agree_is_a_quadrature_error(node_passes, monkeypatch):
+    # the numerator sums of successive levels are pushed apart by 1e-6 of the
+    # normalization, whose own levels agree as before
+    counted = hj_limit._panel_sums
+
+    def alternating(*args):
+        first = args[-2]
+        return [(i0, i1 + (-1.0) ** (first + k) * 1e-6 * i0, i2)
+                for k, (i0, i1, i2) in enumerate(counted(*args))]
+
+    monkeypatch.setattr(hj_limit, "_panel_sums", alternating)
+    monkeypatch.setattr(hj_limit, "_MAX_DOUBLINGS", 4)
+    p = PlanePoint(0.3, 0.5)
+    assert viscous_action(p, 7) == frozen_routes((0.3, 0.5, 7))[0]
+    with pytest.raises(QuadratureError, match="velocity quadrature uncertain") as info:
+        viscous_velocity(p, 7)
+    assert info.value.error_estimate > 1e-7
+    assert node_passes == passes_to(16)
+
+
+_LIMIT_REFUSALS = {
+    "lax_action branch": (lambda: lax_action(PlanePoint(0.3, 0.5), branch="up"),
+                          "branch must be one of"),
+    "viscous_action t=0": (lambda: viscous_action(PlanePoint(0.3, 0.0), 10), "t = 0"),
+    "critical_launch_point t=1": (lambda: critical_launch_point(1.0), "t > 1"),
+    "critical_launch_point t<1": (lambda: critical_launch_point(0.5), "t > 1"),
+    "characteristic nan": (lambda: characteristic(math.nan, 1.0), "launch point must be finite"),
+    "characteristic inf": (lambda: characteristic(math.inf, 1.0), "launch point must be finite"),
+    "crossing_scan one point": (lambda: crossing_scan([0.5], 1.0), "two launch points"),
+    "crossing_scan t_max inf": (lambda: crossing_scan([0.5, 1.0], math.inf), "t_max"),
+    "crossing_scan t_max 0": (lambda: crossing_scan([0.5, 1.0], 0.0), "t_max"),
+    "symmetry_breaking_limit sign": (lambda: symmetry_breaking_limit(2.0, "up"), "epsilon_sign"),
+    "symmetry_breaking_limit t=1": (lambda: symmetry_breaking_limit(1.0), "t > 1"),
+    "symmetry_breaking_limit nan": (lambda: symmetry_breaking_limit(math.nan), "t > 1"),
+}
+
+
+@pytest.mark.parametrize("route, match", list(_LIMIT_REFUSALS.values()), ids=list(_LIMIT_REFUSALS))
+def test_limit_routes_refuse_input_outside_their_domain(route, match):
+    with pytest.raises(ValueError, match=match):
+        route()
+
+
+@pytest.mark.parametrize("x", [0.7, -0.7, 0.0, 30.0])
+def test_finite_size_velocity_at_t_0_is_the_boundary_slope(x):
+    assert viscous_velocity(PlanePoint(x, 0.0), 10) == -math.tanh(x)

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from spinflow import characteristic, rs_characteristic
-from spinflow.plane import (LOG2, ConvergenceError, bracketed_newton, gauss_rule, log_cosh,
-                            newton_steps, straight_line)
+from spinflow.plane import (LOG2, ConvergenceError, PlanePoint, SkParams, bracketed_newton,
+                            gauss_rule, log_cosh, newton_steps, straight_line)
 
 
 def test_converges_from_both_orientations():
@@ -143,3 +143,25 @@ def test_line_sampler_refuses_a_count_that_is_not_an_integer_of_at_least_2(n_poi
                    lambda: rs_characteristic(0.3, 1.0, n_points=n_points)):
         with pytest.raises(ValueError, match="number of points"):
             sample()
+
+
+@pytest.mark.parametrize("t_max", [-1.0, math.inf, math.nan])
+def test_line_sampler_refuses_a_t_max_that_is_negative_or_not_finite(t_max):
+    for sample in (lambda: straight_line(0.3, 0.1, t_max, 4),
+                   lambda: characteristic(0.3, t_max, n_points=4),
+                   lambda: rs_characteristic(0.3, t_max, n_points=4)):
+        with pytest.raises(ValueError, match="t_max must be finite"):
+            sample()
+
+
+@pytest.mark.parametrize("build, match", [
+    (lambda: PlanePoint(math.nan, 0.5), "plane point must be finite"),
+    (lambda: PlanePoint(0.1, math.inf), "plane point must be finite"),
+    (lambda: PlanePoint(-math.inf, 0.5), "plane point must be finite"),
+    (lambda: SkParams(math.nan, 0.5), "x must be finite"),
+    (lambda: SkParams(0.1, math.inf), "t must be finite"),
+    (lambda: SkParams(0.1, 0.5, -math.inf), "beta_h must be finite"),
+], ids=["point x nan", "point t inf", "point x -inf", "sk x nan", "sk t inf", "sk beta_h -inf"])
+def test_parameter_types_refuse_a_coordinate_that_is_not_finite(build, match):
+    with pytest.raises(ValueError, match=match):
+        build()

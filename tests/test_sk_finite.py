@@ -98,6 +98,22 @@ def test_correlators_match_a_hand_rolled_enumeration():
     assert omega((1, 1)) == pytest.approx(1.0, abs=1e-15)
 
 
+@pytest.mark.parametrize("call, match", [
+    (lambda: draw_disorder(0, 0, 4.0), "site count must be an integer"),
+    (lambda: quenched_overlap_moments(SkParams(0.1, 0.1), 4.5, 4, seed=0),
+     "site count must be an integer"),
+    (lambda: GibbsCorrelators(DisorderSample(0, 0, np.zeros(5), np.zeros(4)), SkParams(0.1, 0.1)),
+     "couplings length"),
+    (lambda: GibbsCorrelators(draw_disorder(0, 0, 4), SkParams(0.1, 0.1))((0, 4)),
+     r"site index 4 outside \[0, 4\)"),
+    (lambda: GibbsCorrelators(draw_disorder(0, 0, 4), SkParams(0.1, 0.1))((-1,)),
+     r"site index -1 outside"),
+], ids=["draw n=4.0", "moments n=4.5", "couplings length", "site 4 of 4", "site -1"])
+def test_enumeration_refuses_a_bad_size_or_site(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()
+
+
 def test_cost_guard_and_parameter_checks():
     with pytest.raises(ValueError):
         quenched_overlap_moments(SkParams(0.1, 0.1), 15, 10, seed=0)

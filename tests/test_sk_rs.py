@@ -1,5 +1,7 @@
 """Replica-symmetric solver: cavity expectations, fixed point, caustic, pressure."""
 
+import contextlib
+import io
 import math
 
 import numpy as np
@@ -20,7 +22,7 @@ from spinflow import (
     rs_pressure_detail,
     solve_qbar,
 )
-from spinflow import sk_rs
+from spinflow import cli, sk_rs
 
 LOG2 = math.log(2.0)
 
@@ -504,3 +506,72 @@ def test_domain_validation():
         SkParams(0.1, -0.5)
     with pytest.raises(ValueError):
         gaussian_expectation("tanh", 0.0, 1.0)
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda: gaussian_expectation("tanh_sq", math.nan, 1.0), "must be finite"),
+    (lambda: gaussian_expectation("tanh_sq", 0.0, math.inf), "must be finite"),
+    (lambda: gaussian_expectation("tanh_sq", 0.0, -0.5), "v must be >= 0"),
+    (lambda: rs_pressure_detail(math.nan, 0.0), "must be finite"),
+    (lambda: rs_pressure_detail(1.0, math.inf), "must be finite"),
+    (lambda: rs_pressure_detail(-0.5, 0.0), "beta must be >= 0"),
+    (lambda: rs_characteristic(-0.1, 1.0), "launch variance"),
+    (lambda: rs_characteristic(math.nan, 1.0), "launch variance"),
+], ids=["expectation nan", "expectation inf", "expectation v<0", "pressure beta nan",
+        "pressure h inf", "pressure beta<0", "characteristic x0<0", "characteristic nan"])
+def test_rs_routes_refuse_input_outside_their_domain(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()
+
+
+def _csv_sweep(argv):
+    # exit code and CSV rows of a sweep run in process; it writes nothing to stderr
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    assert err.getvalue() == ""
+    return code, out.getvalue().splitlines()[1:]
+
+
+def _accept_at_once(lo, hi, x0, tol, residual_tol=math.inf):
+    # a Newton that accepts its start whatever the residual there
+    yield x0
+    return x0
+
+
+def _stall_at_once(lo, hi, x0, tol, residual_tol=math.inf):
+    yield x0
+    raise ConvergenceError("stalled", residual=0.5)
+
+
+# one sweep row: the middle lane of x = 0, 0.3, 0.6 at t = 1.2 and beta_h = 0.2
+_LANE_BLOCK = [SkParams(x, 1.2, 0.2) for x in (0.0, 0.3, 0.6)]
+
+
+@pytest.mark.parametrize("forced", [_accept_at_once, _stall_at_once],
+                         ids=["residual at acceptance", "newton budget"])
+def test_a_failed_lane_fails_alone_in_its_block_and_its_sweep(monkeypatch, forced):
+    sweeps = {quantity: ["sweep", "--model", "sk-rs", "--quantity", quantity, "--x-min", "0",
+                         "--x-max", "0.6", "--n-x", "3", "--t-min", "1.2", "--t-max", "1.2",
+                         "--n-t", "1", "--beta-h", "0.2", "--format", "csv"]
+              for quantity in ("rs", "caustic")}
+    solo = [_outcome(sk_rs._solve_lanes([p])[0]) for p in _LANE_BLOCK]
+    rows = {quantity: _csv_sweep(argv) for quantity, argv in sweeps.items()}
+    # a generic lane's Newton starts from map(0), E tanh^2 at v = x: the middle lane's alone
+    target = sk_rs._tanh_moments([0.2], [0.3])[0][0]
+    plain = sk_rs.newton_steps
+
+    def newton(lo, hi, x0, tol, residual_tol=math.inf):
+        return (forced if x0 == target else plain)(lo, hi, x0, tol, residual_tol=residual_tol)
+
+    monkeypatch.setattr(sk_rs, "newton_steps", newton)
+    lanes = [_outcome(s) for s in sk_rs._solve_lanes(_LANE_BLOCK)]
+    assert lanes[0] == solo[0] and lanes[2] == solo[2]
+    kind, message, residual = lanes[1]
+    assert kind is ConvergenceError and message == sk_rs._failure(_LANE_BLOCK[1])
+    assert residual == 0.5 if forced is _stall_at_once else residual >= sk_rs._FIXED_POINT_TOL
+    for quantity, argv in sweeps.items():
+        good, failed = rows[quantity], _csv_sweep(argv)
+        assert good[0] == 0 and failed[0] == 3
+        assert [row.endswith(",true") for row in failed[1]] == [True, False, True]
+        assert failed[1][0::2] == good[1][0::2]
