@@ -21,7 +21,7 @@ largest log-weight of all sectors, and one sector step moves it by at most
 log N + 2|t| + 2|x|; so every pair left out is an exact zero, and each peak is
 kept, the minority one at t > 1 too.  A call costs O(window) time and memory;
 away from the critical point the window is O(sqrt N) sectors, and N = 1e7
-takes tens of milliseconds.  The tables that depend on N alone (the blocks'
+takes tens of milliseconds; near (0, 1) it is O(N^3/4) sectors.  The tables that depend on N alone (the blocks'
 first sectors, their Stirling anchors and |m| there) are built once per N: a
 one-entry, read-only memo keyed by N keeps the last size's, so a sweep at one N
 builds them once and a new N rebuilds them.  After a call the memo holds those
@@ -58,8 +58,11 @@ from .plane import LOG2, PlanePoint, check_size
 _BINOMIAL_BLOCK = 32
 # exp(v) is exactly 0.0 for v < -745.14
 _UNDERFLOW = 746.0
-# largest N: peak memory grows with the N/64 anchors and their temporaries,
-# 149 MB at N = 1e8, so 2^30 spins take about 1.6 GB; the memo then keeps 400 MB
+# largest N.  Away from (0, 1) peak memory grows with the N/64 anchors and their
+# temporaries: one call at N = 1e8 and (0.3, 0.5) peaks at 119 MiB (tracemalloc), so
+# 2^30 spins take about 1.3 GB.  Near (0, 1) the window grows as O(N^3/4) sectors,
+# 5.3e6 at N = 1e8 with a 362 MiB peak at (0, 1), so 2^30 spins there take about 2 GB;
+# the memo keeps 400 MB on top
 MAX_SPINS = 1 << 30
 # a sector's offset in its block
 _OFFSETS = np.arange(float(_BINOMIAL_BLOCK))
