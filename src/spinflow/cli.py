@@ -341,7 +341,7 @@ def _cmd_sweep(args) -> int:
     # before allocating, and so does the sweep before its first row
     most = {"n": cw_exact.MAX_SPINS if args.model == "cw" else sk_finite.MAX_SITES,
             "n_samples": sk_finite.MAX_SAMPLES}
-    # the library's own checks of the other values, which every row would fail
+    # and the library's own checks, run once here, since every row would fail them alike
     check = {"n": check_size if args.model == "cw" else sk_finite._check_site_count,
              "n_samples": sk_finite._check_sample_count,
              "seed": functools.partial(sk_finite._check_key, "seed")}
