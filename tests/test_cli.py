@@ -158,7 +158,8 @@ _UNDERSIZED_SWEEPS = [
 
 
 @pytest.mark.parametrize("argv, point", _UNDERSIZED_SWEEPS,
-                         ids=lambda argv: " ".join(argv[2:5] + argv[-6:]))
+                         ids=["cw exact n=0", "cw identities n=0", "sk-finite samples=1",
+                              "sk-finite seed=-1", "sk-finite n=0"])
 def test_sweep_refuses_an_invalid_flag_as_its_point_query_does(argv, point, monkeypatch):
     point_refusal = run_cli(point)
     assert point_refusal[:2] == (2, "")
