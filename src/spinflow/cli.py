@@ -18,6 +18,9 @@ built per sweep with their cells, so its JSON is byte for byte that of
 every row.  Point records and reports nest, and go through
 ``json.dumps`` with ``allow_nan=False`` after a recursive finite check.
 
+Importing this module loads none of the four library modules: each loads
+on a command's first call into it, so a command runs only its own route.
+
 Exit codes: 0 success, 2 validation failure (one-line diagnostic on
 stderr), 3 numerical non-convergence (partial record still emitted,
 marked converged: false).  A result with a non-finite number is such a
@@ -337,14 +340,17 @@ def _cmd_sweep(args) -> int:
     evaluator, columns = _SWEEP_TABLE[key]
     flags = vars(args)
     echo = {column: flags[flag] for column, flag in _SWEEP_ECHO.items()}
-    # the library's allocation bounds: the point query refuses a size above them
-    # before allocating, and so does the sweep before its first row
-    most = {"n": cw_exact.MAX_SPINS if args.model == "cw" else sk_finite.MAX_SITES,
-            "n_samples": sk_finite.MAX_SAMPLES}
-    # and the library's own checks, run once here, since every row would fail them alike
-    check = {"n": check_size if args.model == "cw" else sk_finite._check_site_count,
-             "n_samples": sk_finite._check_sample_count,
-             "seed": functools.partial(sk_finite._check_key, "seed")}
+    # the library's allocation bounds, from the sweep's own model's module only: the point
+    # query refuses a size above them before allocating, and so does the sweep before its
+    # first row; and the library's own checks, run once here, since every row would fail
+    # them alike
+    most, check = {}, {}
+    if args.model == "cw" and "n" in columns:
+        most, check = {"n": cw_exact.MAX_SPINS}, {"n": check_size}
+    elif args.model == "sk-finite":
+        most = {"n": sk_finite.MAX_SITES, "n_samples": sk_finite.MAX_SAMPLES}
+        check = {"n": sk_finite._check_site_count, "n_samples": sk_finite._check_sample_count,
+                 "seed": functools.partial(sk_finite._check_key, "seed")}
     for column, flag in _SWEEP_ECHO.items():
         value = echo[column]
         if column not in columns:

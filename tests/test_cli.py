@@ -396,18 +396,149 @@ print(json.dumps([[loaded(argv) for argv in (
 """
 
 
-def test_cold_start_loads_no_scipy():
-    # a fresh interpreter: this test module has imported scipy itself
+def run_fresh(script: str):
+    """The JSON that `script` prints in a fresh interpreter with this spinflow on its path."""
     src = os.path.dirname(os.path.dirname(spinflow.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    done = subprocess.run([sys.executable, "-c", _COLD_START], env=env, capture_output=True,
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                           text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    scipy_modules, rules = json.loads(done.stdout)
+    return json.loads(done.stdout)
+
+
+def test_cold_start_loads_no_scipy():
+    # a fresh interpreter: this test module has imported scipy itself
+    scipy_modules, rules = run_fresh(_COLD_START)
     # scipy is the tests' oracle only: no command loads any scipy module
     assert scipy_modules == [[]] * 13
     # importing builds no quadrature rule; the first sk rs query builds the Hermite one
     assert rules[:2] == [0, 1]
+
+
+# Which library modules a command executes: an audit hook sees each module's code
+# run, and every command runs in its own fork of one interpreter that has imported
+# spinflow.cli and nothing else of spinflow (with one BLAS thread, so that the fork
+# copies a process with no other thread)
+_MODULE_LOADS = """
+import contextlib, io, json, os, sys
+os.environ["OPENBLAS_NUM_THREADS"] = "1"
+executed = []
+sys.addaudithook(lambda event, args: event == "exec" and executed.append(args[0].co_filename))
+import spinflow.cli as cli
+package = os.path.dirname(cli.__file__)
+
+def library_modules():
+    return sorted(os.path.basename(f)[:-3] for f in executed
+                  if os.path.dirname(f) == package
+                  and os.path.basename(f) in ("cw_exact.py", "hj_limit.py", "sk_rs.py",
+                                              "sk_finite.py"))
+
+def executed_by(argv):
+    read, write = os.pipe()
+    if os.fork() == 0:
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = cli.main(argv)
+        os.write(write, json.dumps([code, library_modules()]).encode())
+        os._exit(0)
+    os.close(write)
+    with os.fdopen(read) as pipe:
+        result = json.loads(pipe.read())
+    os.waitpid(-1, 0)
+    return result
+
+print(json.dumps([library_modules(), [executed_by(argv) for argv, _ in COMMANDS]]))
+"""
+
+_SWEEP_T = ["--t-min", "1.5", "--t-max", "2", "--n-t", "2"]
+# (command, the library modules it executes)
+_COMMAND_MODULES = [
+    (["cw", "exact", "--x", "0.2", "--t", "0.5", "--n", "10"], ["cw_exact"]),
+    (["cw", "identities", "--x", "0.2", "--t", "0.5", "--n", "10"], ["cw_exact"]),
+    (["sweep", "--model", "cw", "--quantity", "exact", "--n", "10", *_SWEEP_T], ["cw_exact"]),
+    (["sweep", "--model", "cw", "--quantity", "identities", "--n", "10", *_SWEEP_T],
+     ["cw_exact"]),
+    (["cw", "limit", "--x", "0.3", "--t", "2.0"], ["hj_limit"]),
+    (["cw", "shock", "--t", "2.0"], ["hj_limit"]),
+    (["cw", "critical-line", "--t", "2.0"], ["hj_limit"]),
+    (["sweep", "--model", "cw", "--quantity", "limit", "--x-min", "0.1", "--x-max", "0.2",
+      "--n-x", "2", *_SWEEP_T], ["hj_limit"]),
+    (["sweep", "--model", "cw", "--quantity", "shock", *_SWEEP_T], ["hj_limit"]),
+    (["sweep", "--model", "cw", "--quantity", "critical-line", *_SWEEP_T], ["hj_limit"]),
+    (["sk", "rs", "--x", "0.1", "--t", "1.5", "--beta-h", "0.2"], ["sk_rs"]),
+    (["sk", "caustic", "--x", "0", "--t", "0.9", "--beta-h", "0.1"], ["sk_rs"]),
+    (["sweep", "--model", "sk-rs", "--quantity", "rs", *_SWEEP_T], ["sk_rs"]),
+    (["sweep", "--model", "sk-rs", "--quantity", "caustic", *_SWEEP_T], ["sk_rs"]),
+    (["sk", "finite", "--x", "0", "--t", "0.5", "--n", "6", "--samples", "4", "--seed", "1"],
+     ["sk_finite"]),
+    (["sweep", "--model", "sk-finite", "--quantity", "identities", "--n", "4", "--samples", "2",
+      "--seed", "1", *_SWEEP_T], ["sk_finite"]),
+    (["convergence", "--model", "sk-identities", "--x", "0", "--t", "0.36",
+      "--n-list", "4,5,6", "--samples", "4", "--seed", "1"], ["sk_finite"]),
+    (["convergence", "--model", "cw-action", "--x", "0.3", "--t", "0.5", "--n-list", "10,20,40"],
+     ["cw_exact", "hj_limit"]),
+    (["convergence", "--model", "cw-velocity", "--x", "0.3", "--t", "0.5",
+      "--n-list", "10,20,40"], ["cw_exact", "hj_limit"]),
+]
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="runs each command in a fork")
+def test_a_command_executes_only_the_library_modules_it_calls():
+    at_import, runs = run_fresh(_MODULE_LOADS.replace("COMMANDS", repr(_COMMAND_MODULES)))
+    assert at_import == []
+    assert runs == [[0, modules] for _, modules in _COMMAND_MODULES]
+
+
+def test_package_surface_resolves_on_first_access():
+    for name in spinflow.__all__:
+        value = getattr(spinflow, name)
+        if name != "__version__":
+            # the same object as in the submodule that defines it
+            assert getattr(sys.modules[value.__module__], name) is value, name
+    assert set(spinflow.__all__) <= set(dir(spinflow))
+    namespace = {}
+    exec("from spinflow import *", namespace)
+    assert all(namespace[name] is getattr(spinflow, name) for name in spinflow.__all__)
+    assert not hasattr(spinflow, "no_such_name")
+    with pytest.raises(AttributeError, match="no_such_name"):
+        spinflow.no_such_name
+
+
+# A fresh interpreter: the library modules are package attributes before any submodule
+# import, and a module attribute patched, as monkeypatch does, before the module has
+# executed reaches a command
+_FIRST_ACCESS = """
+import contextlib, io, json, sys
+executed = []
+sys.addaudithook(lambda event, args: event == "exec" and executed.append(args[0].co_filename))
+import spinflow
+from spinflow import PlanePoint, cli
+phi = spinflow.cw_exact.exact_fields(PlanePoint(0.2, 0.5), 10).phi
+sk_rs_before = [f for f in executed if f.endswith("sk_rs.py")]
+passes = []
+original = spinflow.sk_rs._tanh_moments
+
+def counted(*args):
+    passes.append(args)
+    return original(*args)
+
+spinflow.sk_rs._tanh_moments = counted
+with contextlib.redirect_stdout(io.StringIO()) as out:
+    code = cli.main(ARGV)
+print(json.dumps([phi, sk_rs_before, code, out.getvalue(), len(passes)]))
+"""
+
+
+def test_library_modules_load_on_first_access_and_take_patches(monkeypatch):
+    argv = ["sk", "rs", "--x", "0.1", "--t", "1.5", "--beta-h", "0.2"]
+    phi, sk_rs_before, code, out, passes = run_fresh(_FIRST_ACCESS.replace("ARGV", repr(argv)))
+    assert phi == exact_fields(PlanePoint(0.2, 0.5), 10).phi
+    assert sk_rs_before == []
+    calls = []
+    original = spinflow.sk_rs._tanh_moments
+    monkeypatch.setattr(spinflow.sk_rs, "_tanh_moments",
+                        lambda *args: calls.append(args) or original(*args))
+    assert (code, out) == run_cli(argv)[:2]
+    assert passes == len(calls) > 0
 
 
 _FLOATS = st.one_of(st.floats(-3.0, 3.0), st.floats(allow_nan=False, allow_infinity=False))
