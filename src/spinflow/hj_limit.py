@@ -117,6 +117,23 @@ def _objective(y: float, x: float, t: float) -> float:
         raise OverflowError(f"Lax-Oleinik objective overflows at x={x}, t={t} (y={y})") from None
 
 
+def _series_bound(x: float, t: float) -> float | None:
+    # A bound on the outer roots' |y| of y = x + t tanh(y) where it is below 0.1, else None:
+    # up to there |y| - tanh |y| >= |y|^3 / 3.05.  Below t = 1, (1 - t) |y| and
+    # t (|y| - tanh |y|) sum to |x|; from t = 1 on an outer root solves
+    # t (|y| - tanh |y|) = |x| + (t - 1) |y|.  A middle root is smaller.  The bound is at
+    # least |x|
+    if abs(x) >= _TANH_SERIES_MAX:
+        return None
+    if t < 1.0:
+        bound = abs(x) / (1.0 - t)
+        if t > 0.0:
+            bound = min(bound, (3.05 * abs(x) / t) ** (1.0 / 3.0))
+    else:
+        bound = max((6.1 * abs(x) / t) ** (1.0 / 3.0), math.sqrt(6.1 * (t - 1.0) / t))
+    return bound if bound < _TANH_SERIES_MAX else None
+
+
 def _root_pieces(x: float, t: float) -> tuple:
     # (hi, tol, series, pieces) for the roots of y = x + t tanh(y): the bracket end,
     # Newton's stop, whether the residual takes its series form and, per monotone piece
@@ -124,23 +141,12 @@ def _root_pieces(x: float, t: float) -> tuple:
     hi = abs(x) + t + 1.0
     if not math.isfinite(hi):
         raise ValueError(f"|x| + t overflows the root bracket at x={x}, t={t}")
-    # A bound on the outer roots' |y|, valid where it is below 0.1: up to there
-    # |y| - tanh |y| >= |y|^3 / 3.05.  Below t = 1, (1 - t) |y| and t (|y| - tanh |y|) sum
-    # to |x|; from t = 1 on an outer root solves t (|y| - tanh |y|) = |x| + (t - 1) |y|.
-    # A middle root is smaller.  The bound is at least |x|
-    series = abs(x) < _TANH_SERIES_MAX
-    if series:
-        if t < 1.0:
-            bound = abs(x) / (1.0 - t)
-            if t > 0.0:
-                bound = min(bound, (3.05 * abs(x) / t) ** (1.0 / 3.0))
-        else:
-            bound = max((6.1 * abs(x) / t) ** (1.0 / 3.0), math.sqrt(6.1 * (t - 1.0) / t))
-        series = bound < _TANH_SERIES_MAX
-    # Where it is not, Newton starts from the fixed-point images x + t tanh(x) and x -+ t
+    bound = _series_bound(x, t)
+    series = bound is not None
+    # Without a bound, Newton starts from the fixed-point images x + t tanh(x) and x -+ t
     # (the middle piece from its centre) and stops at 2.5e-16, absolute below |y| = 1;
     # below t = 1 the stop is scaled by 2^-52 |x| / (1 - t)^2, the most that rounding in
-    # y - x - t tanh y moves a step there.  Where it is, _piece_roots forms the residual
+    # y - x - t tanh y moves a step there.  With one, _piece_roots forms the residual
     # and slope below |y| = 0.1 without cancellation, so a step is resolved to about
     # 2^-52 |y|: the stop is 2.5e-16 times the bound, relative to the root, and the outer
     # pieces start at the bound, beyond the root on the side where Newton closes in on it
@@ -397,10 +403,11 @@ def self_consistent_magnetization(p: PlanePoint) -> float:
     (x = 0, t > 1) the velocity is two-valued and ValueError is raised.
     The branch is a bracketed Newton solve on a piece where u + tanh(x - u t)
     is monotone, and only its piece is solved.  Next to the critical point
-    (0, 1) that residual cancels and the stop is absolute, so a small root
-    loses its relative precision: against 60-digit roots it is 31x off at
-    (1e-30, 1), 1.1e-7 at (1.1e-16, 1) and 2.6e-10 at (1e-20, 1 + 1e-7),
-    where ``lax_action(p).u`` is within 1.1e-16.
+    (0, 1) that residual cancels, so where the root is small it is formed
+    as (1 - t) u + x - (z - tanh z) with z = x - u t and z - tanh z from
+    its series, and Newton starts and stops relative to a bound on the
+    root, as the Lax-Oleinik minimizer does; the two routes stay separate
+    solves of separate equations.
     """
     x, t = p.x, p.t
     if t == 0.0:
@@ -409,8 +416,20 @@ def self_consistent_magnetization(p: PlanePoint) -> float:
         raise ValueError("point lies on the shock line (x = 0, t > 1), where the velocity"
                          " is two-valued")
 
+    # the branch is u = -tanh(y*) for the outer root y* on the side of x, so |u| <= |y*|
+    # is under the minimizer's bound; where there is one, the residual and slope take
+    # their series forms below |z| = 0.1, Newton starts at the bound, on the side where it
+    # closes in monotonically, and stops relative to it
+    bound = _series_bound(x, t)
+    start = None if bound is None else (-bound if x > 0 else bound)
+    tol = _ROOT_TOL if bound is None else _ROOT_TOL * max(bound, 1e-300)
+
     def f(u, sign=1.0):
-        th = math.tanh(x - u * t)
+        z = x - u * t
+        th = math.tanh(z)
+        if bound is not None and abs(z) < _TANH_SERIES_MAX:
+            return (sign * ((1.0 - t) * u + x - _tanh_gap(z)),
+                    sign * ((1.0 - t) + t * th * th))
         return sign * (u + th), sign * (1.0 - t * (1.0 - th * th))
 
     # Split (-1, 1) at the points where f' changes sign, so each piece is monotone.
@@ -433,7 +452,8 @@ def self_consistent_magnetization(p: PlanePoint) -> float:
             return a if x > 0 else b
         if fa * fb < 0.0:
             sign = 1.0 if fa < 0.0 else -1.0
-            return bracketed_newton(lambda u: f(u, sign), a, b, 0.5 * (a + b), _ROOT_TOL)
+            u0 = start if start is not None and a < start < b else 0.5 * (a + b)
+            return bracketed_newton(lambda u: f(u, sign), a, b, u0, tol)
     raise ConvergenceError(f"no self-consistent velocity found at x={x}, t={t}")
 
 

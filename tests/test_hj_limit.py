@@ -389,9 +389,18 @@ def test_minimizer_keeps_its_relative_precision_next_to_the_critical_point(x, t,
 
 def all_roots_velocity(x: float, t: float) -> float:
     # self_consistent_magnetization as it was before it solved one branch: every piece's
-    # root and every exact zero at a cut, then the branch continuous with sign(-x)
+    # root and every exact zero at a cut, then the branch continuous with sign(-x); with
+    # its residual, start and stop, so that only the selection of the root differs
+    bound = hj_limit._series_bound(x, t)
+    start = None if bound is None else (-bound if x > 0 else bound)
+    tol = hj_limit._ROOT_TOL if bound is None else hj_limit._ROOT_TOL * max(bound, 1e-300)
+
     def f(u, sign=1.0):
-        th = math.tanh(x - u * t)
+        z = x - u * t
+        th = math.tanh(z)
+        if bound is not None and abs(z) < hj_limit._TANH_SERIES_MAX:
+            return (sign * ((1.0 - t) * u + x - hj_limit._tanh_gap(z)),
+                    sign * ((1.0 - t) + t * th * th))
         return sign * (u + th), sign * (1.0 - t * (1.0 - th * th))
 
     if t == 0.0:
@@ -409,13 +418,30 @@ def all_roots_velocity(x: float, t: float) -> float:
         fa, fb = f(a)[0], f(b)[0]
         if fa * fb < 0.0:
             sign = 1.0 if fa < 0.0 else -1.0
-            roots.append(hj_limit.bracketed_newton(lambda u: f(u, sign), a, b, 0.5 * (a + b),
-                                                   hj_limit._ROOT_TOL))
+            u0 = start if start is not None and a < start < b else 0.5 * (a + b)
+            roots.append(hj_limit.bracketed_newton(lambda u: f(u, sign), a, b, u0, tol))
     roots += [c for c in cuts if f(c)[0] == 0.0]
     if not roots:
         raise hj_limit.ConvergenceError(f"no self-consistent velocity found at x={x}, t={t}")
     roots = sorted(roots)
     return roots[0] if x > 0 else roots[-1]
+
+
+# (x, t, u) to 60 digits (mpmath at 700 digits: the outer root y* of y = x + t tanh y on
+# the side of x, then u = -tanh(y*)) where u + tanh(x - u t) cancels next to (0, 1): the
+# limit grid's t = 1 row at x = 2^-53, the critical cubic's points and both sides of t = 1
+@pytest.mark.parametrize("x, t, u", [
+    (1e-30, 1.0, -1.44224957030740842237961058152955526091606954467093950668878e-10),
+    (1.1e-16, 1.0, -6.91042322994518427559027075862667640448905373294003606073465e-6),
+    (2.0 ** -53, 1.0, -6.9317649567210287499131906621254562098366788213300491933809e-6),
+    (-2.76e-13, 1 - 1.1e-12, 9.38907041807784035540774207542872054515153562160016206374601e-5),
+    (1e-20, 1 + 1e-7, -5.47722508420039462141272277425923932311751680004921784243414e-4),
+])
+def test_self_consistent_velocity_keeps_its_relative_precision_next_to_the_critical_point(
+        x, t, u):
+    root = self_consistent_magnetization(PlanePoint(x, t))
+    assert root == pytest.approx(u, rel=2.0 ** -52, abs=0)
+    assert self_consistent_magnetization(PlanePoint(-x, t)) == -root
 
 
 def all_roots_minimizer(x: float, t: float) -> float:
