@@ -420,8 +420,9 @@ def quenched_overlap_moments(params: SkParams, n: int, n_samples: int,
     relations, p3 their combination with the squared first moment, and
     p4 the bare quartic combination whose decay holds only with no
     external field.  All are disorder averages of thermal polynomials in
-    the replica overlaps and are expected to shrink like 1/n in the
-    high-temperature phase; v_n is half the full overlap variance, the
+    the replica overlaps and are expected to shrink at least like 1/n in
+    the high-temperature phase, p4, quartic in overlaps of order n^-1/2
+    with no field, like n^-2; v_n is half the full overlap variance, the
     potential term whose vanishing defines the replica-symmetric regime.
     OverflowError, naming the point, is raised when the log-weights of a
     sample could overflow.

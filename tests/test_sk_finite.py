@@ -475,6 +475,26 @@ def test_overlap_extrapolates_to_the_rs_fixed_point_in_a_field():
     assert abs(intercept - qbar) <= 3.0 * intercept_error
 
 
+def test_quartic_identity_polynomial_decays_faster_than_one_over_n():
+    # criterion 10 compares n = 6 with n = 12 only; here the whole ladder n = 6..12 at
+    # its point, weighted by the standard errors as in the fit above.  With no field the
+    # overlaps are O(n^-1/2), so every term of p4 = E<q12^4 - 4 q12^2 q23^2 + 3 q12^2 q34^2>
+    # is O(n^-2); over these sizes the log-log slope of E p4 reads 1.469 +- 0.005, and
+    # the fit E p4 = a + b/n does not hold: on these samples a = -0.0130 +- 0.00015
+    params = SkParams(0.0, 0.36, 0.0)
+    sizes = np.arange(6, 13)
+    runs = [quenched_overlap_moments(params, int(n), 1000, seed=2400 + int(n)) for n in sizes]
+    p4 = np.array([m.poly_p4 for m in runs])
+    relative = np.array([m.std_errors[5] for m in runs]) / p4
+    design = np.column_stack((np.ones(len(sizes)), -np.log(sizes))) / relative[:, None]
+    covariance = np.linalg.inv(design.T @ design)
+    _, slope = covariance @ design.T @ (np.log(p4) / relative)
+    slope_error = math.sqrt(covariance[1, 1])
+    assert slope_error < 0.02
+    assert 1.0 < slope - 3.0 * slope_error
+    assert slope + 3.0 * slope_error < 2.0
+
+
 def test_identity_polynomials_fit_under_a_decay_envelope():
     params = SkParams(0.1, 0.25, 0.3)
     results = {n: quenched_overlap_moments(params, n, 400, seed=9)
