@@ -37,11 +37,10 @@ _ROOT_TOL = 2.5e-16
 
 _BRANCHES = ("plus", "minus")
 
-# z - tanh z = sum_k _TANH_SERIES[k] z**(2k + 3); below z = 0.1 these eight terms
-# are exact to double precision, where the difference z - tanh z loses its digits
-_TANH_SERIES = (1 / 3, -2 / 15, 17 / 315, -62 / 2835, 1382 / 155925, -21844 / 6081075,
-                929569 / 638512875, -6404582 / 10854718875)
-_TANH_SERIES_MAX = 0.1
+# z cosh z - sinh z = sum_k _GAP_SERIES[k] z**(2k + 3), every term positive, so
+# z - tanh z is that sum over cosh z with nothing to cancel; for |z| < 1 nine terms are
+# exact to double precision, where the difference z - tanh z cancels by about 3/z^2
+_GAP_SERIES = tuple(2 * k / math.factorial(2 * k + 1) for k in range(1, 10))
 
 # Kernel quadrature: composite Gauss-Legendre of order 20.  The panel count
 # doubles, at most _MAX_DOUBLINGS times, until two levels agree to _QUAD_RTOL;
@@ -101,13 +100,11 @@ def _log_cosh(y: float) -> float:
 
 
 def _tanh_gap(z: float) -> float:
-    # z - tanh z from _TANH_SERIES, for |z| < _TANH_SERIES_MAX, where the difference loses
-    # its digits
-    z2 = z * z
-    tail = 0.0
-    for c in reversed(_TANH_SERIES):
-        tail = tail * z2 + c
-    return z * z2 * tail
+    # z - tanh z from _GAP_SERIES, for |z| < 1
+    c0, c1, c2, c3, c4, c5, c6, c7, c8 = _GAP_SERIES
+    w = z * z
+    return (z * w * (c0 + w * (c1 + w * (c2 + w * (c3 + w * (c4 + w * (c5 + w * (c6 + w * (
+        c7 + w * c8)))))))) / math.cosh(z))
 
 
 def _objective(y: float, x: float, t: float) -> float:
@@ -117,13 +114,13 @@ def _objective(y: float, x: float, t: float) -> float:
         raise OverflowError(f"Lax-Oleinik objective overflows at x={x}, t={t} (y={y})") from None
 
 
-def _series_bound(x: float, t: float) -> float | None:
-    # A bound on the outer roots' |y| of y = x + t tanh(y) where it is below 0.1, else None:
-    # up to there |y| - tanh |y| >= |y|^3 / 3.05.  Below t = 1, (1 - t) |y| and
+def _root_bound(x: float, t: float) -> float | None:
+    # A bound on the outer roots' |y| of y = x + t tanh(y) where it is below 0.2, else None:
+    # up to |y| = 0.204, |y| - tanh |y| >= |y|^3 / 3.05.  Below t = 1, (1 - t) |y| and
     # t (|y| - tanh |y|) sum to |x|; from t = 1 on an outer root solves
     # t (|y| - tanh |y|) = |x| + (t - 1) |y|.  A middle root is smaller.  The bound is at
     # least |x|
-    if abs(x) >= _TANH_SERIES_MAX:
+    if abs(x) >= 0.2:
         return None
     if t < 1.0:
         bound = abs(x) / (1.0 - t)
@@ -131,50 +128,48 @@ def _series_bound(x: float, t: float) -> float | None:
             bound = min(bound, (3.05 * abs(x) / t) ** (1.0 / 3.0))
     else:
         bound = max((6.1 * abs(x) / t) ** (1.0 / 3.0), math.sqrt(6.1 * (t - 1.0) / t))
-    return bound if bound < _TANH_SERIES_MAX else None
+    return bound if bound < 0.2 else None
 
 
 def _root_pieces(x: float, t: float) -> tuple:
-    # (hi, tol, series, pieces) for the roots of y = x + t tanh(y): the bracket end,
-    # Newton's stop, whether the residual takes its series form and, per monotone piece
-    # of y - x - t tanh y in increasing order, its bracket, orientation and Newton start.
+    # (hi, tol, pieces) for the roots of y = x + t tanh(y): the bracket end, Newton's stop
+    # and, per monotone piece of y - x - t tanh y in increasing order, its bracket,
+    # orientation and Newton start.
     hi = abs(x) + t + 1.0
     if not math.isfinite(hi):
         raise ValueError(f"|x| + t overflows the root bracket at x={x}, t={t}")
-    bound = _series_bound(x, t)
-    series = bound is not None
+    bound = _root_bound(x, t)
     # Without a bound, Newton starts from the fixed-point images x + t tanh(x) and x -+ t
     # (the middle piece from its centre) and stops at 2.5e-16, absolute below |y| = 1;
     # below t = 1 the stop is scaled by 2^-52 |x| / (1 - t)^2, the most that rounding in
-    # y - x - t tanh y moves a step there.  With one, _piece_roots forms the residual
-    # and slope below |y| = 0.1 without cancellation, so a step is resolved to about
-    # 2^-52 |y|: the stop is 2.5e-16 times the bound, relative to the root, and the outer
-    # pieces start at the bound, beyond the root on the side where Newton closes in on it
-    # monotonically; from x + t tanh(x) it would crawl down a near-triple root by a
-    # factor 2/3 a step.  The floor keeps the series stop above the subnormal spacing; the
-    # scaled stop needs none, as |x| >= 0.1 or |x| / (1 - t) >= 0.1 puts it above 0.1
-    if series:
+    # the residual moves a step there.  _piece_roots forms the residual and slope below
+    # |y| = 1 without cancellation, so where the root is under a bound a step is resolved
+    # to about 2^-52 |y|: the stop is 2.5e-16 times the bound, relative to the root, and
+    # the outer pieces start at the bound, beyond the root on the side where Newton closes
+    # in on it monotonically; from x + t tanh(x) it would crawl down a near-triple root by
+    # a factor 2/3 a step.  The floor keeps that stop above the subnormal spacing; the
+    # scaled stop needs none, as |x| / (1 - t) >= 0.2 puts it above 0.2 * 2.5e-16
+    if bound is not None:
         tol = _ROOT_TOL * max(bound, 1e-300)
     elif t < 1.0:
         tol = _ROOT_TOL * min(1.0, abs(x) / (1.0 - t) ** 2)
     else:
         tol = _ROOT_TOL
     if t <= 1.0:
-        return hi, tol, series, [(-hi, hi, 1.0, math.copysign(bound, x) if series
-                                  else x + t * math.tanh(x))]
+        return hi, tol, [(-hi, hi, 1.0, x + t * math.tanh(x) if bound is None
+                          else math.copysign(bound, x))]
     yc = math.acosh(math.sqrt(t))
-    low, high = (-bound, bound) if series else (x - t, x + t)
-    return hi, tol, series, [(-hi, -yc, 1.0, low), (-yc, yc, -1.0, 0.0), (yc, hi, 1.0, high)]
+    low, high = (x - t, x + t) if bound is None else (-bound, bound)
+    return hi, tol, [(-hi, -yc, 1.0, low), (-yc, yc, -1.0, 0.0), (yc, hi, 1.0, high)]
 
 
-def _piece_roots(x: float, t: float, hi: float, tol: float, series: bool,
-                 pieces) -> list[float]:
+def _piece_roots(x: float, t: float, hi: float, tol: float, pieces) -> list[float]:
     # the roots on the given pieces, in order: an end where the residual is exactly
     # zero (the far end only for the last piece, which ends at hi), else a bracketed
     # Newton root where the oriented residual changes sign
     def f(y, sign=1.0):
         th = math.tanh(y)
-        if series and abs(y) < _TANH_SERIES_MAX:
+        if abs(y) < 1.0:
             # y - x - t tanh y and 1 - t sech^2 y cancel where both 1 - t and y are
             # small; these forms do not
             return (sign * ((1.0 - t) * y + t * _tanh_gap(y) - x),
@@ -209,8 +204,8 @@ def _stationary_points(x: float, t: float) -> list[float]:
 def _minimizer(x: float, t: float) -> float:
     # g(y) - g(-y) = -2xy/t: the minimizer is the outer root on the side of x, so only
     # the outer monotone piece there is solved
-    hi, tol, series, pieces = _root_pieces(x, t)
-    roots = _piece_roots(x, t, hi, tol, series, [pieces[-1] if x > 0.0 else pieces[0]])
+    hi, tol, pieces = _root_pieces(x, t)
+    roots = _piece_roots(x, t, hi, tol, [pieces[-1] if x > 0.0 else pieces[0]])
     if not roots:
         raise _beyond_bracket(x, t)
     return roots[-1] if x > 0.0 else roots[0]
@@ -228,7 +223,12 @@ def lax_action(p: PlanePoint, branch: str | None = None) -> LaxSolution:
     outer stationary point on the side of x (a middle root lies on the
     other side), so no objective values are compared: near x = 0 they tie
     to rounding.  Only the outer monotone piece on that side is solved, one
-    Newton root per point.  Exactly on the shock line (x = 0, t > 1) the two
+    Newton root per point.  Below |y| = 1 the residual is formed as
+    (1 - t) y + t (y - tanh y) - x, with y - tanh y from a series of positive
+    terms, so the root keeps its relative precision next to (0, 1), except
+    for subnormal |x| at t = 1: there y - tanh y ~ |x| is formed at the
+    subnormal spacing (19 units of 2^-52 off at x = 1e-310, 5 % at 5e-324).
+    Exactly on the shock line (x = 0, t > 1) the two
     symmetric minimizers tie and a branch must be requested explicitly:
     "plus" is the x -> 0+ limit (y_star > 0, u = -m*), "minus" the mirror
     image.
@@ -403,11 +403,11 @@ def self_consistent_magnetization(p: PlanePoint) -> float:
     (x = 0, t > 1) the velocity is two-valued and ValueError is raised.
     The branch is a bracketed Newton solve on a piece where u + tanh(x - u t)
     is monotone, and only its piece is solved.  Next to the critical point
-    (0, 1) that residual cancels, so where the root is small it is formed
-    as (1 - t) u + x - (z - tanh z) with z = x - u t and z - tanh z from
-    its series, and Newton starts and stops relative to a bound on the
-    root, as the Lax-Oleinik minimizer does; the two routes stay separate
-    solves of separate equations.
+    (0, 1) that residual cancels, so below |z| = 1, z = x - u t, it is formed
+    as (1 - t) u + x - (z - tanh z) with the minimizer's gap z - tanh z, and
+    Newton starts and stops relative to a bound on the root, as for the
+    Lax-Oleinik minimizer; the two routes stay separate solves of separate
+    equations.  For subnormal |x| at t = 1 both lose the same digits.
     """
     x, t = p.x, p.t
     if t == 0.0:
@@ -417,17 +417,17 @@ def self_consistent_magnetization(p: PlanePoint) -> float:
                          " is two-valued")
 
     # the branch is u = -tanh(y*) for the outer root y* on the side of x, so |u| <= |y*|
-    # is under the minimizer's bound; where there is one, the residual and slope take
-    # their series forms below |z| = 0.1, Newton starts at the bound, on the side where it
-    # closes in monotonically, and stops relative to it
-    bound = _series_bound(x, t)
+    # is under the minimizer's bound; where there is one, Newton starts at the bound, on
+    # the side where it closes in monotonically, and stops relative to it
+    bound = _root_bound(x, t)
     start = None if bound is None else (-bound if x > 0 else bound)
     tol = _ROOT_TOL if bound is None else _ROOT_TOL * max(bound, 1e-300)
 
     def f(u, sign=1.0):
         z = x - u * t
         th = math.tanh(z)
-        if bound is not None and abs(z) < _TANH_SERIES_MAX:
+        if abs(z) < 1.0:
+            # u + tanh z = (1 - t) u + x - (z - tanh z), as for the minimizer
             return (sign * ((1.0 - t) * u + x - _tanh_gap(z)),
                     sign * ((1.0 - t) + t * th * th))
         return sign * (u + th), sign * (1.0 - t * (1.0 - th * th))
@@ -463,8 +463,8 @@ def spontaneous_magnetization(t: float) -> float:
     Newton starts from the small-supercriticality seed m**2 ~ 3(t-1)/t**3,
     on a bracket from half the seed that keeps it off the trivial root m = 0.
     Just above t = 1, m - tanh(t m) cancels to far below the spacing of m,
-    so there it is formed as (z - tanh z) - (t - 1) m with z = t m and
-    z - tanh z from its series, and Newton stops relative to the seed.
+    so below z = t m = 1 it is formed as (z - tanh z) - (t - 1) m with the
+    minimizer's gap z - tanh z, and Newton stops relative to the seed.
     """
     if not math.isfinite(t) or t <= 1.0:
         raise ValueError(f"spontaneous magnetization needs t > 1, got {t}")
@@ -474,15 +474,12 @@ def spontaneous_magnetization(t: float) -> float:
     def f(m):
         z = t * m
         th = math.tanh(z)
-        if z < _TANH_SERIES_MAX:
-            value = _tanh_gap(z) - (t - 1.0) * m
-        else:
-            value = m - th
+        value = _tanh_gap(z) - (t - 1.0) * m if z < 1.0 else m - th
         return value, 1.0 - t * (1.0 - th * th)
 
-    # the helper's stop is absolute below |m| = 1; where m* is small it is scaled by the
-    # seed, which is then within 0.2 % of m*
-    tol = _ROOT_TOL * seed if t * seed < _TANH_SERIES_MAX else _ROOT_TOL
+    # the helper's stop is absolute below |m| = 1, so it is scaled by the seed where
+    # t seed < 1; the seed is then within 25 % of m*, below it
+    tol = _ROOT_TOL * seed if t * seed < 1.0 else _ROOT_TOL
     # m = 1 is the root to double precision once tanh(t) rounds to 1; the
     # bracket reaches past it so that a Newton step can land there
     return bracketed_newton(f, 0.5 * min(seed, 1.0), 2.0, seed, tol)

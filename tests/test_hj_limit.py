@@ -1,6 +1,7 @@
 """Variational limit solver: minimizer geometry, shock, critical line, characteristics."""
 
 import math
+import random
 
 import numpy as np
 import pytest
@@ -52,6 +53,8 @@ _FROZEN_M_STAR = [
     (1.0 + 1e-8, 1.7320507867171760649353125772674691601632577585813e-4),
     (1.0 + 1e-7, 5.477225083700394711773111678873694199428582447465e-4),
     (1.0 + 1e-6, 1.7320492486534756543202071730838173629562881677421e-3),
+    # t m* = 0.13, where m - tanh(t m) cancels by about 3 / (t m*)^2 = 170
+    (1.005810731652355, 1.3134457809251113358731507078313050786217527497231e-1),
 ]
 
 
@@ -365,7 +368,9 @@ def test_minimizer_sits_on_the_side_of_x_next_to_the_shock(x, t):
 
 # (x, t, y*, u) to 40 digits (an mpmath root of y = x + t tanh y at 60 digits) where both
 # 1 - t and y* are small, so that y - x - t tanh y cancels: the limit grid's t = 1 row at
-# x = 2^-53, the points of the critical cubic y^3 / 3 = x, and both sides of t = 1
+# x = 2^-53, the points of the critical cubic y^3 / 3 = x, and both sides of t = 1; the
+# last three, to 60 digits (mpmath at 120), have 0.1 < |y*| < 0.25, where the direct form
+# cancels by about 3 / y*^2 and the root needs the gap form
 @pytest.mark.parametrize("x, t, y_star, u", [
     (1.1102230246251565e-16, 1.0, 6.931764956832051052375706316167819376646e-6,
      -6.931764956721028749913190662125456209837e-6),
@@ -379,6 +384,12 @@ def test_minimizer_sits_on_the_side_of_x_next_to_the_shock(x, t):
      -4.481386969748718734681481451113386419651e-3),
     (-1e-20, 1 + 1e-15, -3.142961234032095641739456791971298193593e-7,
      3.142961234031992152351529265363970985435e-7),
+    (-2.6e-17, 1.00205, -7.84380143218369695410198630063084630650690213574844606548559e-2,
+     7.8277545353861519028460793507587009809760201871841559318481e-2),
+    (8.3e-06, 1.00588, 1.33598984119167335946172104038280522464120528875996909530153e-1,
+     -1.3280976271440661081556723024440262529102330959481288061929e-1),
+    (-0.00034, 1.0, -1.007984482697844007535578729013855684256540811481256054757e-1,
+     1.004584482697844007291329663596321245363341844501275586007e-1),
 ])
 def test_minimizer_keeps_its_relative_precision_next_to_the_critical_point(x, t, y_star, u):
     sol = lax_action(PlanePoint(x, t))
@@ -391,14 +402,14 @@ def all_roots_velocity(x: float, t: float) -> float:
     # self_consistent_magnetization as it was before it solved one branch: every piece's
     # root and every exact zero at a cut, then the branch continuous with sign(-x); with
     # its residual, start and stop, so that only the selection of the root differs
-    bound = hj_limit._series_bound(x, t)
+    bound = hj_limit._root_bound(x, t)
     start = None if bound is None else (-bound if x > 0 else bound)
     tol = hj_limit._ROOT_TOL if bound is None else hj_limit._ROOT_TOL * max(bound, 1e-300)
 
     def f(u, sign=1.0):
         z = x - u * t
         th = math.tanh(z)
-        if bound is not None and abs(z) < hj_limit._TANH_SERIES_MAX:
+        if abs(z) < 1.0:
             return (sign * ((1.0 - t) * u + x - hj_limit._tanh_gap(z)),
                     sign * ((1.0 - t) + t * th * th))
         return sign * (u + th), sign * (1.0 - t * (1.0 - th * th))
@@ -429,19 +440,89 @@ def all_roots_velocity(x: float, t: float) -> float:
 
 # (x, t, u) to 60 digits (mpmath at 700 digits: the outer root y* of y = x + t tanh y on
 # the side of x, then u = -tanh(y*)) where u + tanh(x - u t) cancels next to (0, 1): the
-# limit grid's t = 1 row at x = 2^-53, the critical cubic's points and both sides of t = 1
+# limit grid's t = 1 row at x = 2^-53, the critical cubic's points and both sides of t = 1;
+# the last three, in 0.05 < |u| < 0.25, are the minimizer's band rows above
 @pytest.mark.parametrize("x, t, u", [
     (1e-30, 1.0, -1.44224957030740842237961058152955526091606954467093950668878e-10),
     (1.1e-16, 1.0, -6.91042322994518427559027075862667640448905373294003606073465e-6),
     (2.0 ** -53, 1.0, -6.9317649567210287499131906621254562098366788213300491933809e-6),
     (-2.76e-13, 1 - 1.1e-12, 9.38907041807784035540774207542872054515153562160016206374601e-5),
     (1e-20, 1 + 1e-7, -5.47722508420039462141272277425923932311751680004921784243414e-4),
+    (-2.6e-17, 1.00205, 7.8277545353861519028460793507587009809760201871841559318481e-2),
+    (8.3e-06, 1.00588, -1.3280976271440661081556723024440262529102330959481288061929e-1),
+    (-0.00034, 1.0, 1.004584482697844007291329663596321245363341844501275586007e-1),
 ])
 def test_self_consistent_velocity_keeps_its_relative_precision_next_to_the_critical_point(
         x, t, u):
     root = self_consistent_magnetization(PlanePoint(x, t))
-    assert root == pytest.approx(u, rel=2.0 ** -52, abs=0)
+    # above |u| = 0.05 the gap's own rounding, up to two ulp, moves the root by up to
+    # about one unit of 2^-52: two units there
+    assert root == pytest.approx(u, rel=2.0 ** -51 if abs(u) > 0.05 else 2.0 ** -52, abs=0)
     assert self_consistent_magnetization(PlanePoint(-x, t)) == -root
+
+
+# (x, u) at t = 1 to 60 digits (mpmath at 700 digits, as above).  Below |x| ~ 1e-308 the
+# gap y^3 / 3 of a root y ~ (3x)^(1/3) is subnormal, so the residual is formed at the
+# subnormal spacing and both routes read the same wrong root (the subnormal-x FOUND line
+# of CHANGES.md): 19 units of 2^-52 at 1e-310, 7.5e-6 at 1e-320 and 5.0 % at 5e-324
+_SUBNORMAL_X = "the residual is formed at the subnormal spacing (subnormal-x FOUND, CHANGES.md)"
+
+
+@pytest.mark.parametrize("x, u", [
+    (1e-300, -1.44224957030740839436879312132134928790811710300084862483732e-100),
+    pytest.param(1e-310, -6.69432950082168840161765433659280924236440960237327840043184e-104,
+                 marks=pytest.mark.xfail(strict=True, reason=_SUBNORMAL_X)),
+    pytest.param(1e-320, -3.10722097516045195164144718558537640595245994418560519877062e-107,
+                 marks=pytest.mark.xfail(strict=True, reason=_SUBNORMAL_X)),
+    pytest.param(5e-324, -2.45641629985518268747714916034561411217621706676196089115189e-108,
+                 marks=pytest.mark.xfail(strict=True, reason=_SUBNORMAL_X)),
+])
+def test_both_velocity_routes_at_a_tiny_x_on_the_critical_coupling(x, u):
+    p = PlanePoint(x, 1.0)
+    assert lax_action(p).u == pytest.approx(u, rel=2.0 ** -52, abs=0)
+    assert self_consistent_magnetization(p) == pytest.approx(u, rel=2.0 ** -52, abs=0)
+
+
+def cross_route_points(count: int = 2000, seed: int = 26) -> list:
+    # log-uniform |x| in [1e-300, 3] of either sign; every other point a log-uniform
+    # |t - 1| in [1e-15, 0.5] on either side of 1, the rest a uniform t in [0, 5]
+    rng = random.Random(seed)
+    points = []
+    for i in range(count):
+        x = rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-300.0, math.log10(3.0))
+        if i % 2:
+            t = 1.0 + rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-15.0, math.log10(0.5))
+        else:
+            t = rng.uniform(0.0, 5.0)
+        points.append((x, t))
+    return points
+
+
+def test_both_velocity_routes_agree_to_relative_precision_on_a_census():
+    # separate solves of separate equations, both cancellation-free: a few units of 2^-52
+    # apart, at most that of an absolute Newton stop of 2.5e-16 at |u| ~ 0.2
+    for x, t in cross_route_points():
+        p = PlanePoint(x, t)
+        u = lax_action(p).u
+        assert abs(u - self_consistent_magnetization(p)) <= 16 * 2.0 ** -52 * abs(u), (x, t)
+
+
+# (z, z - tanh z) to 50 digits (mpmath at 1000 digits); at z = 1e-300 the gap, 3.3e-901,
+# rounds to 0.0
+@pytest.mark.parametrize("z, gap", [
+    (1e-300, 3.3333333333333335839242516854209364698756374646337e-901),
+    (1e-8, 3.3333333333333334092256083012847225792533678702225e-25),
+    (0.05, 4.1625042120027808540980234635768083689270931711281e-5),
+    (0.1, 3.3200537504418293683807942715786886277958643118977e-4),
+    (0.2, 2.6246797750959996943524540063020639565856940469473e-3),
+    (0.5, 3.7882842739990241497681516356327451269710719669887e-2),
+    (0.9, 1.8370212980097559058127940071280701472275003814012e-1),
+    (0.999, 2.3782613833943005038957371647241975430735352012487e-1),
+])
+def test_tanh_gap_is_odd_and_within_two_ulp_of_its_references(z, gap):
+    for sign in (1.0, -1.0):
+        assert abs(hj_limit._tanh_gap(sign * z) - sign * gap) <= 2.0 * math.ulp(gap), sign
+        assert hj_limit._tanh_gap(-sign * z) == -hj_limit._tanh_gap(sign * z)
 
 
 def all_roots_minimizer(x: float, t: float) -> float:

@@ -1,0 +1,23 @@
+"""Checks on the test suite itself."""
+
+import ast
+from pathlib import Path
+
+
+def imported_modules(path: Path) -> set:
+    # the top-level name of every module an import statement in the file names
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Import):
+            names.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module:
+            names.add(node.module.split(".")[0])
+    return names
+
+
+def test_no_test_module_imports_mpmath():
+    # mpmath is not a dependency: high-precision references are frozen as literals
+    modules = sorted(Path(__file__).parent.rglob("*.py"))
+    assert Path(__file__) in modules
+    offenders = [path.name for path in modules if "mpmath" in imported_modules(path)]
+    assert offenders == []
