@@ -11,14 +11,15 @@ statistical only in the disorder average.  The Gibbs correlator of every
 site subset is the fast Walsh-Hadamard transform (FWHT) of the
 probability vector, one O(n 2^n) transform per sample with no per-size
 product tables.  The transform is self-sorting (Stockham): each stage
-reads adjacent pairs from one buffer and writes sums and differences to
-the two halves of another, so every stage runs over long rows, and its
-bits are those of the in-place butterflies.  The log-weights and the two
-series of the replica chains sit on subsets of at most two sites; from
-_FOLD_SITES sites up they are evaluated at every configuration in
-O(2^n), one site at a time, bitwise as the transform would give them,
-so a sample costs one full transform plus O(2^n) work.  Samples are
-processed in blocks of fixed size.
+reads adjacent pairs from one flat buffer and writes sums and
+differences to the two halves of another, so a stage is two numpy calls
+over the whole block however short its rows, and its bits are those of
+the in-place butterflies.  The log-weights and the two series of the
+replica chains sit on subsets of at most two sites; from _FOLD_SITES
+sites up they are evaluated at every configuration in O(2^n), one site
+at a time, bitwise as the transform would give them, so a sample costs
+one full transform plus O(2^n) work.  Samples are processed in blocks
+of fixed size.
 Disorder is drawn from a counter-based generator keyed by (seed, sample
 index), and every per-sample result depends on that key alone, never on
 how the samples are batched.
@@ -87,29 +88,34 @@ def _fwht(a: np.ndarray, work: np.ndarray) -> np.ndarray:
     """Unnormalized Walsh-Hadamard transform over the last axis.
 
     Entry S of a transformed row is sum_c a[c] (-1)^popcount(S & c).
-    Self-sorting radix-2 stages alternate between the two buffers: each
-    reads the pairs (2i, 2i + 1) of a row and writes their sum to i and
-    their difference to i + size/2 of the other buffer.  That rotates
-    the index right by one bit per stage, so after log2(size) stages it
-    is back in natural order.  Bits are combined low bit first, and each
-    output has the same operands in the same order as the in-place
-    butterflies on pairs (c, c + h), h = 1, 2, 4, ..., so the result is
-    bitwise identical to theirs, row by row.
+    Self-sorting radix-2 stages alternate between the two buffers, each
+    over the whole flat buffer in two numpy calls: it reads the adjacent
+    pairs (2i, 2i + 1) and writes their sum to i and their difference to
+    i + total/2 of the other buffer.  With entry (r, c) at r size + c,
+    the lowest bit of an entry's position is always the next bit of c,
+    so every pair lies within one row, and after log2(size) stages entry
+    (r, S) of the result sits at S rows + r, for any row count: the
+    buffer holds the transposed (size, rows) result, which one copy puts
+    back in row order in the other buffer.  Bits are combined low bit
+    first, and each output has the same operands in the same order as
+    the in-place butterflies on pairs (c, c + h), h = 1, 2, 4, ..., so
+    the result is bitwise identical to theirs, row by row.
 
     `a` and `work` must be C-contiguous of the same shape; both are
     overwritten.  Returns the buffer that holds the result: `a` when
-    log2(size) is even, `work` when it is odd.
+    log2(size) is odd, `work` when it is even.
     """
     size = a.shape[-1]
-    half = size // 2
     stages = size.bit_length() - 1
-    src, dst = a.reshape(-1, size), work.reshape(-1, size)
+    src, dst = a.reshape(-1), work.reshape(-1)
+    half = src.size // 2
     for _ in range(stages):
-        pairs = src.reshape(src.shape[0], half, 2)
-        np.add(pairs[:, :, 0], pairs[:, :, 1], out=dst[:, :half])
-        np.subtract(pairs[:, :, 0], pairs[:, :, 1], out=dst[:, half:])
+        pairs = src.reshape(-1, 2)
+        np.add(pairs[:, 0], pairs[:, 1], out=dst[:half])
+        np.subtract(pairs[:, 0], pairs[:, 1], out=dst[half:])
         src, dst = dst, src
-    return work if stages % 2 else a
+    np.copyto(dst.reshape(-1, size), src.reshape(size, -1).T)
+    return a if stages % 2 else work
 
 
 def _walsh_series(constant, fields: np.ndarray, pairs: np.ndarray, out: np.ndarray,
@@ -138,7 +144,8 @@ def _walsh_series(constant, fields: np.ndarray, pairs: np.ndarray, out: np.ndarr
     coefficients are scattered into `out` and transformed.
 
     `out` and `work` are C-contiguous (rows, 2^n) planes, both
-    overwritten.  Returns the one that holds the result, as `_fwht` does.
+    overwritten.  Returns the one that holds the result, which callers
+    find by identity: the fold ends in `out`, the transform in either.
     """
     rows, n = fields.shape
     if n < _FOLD_SITES:

@@ -256,7 +256,9 @@ def in_place_butterflies(a):
 
 def transform_inputs(n):
     rng = np.random.default_rng(n)
-    for shape in ((1, 1 << n), (max(1, 8192 >> n), 1 << n), (2, max(1, 8192 >> n), 1 << n)):
+    # row counts that are not powers of two (the engine runs 200-row blocks at n = 4, 5)
+    for shape in ((1, 1 << n), (max(1, 8192 >> n), 1 << n), (2, max(1, 8192 >> n), 1 << n),
+                  (3, 1 << n), (200, 1 << n), (2, 3, 1 << n)):
         yield np.exp(rng.uniform(-5.0, 5.0, shape)) * rng.choice((-1.0, 1.0), shape)
 
 
@@ -265,7 +267,7 @@ def test_transform_is_bitwise_the_in_place_butterflies(n):
     for data in transform_inputs(n):
         a, work = data.copy(), np.empty_like(data)
         result = sk_finite._fwht(a, work)
-        assert result is (work if n % 2 else a)
+        assert result is (a if n % 2 else work)
         expected = in_place_butterflies(data.copy())
         assert np.array_equal(result.view(np.uint64), expected.view(np.uint64))
 
