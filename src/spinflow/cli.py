@@ -8,9 +8,10 @@ replica-symmetric quantities solve the grid's fixed points in lockstep;
 a convergence report calls it at one point per size of a ladder.  Every
 command emits a machine-readable record: JSON for point queries and
 convergence reports, JSON or CSV for sweeps.
-Output is deterministic byte for byte at fixed inputs: floats are
-serialized with repr round-tripping in JSON and 17 significant digits
-in CSV, rows are ordered t-major, and nothing is seeded from the clock.
+Output is deterministic byte for byte at fixed inputs, whatever the
+BLAS thread count: floats are serialized with repr round-tripping in
+JSON and 17 significant digits in CSV, rows are ordered t-major, and
+nothing is seeded from the clock.
 Sweep rows are flat, one scalar per column, and are formed once in
 column order, with a flat finite check; one writer fills a template
 built per sweep with their cells, so its JSON is byte for byte that of

@@ -247,8 +247,11 @@ def exact_fields(p: PlanePoint, n: int, k_max: int = 4) -> ExactCwFields:
     moments /= z
     # with c = |<m>|, a pair's heavier sector adds w (a - c)**2 to the variance
     # and its lighter one light (a + c)**2, together even (a - c)**2 + 4 c light a
+    # (numpy's pairwise sums, not np.dot: OpenBLAS splits a long dot product over
+    # its threads, so its bits would depend on the thread count)
     spread = np.square(np.subtract(a, moments[0], out=term), out=term)
-    variance = np.dot(even, spread) + 4.0 * moments[0] * np.dot(light, a[tail:])
+    variance = (np.multiply(even, spread, out=term).sum()
+                + 4.0 * moments[0] * np.multiply(light, a[tail:], out=light).sum())
     moments[0::2] *= -1.0 if p.x < 0 else 1.0  # +0.0 at x = -0.0
 
     phi = -(shift + math.log(z)) / n

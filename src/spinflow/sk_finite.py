@@ -400,9 +400,10 @@ class OverlapMoments:
 
 
 def _jackknife(loo_values: np.ndarray) -> float:
+    # a pairwise sum, not a dot product, whose bits would depend on the BLAS thread count
     count = loo_values.shape[0]
     centered = loo_values - loo_values.mean()
-    return math.sqrt((count - 1) / count * float(centered @ centered))
+    return math.sqrt((count - 1) / count * float(np.square(centered).sum()))
 
 
 def _identity_polynomials(q1, q2, o1, e1, e2):

@@ -415,6 +415,26 @@ def test_cold_start_loads_no_scipy():
     assert rules[:2] == [0, 1]
 
 
+# Reductions over more than 10 000 doubles: the sector-sum variance at two large N,
+# and the jackknife over 20 000 samples.  OpenBLAS splits a dot product that long
+# over its threads, so these must not go through the BLAS.
+_LONG_REDUCTIONS = """
+import json, os
+os.environ["OPENBLAS_NUM_THREADS"] = "{threads}"
+from spinflow import SkParams, cw_exact, sk_finite
+from spinflow.plane import PlanePoint
+values = [cw_exact.exact_fields(PlanePoint(0.3, 0.5), n).potential for n in (73293, 250000)]
+m = sk_finite.quenched_overlap_moments(SkParams(0.2, 0.5, 0.1), 4, 20000, seed=11)
+values += [*m.std_errors, m.v_n_std_error]
+print(json.dumps([v.hex() for v in values]))
+"""
+
+
+def test_results_do_not_depend_on_the_blas_thread_count():
+    one, two = (run_fresh(_LONG_REDUCTIONS.format(threads=threads)) for threads in (1, 2))
+    assert one == two
+
+
 # Which library modules a command executes: an audit hook sees each module's code
 # run, and every command runs in its own fork of one interpreter that has imported
 # spinflow.cli and nothing else of spinflow (with one BLAS thread, so that the fork

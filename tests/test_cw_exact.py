@@ -424,7 +424,7 @@ _FROZEN_SMALL_N = {
         "-0x1.59989fe89ee5ep-1", "0x1.86595c77ae24dp-1", "-0x1.59989fe89ee5ep-1",
         "0x1.86595c77ae24dp-1"),
     (-0.7, 0.4, 63): (
-        "-0x1.0412e362c2e04p+0", "0x1.85a314542eca1p-1", "0x1.06c05547ecaa1p-8",
+        "-0x1.0412e362c2e04p+0", "0x1.85a314542eca1p-1", "0x1.06c05547ecaa0p-8",
         "-0x1.85a314542eca1p-1", "0x1.2c9f832a7d343p-1", "-0x1.d5c41e10753d4p-2",
         "0x1.735185b5482cfp-2"),
     (-0.7, 0.4, 64): (
@@ -446,10 +446,10 @@ _FROZEN_SMALL_N = {
         "-0x1.6cca8c347d8a8p+1", "0x0.0p+0", "0x1.fc92c130538e2p-2", "0x0.0p+0",
         "0x1.fc92c130538e2p-1", "0x0.0p+0", "0x1.fc92c130538e2p-1"),
     (0.0, 5.0, 63): (
-        "-0x1.416a44e783147p+1", "0x0.0p+0", "0x1.ffe483e26a835p-2", "0x0.0p+0",
+        "-0x1.416a44e783147p+1", "0x0.0p+0", "0x1.ffe483e26a839p-2", "0x0.0p+0",
         "0x1.ffe483e26a839p-1", "0x0.0p+0", "0x1.ffcac150a5facp-1"),
     (0.0, 5.0, 64): (
-        "-0x1.4164a1b2d2478p+1", "0x0.0p+0", "0x1.ffe49394f3c59p-2", "0x0.0p+0",
+        "-0x1.4164a1b2d2478p+1", "0x0.0p+0", "0x1.ffe49394f3c5bp-2", "0x0.0p+0",
         "0x1.ffe49394f3c5bp-1", "0x0.0p+0", "0x1.ffcad8f7c1b29p-1"),
     (0.0, 5.0, 65): (
         "-0x1.415f2ae6d3264p+1", "0x0.0p+0", "0x1.ffe4a2c358fcbp-2", "0x0.0p+0",
@@ -472,7 +472,7 @@ def test_small_n_fields_frozen_bits(x, t, n):
 # convergence ladder at (0.3, 0.5), and one point with t > 1 and x < 0
 _FROZEN_LARGE_N = {
     (0.0, 0.25, 25000): (
-        "-0x1.62e4f0fea93d4p-1", "0x0.0p+0", "0x1.bf626cd817d98p-16",
+        "-0x1.62e4f0fea93d4p-1", "0x0.0p+0", "0x1.bf626cd817d95p-16",
         "0x0.0p+0", "0x1.bf626cd817d95p-15", "0x0.0p+0",
         "0x1.252dc45b3878ap-27"),
     (0.5, 0.25, 25000): (
@@ -484,7 +484,7 @@ _FROZEN_LARGE_N = {
         "0x1.ac3d8e4da6e91p-1", "0x1.6630a5470f95cp-1", "0x1.2b9a93c36a87bp-1",
         "0x1.f5359f3821fe6p-2"),
     (0.0, 0.8333333333333334, 25000): (
-        "-0x1.62e8e207cf48dp-1", "0x0.0p+0", "0x1.f6b6df3a62b27p-14",
+        "-0x1.62e8e207cf48dp-1", "0x0.0p+0", "0x1.f6b6df3a62b26p-14",
         "0x0.0p+0", "0x1.f6b6df3a62b26p-13", "0x0.0p+0",
         "0x1.71d8264745dc5p-23"),
     (0.5, 0.8333333333333334, 25000): (
@@ -496,7 +496,7 @@ _FROZEN_LARGE_N = {
         "0x1.e41dd67ef43b5p-1", "0x1.c9c1074075261p-1", "0x1.b0d44d04a8f7bp-1",
         "0x1.99438c7c504f7p-1"),
     (0.0, 1.4166666666666667, 25000): (
-        "-0x1.8ec7d113f70d7p-1", "0x0.0p+0", "0x1.5ab28e85e746dp-2",
+        "-0x1.8ec7d113f70d7p-1", "0x0.0p+0", "0x1.5ab28e85e746ep-2",
         "0x0.0p+0", "0x1.5ab28e85e746ep-1", "0x0.0p+0",
         "0x1.d5980be4f083bp-2"),
     (0.5, 1.4166666666666667, 25000): (
@@ -528,7 +528,7 @@ _FROZEN_LARGE_N = {
         "0x1.004b04aa872e8p-1", "0x1.01402d4bfe4acp-2", "0x1.02df96d6004ebp-3",
         "0x1.052ab12d8e085p-4"),
     (0.3, 0.5, 3411): (
-        "-0x1.8cc03f699d6a4p-1", "-0x1.005a9cb337d81p-1", "0x1.704939c10647cp-13",
+        "-0x1.8cc03f699d6a4p-1", "-0x1.005a9cb337d81p-1", "0x1.704939c10647bp-13",
         "0x1.005a9cb337d81p-1", "0x1.01116bc76ddfbp-2", "0x1.0224abadd475fp-3",
         "0x1.0394fe4d4e1c6p-4"),
     (0.3, 0.5, 6300): (
@@ -536,7 +536,7 @@ _FROZEN_LARGE_N = {
         "0x1.00630f5ecad82p-1", "0x1.00f81df00902bp-2", "0x1.01bf5b413f481p-3",
         "0x1.02b9141caa83cp-4"),
     (0.3, 0.5, 11635): (
-        "-0x1.8cb9dfa1e8557p-1", "-0x1.0067a26daead9p-1", "0x1.afd6535d75301p-15",
+        "-0x1.8cb9dfa1e8557p-1", "-0x1.0067a26daead9p-1", "0x1.afd6535d75302p-15",
         "0x1.0067a26daead9p-1", "0x1.00ea6c34ae83fp-2", "0x1.01887b22bb312p-3",
         "0x1.0241f5a4d62b0p-4"),
     (0.3, 0.5, 21488): (
@@ -544,7 +544,7 @@ _FROZEN_LARGE_N = {
         "0x1.006a1c9869fedp-1", "0x1.00e3024d9bffcp-2", "0x1.016ac279a5060p-3",
         "0x1.02017104ed4c0p-4"),
     (0.3, 0.5, 39685): (
-        "-0x1.8cb80146a0310p-1", "-0x1.006b73fec50c7p-1", "0x1.fa6ab6b7339cfp-17",
+        "-0x1.8cb80146a0310p-1", "-0x1.006b73fec50c7p-1", "0x1.fa6ab6b7339cdp-17",
         "0x1.006b73fec50c7p-1", "0x1.00defec2907d2p-2", "0x1.015aaa12254dep-3",
         "0x1.01de8078130b3p-4"),
     (0.3, 0.5, 73293): (
@@ -556,11 +556,11 @@ _FROZEN_LARGE_N = {
         "0x1.006c92a0c6844p-1", "0x1.00dba52b141e7p-2", "0x1.014d3aa048759p-3",
         "0x1.01c1561467981p-4"),
     (0.3, 0.5, 250000): (
-        "-0x1.8cb75a5adb3bfp-1", "-0x1.006cc924eb869p-1", "0x1.418d263c4ebc1p-19",
+        "-0x1.8cb75a5adb3bfp-1", "-0x1.006cc924eb869p-1", "0x1.418d263c4ebc0p-19",
         "0x1.006cc924eb869p-1", "0x1.00db0211527b4p-2", "0x1.014aac7116ab7p-3",
         "0x1.01bbc9f6376f9p-4"),
     (-0.35, 1.6, 5000): (
-        "-0x1.2be7ae11d887ep+0", "0x1.e887efe1587c7p-1", "0x1.5ee0eb9c8b001p-17",
+        "-0x1.2be7ae11d887ep+0", "0x1.e887efe1587c7p-1", "0x1.5ee0eb9c8b000p-17",
         "-0x1.e887efe1587c7p-1", "0x1.d226031ed81f7p-1", "-0x1.bccd3935d4298p-1",
         "0x1.a8712eba9b376p-1"),
 }

@@ -337,9 +337,9 @@ FROZEN_MOMENTS = {
     (5, 40, 3): (
         "0x1.0f72485e1a6c4p-2", "0x1.58018447745c4p-2", "-0x1.6c6243309a560p-11",
         "0x1.78f81a1679c0ep-5", "0x1.7775bb6695cd4p-5", "0x1.a2622036d8135p-5",
-        "0x1.100cba38834edp-3", "0x1.1c1bd580a692ep-8", "0x1.8605d312cf0a6p-6",
-        "0x1.c2666471f29d3p-7", "0x1.05d6b878d760bp-8", "0x1.15d071624207cp-8",
-        "0x1.4c75fecdc7739p-8", "0x1.522319ebfd7e9p-8"),
+        "0x1.100cba38834edp-3", "0x1.1c1bd580a692fp-8", "0x1.8605d312cf0a6p-6",
+        "0x1.c2666471f29d3p-7", "0x1.05d6b878d760bp-8", "0x1.15d071624207dp-8",
+        "0x1.4c75fecdc773ap-8", "0x1.522319ebfd7e9p-8"),
     (5, 40, 2 ** 64 - 1): (
         "0x1.eaf083548c0dap-3", "0x1.6483e116430f5p-2", "-0x1.68ab6afb8e1bcp-8",
         "0x1.5d64fe1ce2c8dp-5", "0x1.5296524ae04c4p-5", "0x1.7e462f1ab1e74p-5",
@@ -350,19 +350,19 @@ FROZEN_MOMENTS = {
         "0x1.352b9ad7c0617p-2", "0x1.becd1caf11dbdp-3", "0x1.02634b808e8edp-7",
         "0x1.24fc866012e42p-6", "0x1.4bfe42033e190p-6", "0x1.7789f9d7efef5p-6",
         "0x1.041bf711f594cp-4", "0x1.d28430eb7d830p-7", "0x1.9d7a1a0010359p-5",
-        "0x1.626dd2f3fcb71p-6", "0x1.73537f236edfep-8", "0x1.f063071f7bc74p-8",
+        "0x1.626dd2f3fcb71p-6", "0x1.73537f236edfep-8", "0x1.f063071f7bc75p-8",
         "0x1.1c25c4fb77524p-7", "0x1.5f8374a7b0241p-7"),
     (14, 3, 2 ** 64 - 1): (
         "0x1.9eda2c9a7f657p-2", "0x1.0f53ee5095309p-2", "0x1.19c6e0c82075ep-8",
         "0x1.45c10c19eb545p-7", "0x1.7ed50498d4c18p-7", "0x1.93ef58cb2ce1bp-7",
-        "0x1.9d09570ea1cfcp-5", "0x1.e778d6ac9f3f5p-10", "0x1.7c136feab9c2dp-4",
+        "0x1.9d09570ea1cfcp-5", "0x1.e778d6ac9f3f4p-10", "0x1.7c136feab9c2dp-4",
         "0x1.24393d3b4e773p-4", "0x1.3d427a32d583dp-9", "0x1.d2b7ac9f88f41p-9",
         "0x1.048832765f3b9p-8", "0x1.275ba7fe061d9p-8"),
     (11, 8, 3): (
         "0x1.188ff4a9e93b3p-2", "0x1.c8c64cfa32ae7p-3", "0x1.c8642149f75d0p-11",
         "0x1.2b54773bdacd5p-6", "0x1.2f3cd38ce67e5p-6", "0x1.71ae429b4454ep-6",
         "0x1.2f08b0e6bbc24p-4", "0x1.88b47ae530c46p-7", "0x1.918cc348ccd50p-5",
-        "0x1.607d6a9335badp-6", "0x1.7077d2a03cf22p-8", "0x1.35ae1dd063775p-9",
+        "0x1.607d6a9335badp-6", "0x1.7077d2a03cf23p-8", "0x1.35ae1dd063775p-9",
         "0x1.effc9479a0016p-9", "0x1.6eeccfa3d7146p-9"),
     (12, 6, 3): (
         "0x1.bf107b77dedc7p-2", "0x1.42ef9099194edp-2", "-0x1.374061e8a3e97p-8",
