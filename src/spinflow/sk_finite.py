@@ -56,11 +56,12 @@ _BLOCK_ENTRIES = 1 << 13
 # workspace planes: log-weights, transform partner, spare; series L and A, partners (2)
 _PLANES = 7
 # site count from which _walsh_series folds instead of transforming.  Below it
-# the folds' extra numpy calls cost as much as the transform stages they save,
-# or more: over three runs of interleaved per-block timings of
-# _sample_statistics on a 2-vCPU host, fold/transform read 1.00-1.44 at
-# n = 6-10, 0.98-1.02 at 11, 0.86-1.01 at 12, 0.86-0.96 at 13, 0.78-0.85 at 14.
-_FOLD_SITES = 12
+# the folds' extra numpy calls cost more than the transform stages they save:
+# over six runs of interleaved per-block timings of _sample_statistics on a
+# 2-vCPU host, fold/transform read 1.07-1.55 at n = 6-10, 1.07-1.15 at 11,
+# 1.00-1.04 at 12 (the transform ahead in every run), 0.92-1.01 at 13 and
+# 0.78-0.86 at 14.
+_FOLD_SITES = 13
 
 
 @lru_cache(maxsize=None)
@@ -417,7 +418,7 @@ def quenched_overlap_moments(params: SkParams, n: int, n_samples: int,
 
     Each sample is keyed by (seed, index) and enumerated by the
     Walsh-Hadamard engine: one O(n 2^n) transform and O(2^n) series
-    evaluations per sample from _FOLD_SITES sites up, four row transforms
+    evaluations per sample from _FOLD_SITES sites up, four transforms
     below; samples go through in blocks of
     max(1, 2^13 >> n), all in one workspace.  A sample's statistics
     depend on its key alone, not on the block it falls in or on
