@@ -246,9 +246,9 @@ def exact_fields(p: PlanePoint, n: int, k_max: int = 4) -> ExactCwFields:
         moments[j] = np.multiply(power, even if j % 2 else odd, out=term).sum()
     moments /= z
     # with c = |<m>|, a pair's heavier sector adds w (a - c)**2 to the variance
-    # and its lighter one light (a + c)**2, together even (a - c)**2 + 4 c light a
-    # (numpy's pairwise sums, not np.dot: OpenBLAS splits a long dot product over
-    # its threads, so its bits would depend on the thread count)
+    # and its lighter one light (a + c)**2, together even (a - c)**2 + 4 c light a;
+    # summed by numpy, not np.dot, which OpenBLAS splits over its threads above
+    # 10 000 entries, so that its bits would depend on the thread count
     spread = np.square(np.subtract(a, moments[0], out=term), out=term)
     variance = (np.multiply(even, spread, out=term).sum()
                 + 4.0 * moments[0] * np.multiply(light, a[tail:], out=light).sum())
