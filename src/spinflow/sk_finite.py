@@ -59,9 +59,9 @@ _PLANES = 7
 # the folds' extra numpy calls cost more than the transform stages they save:
 # over six runs of interleaved per-block timings of _sample_statistics on a
 # 2-vCPU host, fold/transform read 1.07-1.55 at n = 6-10, 1.07-1.15 at 11,
-# 1.00-1.04 at 12 (the transform ahead in every run), 0.92-1.01 at 13 and
-# 0.78-0.86 at 14.
-_FOLD_SITES = 13
+# 1.00-1.04 at 12, 0.92-1.01 at 13 and 0.78-0.86 at 14.  At 12 the two stay
+# within 4 % (1.00 in two runs), so the switch stays there.
+_FOLD_SITES = 12
 
 
 @lru_cache(maxsize=None)

@@ -330,8 +330,8 @@ def test_series_evaluator_is_bitwise_the_transform_of_its_coefficients(n, fold_s
 
 
 # quenched_overlap_moments at (x, t, beta_h) = (0.3, 0.8, 0.15), frozen as
-# float.hex: (q1, q2, poly_p1..p4, v_n, v_n_std_error, *std_errors); the n = 12
-# and n = 13 entries sit on either side of sk_finite._FOLD_SITES, and new
+# float.hex: (q1, q2, poly_p1..p4, v_n, v_n_std_error, *std_errors); the n = 11
+# and n = 12 entries sit on either side of sk_finite._FOLD_SITES, and new
 # entries go last, so that the test ids of the others keep their entries
 FROZEN_MOMENTS = {
     (5, 40, 3): (
@@ -370,12 +370,6 @@ FROZEN_MOMENTS = {
         "0x1.ff03b2281e6d2p-5", "0x1.91043cb5c8d1ap-7", "0x1.68cb90e8e2144p-4",
         "0x1.037c7ce8c6cd6p-4", "0x1.5d98009064cf3p-8", "0x1.58cbeaafe47d6p-8",
         "0x1.d2f5e6e0383c8p-8", "0x1.2754ffeeaaa79p-7"),
-    (13, 4, 3): (
-        "0x1.6ed63e04c6dd6p-3", "0x1.6fd239cfc5078p-3", "0x1.d76ac91d8791cp-9",
-        "0x1.d76a9d16353a9p-7", "0x1.ec86c69e3d334p-7", "0x1.16efb28086bf8p-6",
-        "0x1.2e1d103b98130p-4", "0x1.af9d08ed3c92fp-7", "0x1.0bb1ada6e4451p-6",
-        "0x1.608873df30e33p-6", "0x1.c110497a51acdp-9", "0x1.7c4c85012cb10p-9",
-        "0x1.d09c3aa41314cp-9", "0x1.c4706c717e310p-9"),
 }
 
 
