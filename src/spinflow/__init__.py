@@ -59,45 +59,4 @@ def __dir__():
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ConvergenceError",
-    "QuadratureError",
-    "PlanePoint",
-    "SkParams",
-    "ExactCwFields",
-    "log_partition",
-    "exact_fields",
-    "hj_residual",
-    "continuity_residual",
-    "conservation_residuals",
-    "LaxSolution",
-    "CrossingScan",
-    "lax_action",
-    "viscous_action",
-    "viscous_velocity",
-    "self_consistent_magnetization",
-    "spontaneous_magnetization",
-    "shock_jump",
-    "critical_line",
-    "critical_launch_point",
-    "characteristic",
-    "crossing_scan",
-    "symmetry_breaking_limit",
-    "RsSolution",
-    "gaussian_expectation",
-    "solve_qbar",
-    "rs_action",
-    "rs_actions",
-    "rs_pressure",
-    "rs_pressure_detail",
-    "caustic_margin",
-    "caustic_margins",
-    "caustic_root",
-    "rs_characteristic",
-    "DisorderSample",
-    "GibbsCorrelators",
-    "OverlapMoments",
-    "draw_disorder",
-    "quenched_overlap_moments",
-    "__version__",
-]
+__all__ = ["ConvergenceError", "QuadratureError", "PlanePoint", "SkParams", *_HOME, "__version__"]

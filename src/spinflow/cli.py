@@ -41,7 +41,7 @@ from json.encoder import encode_basestring_ascii
 import numpy as np
 
 from . import __version__
-from .plane import ConvergenceError, PlanePoint, QuadratureError, SkParams, check_size
+from .plane import ConvergenceError, PlanePoint, QuadratureError, SkParams
 from . import cw_exact, hj_limit, sk_finite, sk_rs
 
 _NUMERICAL_ERRORS = (ConvergenceError, QuadratureError, FloatingPointError, OverflowError)
@@ -341,15 +341,12 @@ def _cmd_sweep(args) -> int:
     evaluator, columns = _SWEEP_TABLE[key]
     flags = vars(args)
     echo = {column: flags[flag] for column, flag in _SWEEP_ECHO.items()}
-    # the library's allocation bounds, from the sweep's own model's module only: the point
-    # query refuses a size above them before allocating, and so does the sweep before its
-    # first row; and the library's own checks, run once here, since every row would fail
-    # them alike
-    most, check = {}, {}
+    # the point query's own library checks, run once before the first row, since every
+    # row would fail them alike
+    check = {}
     if args.model == "cw" and "n" in columns:
-        most, check = {"n": cw_exact.MAX_SPINS}, {"n": check_size}
+        check = {"n": cw_exact._check_spins}
     elif args.model == "sk-finite":
-        most = {"n": sk_finite.MAX_SITES, "n_samples": sk_finite.MAX_SAMPLES}
         check = {"n": sk_finite._check_site_count, "n_samples": sk_finite._check_sample_count,
                  "seed": functools.partial(sk_finite._check_key, "seed")}
     for column, flag in _SWEEP_ECHO.items():
@@ -362,9 +359,6 @@ def _cmd_sweep(args) -> int:
         # the point query's refusal, before a row is written
         if isinstance(value, float) and not math.isfinite(value):
             raise ValueError(f"{column} must be finite, got {value}")
-        if column in most and value > most[column]:
-            raise ValueError(f"sweep {args.model}/{args.quantity} takes --{flag} at most"
-                             f" {most[column]}, got {value}")
         if column in check:
             check[column](value)
     if args.t_min < 0:

@@ -37,8 +37,13 @@ pair's summed weight, odd ones by the difference of its two weights, formed
 in closed form without cancellation and signed by x.  So odd moments keep
 their relative accuracy as x -> 0 and vanish at x = 0 as +0.0 by
 construction, and x -> -x mirrors every field exactly.  Every derived
-quantity (velocity, potential, conservation residuals) is exact up to
-roundoff and never obtained by numerical differentiation.  The minus
+quantity (velocity, potential, conservation residuals) is formed in closed
+form, never by numerical differentiation, and is exact up to roundoff but
+for one loss that grows with N: a log-weight, about N in size, is rounded
+before exp.  It costs the potential 2.4e-12 relative at (0.3, 0.5, 250 000)
+against a 50-digit sum over all sectors, while its first moment keeps
+8.2e-15; ``test_large_n_fields_match_an_fsum_over_every_sector`` sums the
+same log-weights and cannot see it.  The minus
 log-partition per spin plays the role of an action density: it satisfies a
 viscous Hamilton-Jacobi equation whose residual operations below check the
 identity with centered finite differences.
@@ -114,13 +119,18 @@ def _size_tables(n: int) -> tuple:
     return tables
 
 
+def _check_spins(n) -> None:
+    # a positive integer, refused above MAX_SPINS before any table is allocated
+    check_size(n)
+    if n > MAX_SPINS:
+        raise ValueError(f"system size n must be at most 2^30 for the sector sum, got {n}")
+
+
 def _window(x: float, t: float, n: int) -> np.ndarray:
     # The blocks kept by the rule of the module docstring, as a mask over the blocks of
     # k <= n/2.  Every sector of a block lies within half a block of one of its two
     # anchors (its first sector and the next block's), hence the walk of 16 sector
     # steps.  The middle block has no anchor at its far end and is always kept.
-    if n > MAX_SPINS:
-        raise ValueError(f"system size n must be at most 2^30 for the sector sum, got {n}")
     # |log-weight| <= n (|t|/2 + |x| + log 2); twice that bounds the spread that
     # the max shift subtracts.  Python floats, so that a numpy scalar from a sweep
     # axis cannot warn while the bounds are formed.
@@ -214,7 +224,7 @@ def _pair_weights(x: float, t: float, n: int):
 
 def log_partition(p: PlanePoint, n: int) -> float:
     """Log-partition per spin, (1/N) log Z(x, t), from the max-shifted sector sum."""
-    check_size(n)
+    _check_spins(n)
     _, even, _, _, _, shift, _ = _pair_weights(p.x, p.t, n)
     return float(shift + math.log(even.sum())) / n
 
@@ -231,7 +241,7 @@ def exact_fields(p: PlanePoint, n: int, k_max: int = 4) -> ExactCwFields:
     The potential is assembled as half a centered second moment, a sum of
     non-negative terms, so it can never round below zero.
     """
-    check_size(n)
+    _check_spins(n)
     if k_max < 4:
         raise ValueError(f"k_max must be >= 4 so conservation residuals are computable, got {k_max}")
     a, even, odd, light, tail, shift, (power, term) = _pair_weights(p.x, p.t, n)
@@ -265,7 +275,7 @@ def _phi(x: float, t: float, n: int) -> float:
 
 
 def _check_stencil(p: PlanePoint, n: int, step: float) -> None:
-    check_size(n)
+    _check_spins(n)
     if step <= 0:
         raise ValueError(f"finite-difference step must be > 0, got {step}")
     if p.t - step < 0:

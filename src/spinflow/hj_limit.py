@@ -228,10 +228,14 @@ def lax_action(p: PlanePoint, branch: str | None = None) -> LaxSolution:
     terms, so the root keeps its relative precision next to (0, 1), except
     for subnormal |x| at t = 1: there y - tanh y ~ |x| is formed at the
     subnormal spacing (19 units of 2^-52 off at x = 1e-310, 5 % at 5e-324).
-    Exactly on the shock line (x = 0, t > 1) the two
-    symmetric minimizers tie and a branch must be requested explicitly:
-    "plus" is the x -> 0+ limit (y_star > 0, u = -m*), "minus" the mirror
-    image.
+    Newton starts and stops relative to a bound on the root where one holds
+    (below 0.2); from t = 1 on, where none does, it stops at an absolute
+    2.5e-16, so a root below |y| = 0.5 keeps about 2.5e-16 / |y| of relative
+    precision (7.5 units of 2^-52 between u and the self-consistent velocity
+    at (3.1e-250, 1.0076), |u| = 0.15).  Exactly on the shock line
+    (x = 0, t > 1) the two symmetric minimizers tie and a branch must be
+    requested explicitly: "plus" is the x -> 0+ limit (y_star > 0,
+    u = -m*), "minus" the mirror image.
     """
     if branch is not None and branch not in _BRANCHES:
         raise ValueError(f"branch must be one of {_BRANCHES}, got {branch!r}")
@@ -401,13 +405,19 @@ def self_consistent_magnetization(p: PlanePoint) -> float:
     For t <= 1 the root is unique.  For t > 1 there may be three; the
     branch continuous with sign(-x) is selected.  On the shock line
     (x = 0, t > 1) the velocity is two-valued and ValueError is raised.
-    The branch is a bracketed Newton solve on a piece where u + tanh(x - u t)
-    is monotone, and only its piece is solved.  Next to the critical point
-    (0, 1) that residual cancels, so below |z| = 1, z = x - u t, it is formed
-    as (1 - t) u + x - (z - tanh z) with the minimizer's gap z - tanh z, and
-    Newton starts and stops relative to a bound on the root, as for the
-    Lax-Oleinik minimizer; the two routes stay separate solves of separate
-    equations.  For subnormal |x| at t = 1 both lose the same digits.
+    The branch is -tanh(y*) of the Lax-Oleinik minimizer's outer stationary
+    point, so, as for the minimizer, only the outer monotone piece of
+    u + tanh(x - u t) on the side of x is solved, one bracketed Newton root.
+    Next to the critical point (0, 1) that residual cancels, so below
+    |z| = 1, z = x - u t, it is formed as (1 - t) u + x - (z - tanh z) with
+    the minimizer's gap z - tanh z.  Where the minimizer's bound on the root
+    holds (below 0.2), Newton starts and stops relative to it; elsewhere it
+    stops at an absolute 2.5e-16, so a root below |u| = 0.5 keeps about
+    2.5e-16 / |u| of relative precision: 3.53 units of 2^-52 off a 60-digit
+    root at (0.18447, 0.29961), and 7.5 units from ``lax_action``'s u at
+    (3.1e-250, 1.0076), |u| = 0.15.  The two routes stay separate solves
+    of separate equations.  For subnormal |x| at t = 1 both lose the same
+    digits.
     """
     x, t = p.x, p.t
     if t == 0.0:
@@ -416,44 +426,37 @@ def self_consistent_magnetization(p: PlanePoint) -> float:
         raise ValueError("point lies on the shock line (x = 0, t > 1), where the velocity"
                          " is two-valued")
 
-    # the branch is u = -tanh(y*) for the outer root y* on the side of x, so |u| <= |y*|
-    # is under the minimizer's bound; where there is one, Newton starts at the bound, on
-    # the side where it closes in monotonically, and stops relative to it
+    # |u| <= |y*| is under the minimizer's bound; where there is one, Newton starts at the
+    # bound, on the side where it closes in monotonically, and stops relative to it
     bound = _root_bound(x, t)
     start = None if bound is None else (-bound if x > 0 else bound)
     tol = _ROOT_TOL if bound is None else _ROOT_TOL * max(bound, 1e-300)
 
-    def f(u, sign=1.0):
+    def f(u):
         z = x - u * t
         th = math.tanh(z)
         if abs(z) < 1.0:
             # u + tanh z = (1 - t) u + x - (z - tanh z), as for the minimizer
-            return (sign * ((1.0 - t) * u + x - _tanh_gap(z)),
-                    sign * ((1.0 - t) + t * th * th))
-        return sign * (u + th), sign * (1.0 - t * (1.0 - th * th))
+            return (1.0 - t) * u + x - _tanh_gap(z), (1.0 - t) + t * th * th
+        return u + th, 1.0 - t * (1.0 - th * th)
 
-    # Split (-1, 1) at the points where f' changes sign, so each piece is monotone.
-    cuts = [-1.0, 1.0]
+    # For x > 0 the piece is (-1, (x - a) / t), a = acosh sqrt(t), cut where f' changes
+    # sign if that lies below 1 (a < t puts it above -1); f(-1) <= 0 < f((x - a) / t), as
+    # a - t tanh a < 0, so the root is on it.  For x <= 0 it is the mirror image.  u = -1 or u = 1 is the root once
+    # tanh rounds to -+1, and it is then the piece's near end: for x > 0,
+    # tanh(x - t) = -1 needs t - x > 19, so tanh(x + t) = 1 too
+    lo, hi = -1.0, 1.0
     if t > 1.0:
         a = math.acosh(math.sqrt(t))
-        for c in ((x - a) / t, (x + a) / t):
-            if -1.0 < c < 1.0:
-                cuts.append(c)
-    cuts = sorted(cuts)
-    values = [f(c)[0] for c in cuts]
-    # the branch is the lowest root for x > 0 and the highest otherwise: walk the pieces
-    # from that end and solve only the first that holds a root, an exact zero at its near
-    # end or a sign change across it.  u = -1 or u = 1 is the root once tanh rounds to -+1,
-    # and then so is the near end of the walk: for x > 0, tanh(x - t) = -1 needs
-    # t - x > 19, so tanh(x + t) = 1 too
-    pieces = list(zip(cuts, cuts[1:], values, values[1:]))
-    for a, b, fa, fb in (pieces if x > 0 else pieces[::-1]):
-        if (fa if x > 0 else fb) == 0.0:
-            return a if x > 0 else b
-        if fa * fb < 0.0:
-            sign = 1.0 if fa < 0.0 else -1.0
-            u0 = start if start is not None and a < start < b else 0.5 * (a + b)
-            return bracketed_newton(lambda u: f(u, sign), a, b, u0, tol)
+        cut = (x - a) / t if x > 0 else (x + a) / t
+        if -1.0 < cut < 1.0:
+            lo, hi = (lo, cut) if x > 0 else (cut, hi)
+    f_lo, f_hi = f(lo)[0], f(hi)[0]
+    if (f_lo if x > 0 else f_hi) == 0.0:
+        return lo if x > 0 else hi
+    if f_lo < 0.0 < f_hi:
+        u0 = start if start is not None and lo < start < hi else 0.5 * (lo + hi)
+        return bracketed_newton(f, lo, hi, u0, tol)
     raise ConvergenceError(f"no self-consistent velocity found at x={x}, t={t}")
 
 

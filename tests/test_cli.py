@@ -128,38 +128,29 @@ def test_the_cached_parser_keeps_no_state_between_calls():
     assert cli.build_parser() is cli.build_parser()
 
 
-# sweeps whose size flag is above the library's allocation bound
-_OVERSIZED_SWEEPS = [
-    ["sweep", "--model", "cw", "--quantity", quantity, "--x-min", "0", "--x-max", "1",
-     "--n-x", "2", "--t-min", "0.5", "--t-max", "1", "--n-t", "2", "--n", "1000000000000"]
-    for quantity in ("exact", "identities")
-] + [
-    ["sweep", "--model", "sk-finite", "--quantity", "identities", "--x-min", "0", "--x-max", "0.2",
-     "--n-x", "2", "--t-min", "0.3", "--t-max", "0.6", "--n-t", "2", "--seed", "1", *sizes]
-    for sizes in (("--n", "6", "--samples", "1000000000000"), ("--n", "15", "--samples", "4"))
-]
-
-
-# sweeps whose size, sample count or seed every row would refuse, each with the point
-# query that refuses the same value
-_UNDERSIZED_SWEEPS = [
+# sweeps whose size, sample count or seed every row would refuse, below the library's
+# range or above its allocation bound, each with the point query that refuses the same value
+_REFUSED_SWEEPS = [
     (["sweep", "--model", "cw", "--quantity", quantity, "--x-min", "0", "--x-max", "1",
-      "--n-x", "2", "--t-min", "0.5", "--t-max", "1", "--n-t", "2", "--n", "0"],
-     ["cw", quantity, "--x", "0", "--t", "0.5", "--n", "0"])
-    for quantity in ("exact", "identities")
+      "--n-x", "2", "--t-min", "0.5", "--t-max", "1", "--n-t", "2", "--n", n],
+     ["cw", quantity, "--x", "0", "--t", "0.5", "--n", n])
+    for n in ("0", "1000000000000") for quantity in ("exact", "identities")
 ] + [
     (["sweep", "--model", "sk-finite", "--quantity", "identities", "--x-min", "0",
       "--x-max", "0.2", "--n-x", "2", "--t-min", "0.3", "--t-max", "0.6", "--n-t", "2", *flags],
      ["sk", "finite", "--x", "0", "--t", "0.3", *flags])
     for flags in (("--n", "6", "--samples", "1", "--seed", "1"),
                   ("--n", "6", "--samples", "4", "--seed", "-1"),
-                  ("--n", "0", "--samples", "4", "--seed", "1"))
+                  ("--n", "0", "--samples", "4", "--seed", "1"),
+                  ("--n", "15", "--samples", "4", "--seed", "1"),
+                  ("--n", "6", "--samples", "1000000000000", "--seed", "1"))
 ]
 
 
-@pytest.mark.parametrize("argv, point", _UNDERSIZED_SWEEPS,
-                         ids=["cw exact n=0", "cw identities n=0", "sk-finite samples=1",
-                              "sk-finite seed=-1", "sk-finite n=0"])
+@pytest.mark.parametrize("argv, point", _REFUSED_SWEEPS,
+                         ids=["cw exact n=0", "cw identities n=0", "cw exact n=1e12",
+                              "cw identities n=1e12", "sk-finite samples=1", "sk-finite seed=-1",
+                              "sk-finite n=0", "sk-finite n=15", "sk-finite samples=1e12"])
 def test_sweep_refuses_an_invalid_flag_as_its_point_query_does(argv, point, monkeypatch):
     point_refusal = run_cli(point)
     assert point_refusal[:2] == (2, "")
@@ -172,7 +163,7 @@ def test_sweep_refuses_an_invalid_flag_as_its_point_query_does(argv, point, monk
         monkeypatch.setattr(module, name, untouched)
     for fmt in ("json", "csv"):
         assert run_cli([*argv, "--format", fmt]) == point_refusal
-    assert len(point_refusal[2].splitlines()) == 1
+    assert len(point_refusal[2].splitlines()) == 1 and point_refusal[2].startswith("error: ")
 
 
 def test_validation_failures_exit_2_with_one_line():
@@ -198,8 +189,7 @@ def test_validation_failures_exit_2_with_one_line():
         ["sweep", "--model", "cw", "--quantity", "limit",
          "--x-min", "0", "--x-max", "1", "--n-x", "2000",
          "--t-min", "0", "--t-max", "1", "--n-t", "1000"],
-        *_OVERSIZED_SWEEPS,
-        *(argv for argv, _ in _UNDERSIZED_SWEEPS),
+        *(argv for argv, _ in _REFUSED_SWEEPS),
     ]
     for argv in cases:
         code, out, err = run_cli(argv)
@@ -509,6 +499,13 @@ def test_a_command_executes_only_the_library_modules_it_calls():
 
 
 def test_package_surface_resolves_on_first_access():
+    assert len(set(spinflow.__all__)) == len(spinflow.__all__)
+    # every public top-level function and class that a library module defines is exported
+    for module in (spinflow.cw_exact, spinflow.hj_limit, spinflow.sk_rs, spinflow.sk_finite):
+        defined = {name for name in dir(module) if not name.startswith("_")
+                   and callable(value := getattr(module, name))
+                   and getattr(value, "__module__", None) == module.__name__}
+        assert defined and defined <= set(spinflow.__all__), module.__name__
     for name in spinflow.__all__:
         value = getattr(spinflow, name)
         if name != "__version__":
@@ -715,19 +712,6 @@ def test_sweep_refuses_an_unwritable_out_before_any_row(where, tmp_path, monkeyp
     assert code == 2
     assert out == ""
     assert len(err.splitlines()) == 1 and err.startswith(f"error: cannot write --out {target}")
-
-
-@pytest.mark.parametrize("argv", _OVERSIZED_SWEEPS, ids=lambda argv: " ".join(argv[2:5]))
-def test_sweep_refuses_an_oversized_flag_before_any_row(argv, monkeypatch):
-    def untouched(*args, **kwargs):
-        raise AssertionError("a row was evaluated")
-
-    for module, name in ((cli.cw_exact, "exact_fields"), (cli.cw_exact, "conservation_residuals"),
-                         (cli.sk_finite, "quenched_overlap_moments")):
-        monkeypatch.setattr(module, name, untouched)
-    code, out, err = run_cli(argv)
-    assert (code, out) == (2, "")
-    assert len(err.splitlines()) == 1 and err.startswith("error: ") and "at most" in err
 
 
 def test_sweep_degrades_per_row_and_signals_failure():

@@ -573,6 +573,36 @@ def test_large_n_fields_frozen_bits(x, t, n):
     assert fields == tuple(map(float.fromhex, _FROZEN_LARGE_N[(x, t, n)]))
 
 
+# the potential from 50-digit sums over all N + 1 sectors with exact binomials (mpmath).
+# From N = 11 635 on some points miss 1e-13: a log-weight, about N in size, is rounded
+# before exp, so its relative error grows with N (FOUND in CHANGES.md); the fsum oracle
+# above shares those log-weights and cannot see it
+_POTENTIAL_REFERENCES = {
+    (-0.7, 0.4, 63): 0.0040092666821915252101400586691618161014447090640324,
+    (0.0, 5.0, 63): 0.4998951537078285469232015404508175340451338307969,
+    (0.0, 5.0, 64): 0.4998953876174190544531137414631395758904702352451,
+    (-0.35, 1.6, 5000): 0.000010456997011486854461537766390827447678598669061584,
+    (0.0, 0.25, 25000): 0.00002666619261085217485801146650111634227720067316864,
+    (0.0, 0.8333333333333334, 25000): 0.00011985643951653662581879913842174846320735222845995,
+    (0.0, 1.4166666666666667, 25000): 0.33857176487237806941206986507951691107922494037974,
+    (0.3, 0.5, 3411): 0.00017561246753030616778285900608085259157488840088316,
+    (0.3, 0.5, 11635): 0.000051479006952026437426336893026959127741352127267514,
+    (0.3, 0.5, 39685): 0.000015092398241756918603705025433564031836115026044781,
+    (0.3, 0.5, 250000): 0.0000023957443585945333017871535421516975320376832119182,
+}
+_LOG_WEIGHT_LOSS = {(0.0, 0.25, 25000), (0.3, 0.5, 11635), (0.3, 0.5, 39685),
+                    (0.3, 0.5, 250000)}
+
+
+@pytest.mark.parametrize("x, t, n", [
+    pytest.param(*key, marks=pytest.mark.xfail(
+        strict=True, reason="log-weights rounded before exp cost the potential up to 2.4e-12"))
+    if key in _LOG_WEIGHT_LOSS else key for key in _POTENTIAL_REFERENCES])
+def test_potential_matches_its_50_digit_reference(x, t, n):
+    potential = exact_fields(PlanePoint(x, t), n).potential
+    assert potential == pytest.approx(_POTENTIAL_REFERENCES[(x, t, n)], rel=1e-13, abs=0)
+
+
 def test_mirror_symmetry():
     # x -> -x negates u and the odd moments and leaves the rest, bit for bit
     for n in (33, 25_000):

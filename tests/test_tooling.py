@@ -1,6 +1,7 @@
-"""Checks on the test suite itself."""
+"""Checks on the test suite itself and on the imports of the library."""
 
 import ast
+import sys
 from pathlib import Path
 
 
@@ -21,3 +22,12 @@ def test_no_test_module_imports_mpmath():
     assert Path(__file__) in modules
     offenders = [path.name for path in modules if "mpmath" in imported_modules(path)]
     assert offenders == []
+
+
+def test_library_imports_only_numpy_and_the_standard_library():
+    # numpy is the one runtime dependency (pyproject.toml), function-local imports included
+    modules = sorted((Path(__file__).parents[1] / "src" / "spinflow").glob("*.py"))
+    assert "cli.py" in {path.name for path in modules}
+    allowed = sys.stdlib_module_names | {"numpy"}
+    offenders = {path.name: sorted(imported_modules(path) - allowed) for path in modules}
+    assert {name: names for name, names in offenders.items() if names} == {}
