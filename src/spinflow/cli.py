@@ -12,12 +12,15 @@ Output is deterministic byte for byte at fixed inputs, whatever the
 BLAS thread count: floats are serialized with repr round-tripping in
 JSON and 17 significant digits in CSV, rows are ordered t-major, and
 nothing is seeded from the clock.
-Sweep rows are flat, one scalar per column, and are formed once in
-column order, with a flat finite check; one writer fills a template
-built per sweep with their cells, so its JSON is byte for byte that of
-``json.dumps(rows, indent=2)``, whose pure-Python encoder would walk
-every row.  Point records and reports nest, and go through
-``json.dumps`` with ``allow_nan=False`` after a recursive finite check.
+Sweep rows are flat, one scalar per column.  A row keeps only the
+evaluator's fields, read in column order by one itemgetter and checked
+finite; its t, x and echo cells are formatted once per sweep, by grid
+position.  One writer fills a template built per sweep with those cells
+and the row's fields, formatting only the fields, so its JSON is byte
+for byte that of ``json.dumps(rows, indent=2)``, whose pure-Python
+encoder would walk every row.  Point records and reports nest, and go
+through ``json.dumps`` with ``allow_nan=False`` after a recursive finite
+check.
 
 Importing this module loads none of the four library modules: each loads
 on a command's first call into it, so a command runs only its own route.
@@ -25,7 +28,9 @@ on a command's first call into it, so a command runs only its own route.
 Exit codes: 0 success, 2 validation failure (one-line diagnostic on
 stderr), 3 numerical non-convergence (partial record still emitted,
 marked converged: false).  A result with a non-finite number is such a
-failure: no NaN or infinity is ever written.
+failure: no computed NaN or infinity is ever written.  A CSV cell with
+no value, JSON's null (the fields of a failed row, the pressure off
+x = 0), is written as the placeholder nan.
 """
 
 from __future__ import annotations
@@ -33,8 +38,10 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
+import itertools
 import json
 import math
+import operator
 import sys
 from json.encoder import encode_basestring_ascii
 
@@ -87,22 +94,30 @@ def _json_cell(value) -> str:
     return encode_basestring_ascii(value)
 
 
-def _write_rows(stream, columns, rows, fmt: str) -> None:
-    """Write flat `rows`, sequences of scalars under `columns`, as JSON or CSV.
+def _write_rows(stream, columns, axes, rows, fmt: str) -> None:
+    """Write a grid's rows under `columns` as JSON or CSV.
 
-    The JSON is ``json.dumps`` of the rows as dicts with ``indent=2``, byte
-    for byte, from one ``%`` template for the whole sweep: with ``indent``,
-    ``json`` itself walks every row in pure Python.  The rows must hold
-    finite floats only.
+    A row's leading cells are its point of the product of `axes`, the value
+    lists of the leading columns, last axis fastest; each of `rows` holds
+    the row's other cells.  Each axis value is formatted once, at its
+    position, never looked up by value: ``-0.0 == 0.0``.  The JSON is
+    ``json.dumps`` of the rows as dicts with ``indent=2``, byte for byte,
+    from one ``%`` template for the whole grid: with ``indent``, ``json``
+    itself walks every row in pure Python.  The cells must hold finite
+    floats only.
     """
+    cell = _csv_cell if fmt == "csv" else _json_cell
+    grid = zip(itertools.product(*[list(map(cell, axis)) for axis in axes]), rows)
     if fmt == "csv":
         template = ",".join(["%s"] * len(columns)) + "\n"
-        stream.write(",".join(columns) + "\n"
-                     + "".join(template % tuple(map(_csv_cell, row)) for row in rows))
+        lines = (template % (*point, *map(cell, row)) for point, row in grid)
+        stream.write(",".join(columns) + "\n" + "".join(lines))
     else:
         template = "  {\n" + ",\n".join(
             f"    {encode_basestring_ascii(c).replace('%', '%%')}: %s" for c in columns) + "\n  }"
-        body = ",\n".join(template % tuple(map(_json_cell, row)) for row in rows)
+        # "%s" writes a float as its repr; a subclass (a numpy scalar) may write otherwise
+        body = ",\n".join(template % (*point, *[v if type(v) is float else cell(v) for v in row])
+                           for point, row in grid)
         stream.write(f"[\n{body}\n]\n" if rows else "[]\n")
 
 
@@ -313,8 +328,9 @@ _SWEEP_ECHO = {"beta_h": "beta_h", "n": "n", "n_samples": "samples", "seed": "se
 _SWEEP_FLAGS = (*_SWEEP_ECHO.values(), "branch")
 
 
-# points per sweep: its rows are Python objects held until they are written,
-# about a kilobyte each
+# points per sweep: its rows are Python objects held until they are written; a
+# sweep's traced heap peaks at 0.4-1.2 kB a point (tracemalloc, 128 x 128 cw limit
+# 641 B in JSON and 439 B in CSV, 64 x 64 sk-rs rs 1 149 B, set by its solve)
 _MAX_SWEEP_POINTS = 1 << 20
 
 
@@ -369,22 +385,28 @@ def _cmd_sweep(args) -> int:
     ts = _axis(args.t_min, args.t_max, args.n_t, "n_t")
     xs = _axis(args.x_min, args.x_max, args.n_x, "n_x") if "x" in columns else [None]
 
+    # the leading columns are the axes and the echoed flags, all finite by now; then come
+    # the evaluator's fields in column order, then "converged"
+    axes = {"t": ts, "x": xs, **{column: [value] for column, value in echo.items()}}
+    lead = [column for column in columns if column in axes]
+    names = columns[len(lead):-1]
+    pick = operator.itemgetter(*names)
+    if len(names) == 1:  # an itemgetter of one key returns the bare value
+        pick = lambda fields, one=pick: (one(fields),)
+    failed = (None,) * len(names) + (False,)
+
     # opened before any row is evaluated, so that a bad --out fails at once
     with _output(args.out) as stream:
-        points = [(x, t) for t in ts for x in xs]
         rows, converged = [], True
-        for (x, t), fields in zip(points, evaluator(points, flags)):
-            point = {"t": t, "x": x, **echo}
+        for fields in evaluator([(x, t) for t in ts for x in xs], flags):
             if not isinstance(fields, Exception):
-                row = {**point, **fields, "converged": True}
-                cells = [row.get(c) for c in columns]
-                if all(math.isfinite(v) for v in cells if isinstance(v, float)):
-                    rows.append(cells)
+                values = pick(fields)
+                if all(math.isfinite(v) for v in values if isinstance(v, float)):
+                    rows.append((*values, True))
                     continue
             converged = False
-            row = {**point, "converged": False}
-            rows.append([row.get(c) for c in columns])
-        _write_rows(stream, columns, rows, args.format)
+            rows.append(failed)
+        _write_rows(stream, columns, [axes[column] for column in lead], rows, args.format)
     return 0 if converged else 3
 
 

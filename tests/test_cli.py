@@ -1,7 +1,9 @@
 """Command-line front end: records, sweeps, convergence reports, exit codes."""
 
 import contextlib
+import dataclasses
 import io
+import itertools
 import json
 import math
 import os
@@ -772,27 +774,34 @@ _CELLS = st.one_of(_CELL_FLOATS, _CELL_FLOATS.map(np.float64), st.integers(), st
 
 
 @st.composite
-def flat_tables(draw):
+def flat_grids(draw):
+    """Columns, the value lists of the leading ones, and each row's other cells."""
     columns = draw(st.lists(st.one_of(st.text(), st.sampled_from(["%", '"', "é"])), min_size=1,
                             max_size=5, unique=True))
-    width = len(columns)
-    return columns, draw(st.lists(st.lists(_CELLS, min_size=width, max_size=width), max_size=4))
+    lead = draw(st.integers(0, min(len(columns), 3)))
+    axes = draw(st.lists(st.lists(_CELLS, max_size=3), min_size=lead, max_size=lead))
+    width, count = len(columns) - lead, math.prod(map(len, axes))
+    rows = draw(st.lists(st.lists(_CELLS, min_size=width, max_size=width), min_size=count,
+                         max_size=count))
+    return columns, axes, rows
 
 
-@given(table=flat_tables())
-@example(table=(["t", "converged"], []))
-@example(table=(["x", "x_c"], [[-0.0, 5e-324], [np.float64(1e308), np.float64(-0.0)]]))
+@given(grid=flat_grids())
+@example(grid=(["t", "converged"], [[]], []))
+@example(grid=(["x", "x_c"], [[-0.0, np.float64(1e308)]], [[5e-324], [np.float64(-0.0)]]))
+@example(grid=(["t", "x", "u"], [[0.5, 0.5], [0.0, -0.0]], [[-0.0], [0.0], [1.0], [2.0]]))
 @settings(max_examples=300, deadline=None)
-def test_row_writer_is_json_dumps_and_the_csv_join_byte_for_byte(table):
-    columns, rows = table
+def test_row_writer_is_json_dumps_and_the_csv_join_byte_for_byte(grid):
+    columns, axes, rows = grid
+    table = [(*point, *row) for point, row in zip(itertools.product(*axes), rows, strict=True)]
     expected = {
-        "json": json.dumps([dict(zip(columns, row)) for row in rows], indent=2) + "\n",
-        "csv": "".join(",".join(map(cli._csv_cell, row)) + "\n" for row in rows),
+        "json": json.dumps([dict(zip(columns, row)) for row in table], indent=2) + "\n",
+        "csv": "".join(",".join(map(cli._csv_cell, row)) + "\n" for row in table),
     }
     expected["csv"] = ",".join(columns) + "\n" + expected["csv"]
     for fmt, text in expected.items():
         stream = io.StringIO()
-        cli._write_rows(stream, columns, rows, fmt)
+        cli._write_rows(stream, columns, axes, rows, fmt)
         assert stream.getvalue() == text, fmt
 
 
@@ -952,6 +961,122 @@ def test_multi_row_sweep_rows_are_their_one_row_sweeps(quantity, converged):
         assert (code, json.loads(out)) == (0 if row["converged"] else 3, [row])
         code, out, _ = run_cli(one + ["--format", "csv"])
         assert out.splitlines() == [header, csv_row]
+
+
+# per sweep quantity with an x axis: its flags, the library call a test corrupts, and
+# how it corrupts one of that call's results
+def _replacing(field):
+    return lambda result, bad: dataclasses.replace(result, **{field: bad})
+
+
+_CORRUPTED = [
+    ("cw", "limit", [], "hj_limit", "lax_action", _replacing("phi")),
+    ("cw", "exact", ["--n=10"], "cw_exact", "exact_fields", _replacing("u")),
+    ("cw", "identities", ["--n=10"], "cw_exact", "conservation_residuals",
+     lambda residuals, bad: (residuals[0], bad, residuals[2])),
+    ("sk-rs", "rs", [], "sk_rs", "rs_actions", _replacing("y_star")),
+    ("sk-rs", "caustic", [], "sk_rs", "caustic_margins", lambda margin, bad: bad),
+    ("sk-finite", "identities", ["--n=4", "--samples=4", "--seed=3"], "sk_finite",
+     "quenched_overlap_moments", _replacing("q2")),
+]
+_CORRUPTED_GRID = ["--x-min=0.1", "--x-max=0.3", "--n-x=2", "--t-min=0.5", "--t-max=0.7",
+                   "--n-t=2"]
+_CORRUPTED_POINT, _CORRUPTED_ROW = (0.3, 0.5), 1
+
+
+def corrupting(call, corrupt, bad):
+    """`call`, with its result at the corrupted point passed through ``corrupt(result, bad)``."""
+    def one(point, result):
+        return corrupt(result, bad) if (point.x, point.t) == _CORRUPTED_POINT else result
+
+    def corrupted(points, *args, **kwargs):
+        results = call(points, *args, **kwargs)
+        if isinstance(points, list):  # a lockstep call, one result per point
+            return [one(p, result) for p, result in zip(points, results, strict=True)]
+        return one(points, results)
+    return corrupted
+
+
+def test_corrupted_sweeps_cover_every_quantity_with_an_x_axis():
+    assert {(model, quantity) for model, quantity, *_ in _CORRUPTED} == {
+        key for key, (_, columns) in cli._SWEEP_TABLE.items() if "x" in columns}
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("model, quantity, flags, module, call, corrupt", _CORRUPTED,
+                         ids=[f"{model}-{quantity}" for model, quantity, *_ in _CORRUPTED])
+def test_a_non_finite_field_fails_its_own_sweep_row(model, quantity, flags, module, call,
+                                                    corrupt, bad, fmt, monkeypatch):
+    argv = ["sweep", "--model", model, "--quantity", quantity, *_CORRUPTED_GRID, *flags,
+            "--format", fmt]
+    code, clean, _ = run_cli(argv)
+    assert code == 0
+    library = getattr(cli, module)
+    monkeypatch.setattr(library, call, corrupting(getattr(library, call), corrupt, bad))
+    code, out, _ = run_cli(argv)
+    assert code == 3
+    # every other row keeps its bytes
+    if fmt == "csv":
+        texts, clean_texts = out.splitlines()[1:], clean.splitlines()[1:]
+        (_, rows), (_, clean_rows), false, missing = parse_csv(out), parse_csv(clean), "false", "nan"
+    else:
+        texts, clean_texts = out.split("\n  },\n"), clean.split("\n  },\n")
+        rows, clean_rows, false, missing = strict_json(out), strict_json(clean), False, None
+    assert len(texts) == len(clean_texts) == 4
+    del texts[_CORRUPTED_ROW], clean_texts[_CORRUPTED_ROW]
+    assert texts == clean_texts
+    # the corrupted row alone fails, and keeps its axis and echo cells
+    failed = rows[_CORRUPTED_ROW]
+    assert [row["converged"] == false for row in rows] == [i == _CORRUPTED_ROW for i in range(4)]
+    for column, value in failed.items():
+        if column in _ECHOED:
+            assert value == clean_rows[_CORRUPTED_ROW][column], column
+        elif column != "converged":
+            assert value == missing, column
+
+
+def test_a_csv_row_without_a_value_stays_converged():
+    # off x = 0 the pressure is None: CSV writes its placeholder nan, and the row converged
+    code, out, _ = run_cli(["sweep", "--model", "sk-rs", "--quantity", "rs", "--x-min", "0",
+                            "--x-max", "0.3", "--n-x", "2", "--t-min", "0.5", "--t-max", "0.5",
+                            "--n-t", "1", "--format", "csv"])
+    assert code == 0
+    header, at_zero, off_zero = out.splitlines()
+    assert header.endswith(",pressure,converged")
+    assert "nan" not in at_zero and at_zero.endswith(",true")
+    assert off_zero.startswith("0.5,0.29999999999999999,") and off_zero.endswith(",nan,true")
+    assert off_zero.count("nan") == 1
+
+
+# the axes of a grid whose cells repeat, or differ only in the sign of zero
+@pytest.mark.parametrize("x_range, t_range", [(("-0.0", "0.0"), ("0.5", "0.5")),
+                                              (("0.0", "-0.0"), ("0.5", "0.5")),
+                                              (("0.0", "-0.0"), ("0.0", "-0.0"))])
+@pytest.mark.parametrize("command, model, quantity", [("cw limit", "cw", "limit"),
+                                                      ("sk rs", "sk-rs", "rs")])
+def test_signed_zeros_and_repeated_axis_values_keep_their_cells(command, model, quantity,
+                                                                x_range, t_range):
+    xs, ts = (np.linspace(float(lo), float(hi), 2).tolist() for lo, hi in (x_range, t_range))
+    columns = cli._SWEEP_TABLE[(model, quantity)][1]
+    rows = []
+    for t in ts:
+        for x in xs:
+            code, out, _ = run_cli(point_argv(command, {"x": x, "t": t}))
+            assert code == 0
+            record = json.loads(out)
+            rows.append({column: point_field(record, column) for column in columns})
+    argv = ["sweep", "--model", model, "--quantity", quantity, f"--x-min={x_range[0]}",
+            f"--x-max={x_range[1]}", "--n-x=2", f"--t-min={t_range[0]}",
+            f"--t-max={t_range[1]}", "--n-t=2"]
+    code, out, _ = run_cli(argv + ["--format", "json"])
+    assert (code, out) == (0, json.dumps(rows, indent=2) + "\n")
+    if math.copysign(1.0, xs[1]) < 0:
+        assert [row["x"] for row in rows] == [0.0, -0.0] * 2
+        assert out.count('"x": -0.0,') == 2 and out.count('"x": 0.0,') == 2
+    code, out, _ = run_cli(argv + ["--format", "csv"])
+    assert (code, out) == (0, ",".join(columns) + "\n" + "".join(
+        ",".join(csv_text(v) for v in row.values()) + "\n" for row in rows))
 
 
 def test_convergence_report_action_rate():
