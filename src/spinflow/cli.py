@@ -94,6 +94,10 @@ def _json_cell(value) -> str:
     return encode_basestring_ascii(value)
 
 
+# rows formatted and written at a time
+_WRITE_ROWS = 4096
+
+
 def _write_rows(stream, columns, axes, rows, fmt: str) -> None:
     """Write a grid's rows under `columns` as JSON or CSV.
 
@@ -104,21 +108,30 @@ def _write_rows(stream, columns, axes, rows, fmt: str) -> None:
     ``json.dumps`` of the rows as dicts with ``indent=2``, byte for byte,
     from one ``%`` template for the whole grid: with ``indent``, ``json``
     itself walks every row in pure Python.  The cells must hold finite
-    floats only.
+    floats only.  The text goes out in chunks of _WRITE_ROWS rows, so that
+    no copy of the whole text is held, nor encoded again by a file.
     """
     cell = _csv_cell if fmt == "csv" else _json_cell
     grid = zip(itertools.product(*[list(map(cell, axis)) for axis in axes]), rows)
     if fmt == "csv":
         template = ",".join(["%s"] * len(columns)) + "\n"
         lines = (template % (*point, *map(cell, row)) for point, row in grid)
-        stream.write(",".join(columns) + "\n" + "".join(lines))
+        stream.write(",".join(columns) + "\n")
+        separator, end = "", ""
     else:
         template = "  {\n" + ",\n".join(
             f"    {encode_basestring_ascii(c).replace('%', '%%')}: %s" for c in columns) + "\n  }"
         # "%s" writes a float as its repr; a subclass (a numpy scalar) may write otherwise
-        body = ",\n".join(template % (*point, *[v if type(v) is float else cell(v) for v in row])
-                           for point, row in grid)
-        stream.write(f"[\n{body}\n]\n" if rows else "[]\n")
+        lines = (template % (*point, *[v if type(v) is float else cell(v) for v in row])
+                 for point, row in grid)
+        stream.write("[\n" if rows else "[]\n")
+        separator, end = ",\n", "\n]\n" if rows else ""
+    # the separator goes before every chunk after the first
+    lead = ""
+    while chunk := list(itertools.islice(lines, _WRITE_ROWS)):
+        stream.write(lead + separator.join(chunk))
+        lead = separator
+    stream.write(end)
 
 
 def _non_finite(value, name=None) -> list:
@@ -328,9 +341,11 @@ _SWEEP_ECHO = {"beta_h": "beta_h", "n": "n", "n_samples": "samples", "seed": "se
 _SWEEP_FLAGS = (*_SWEEP_ECHO.values(), "branch")
 
 
-# points per sweep: its rows are Python objects held until they are written; a
-# sweep's traced heap peaks at 0.4-1.2 kB a point (tracemalloc, 128 x 128 cw limit
-# 641 B in JSON and 439 B in CSV, 64 x 64 sk-rs rs 1 149 B, set by its solve)
+# points per sweep: its rows are Python objects held until they are written, then
+# go out _WRITE_ROWS at a time.  Written to a file, a sweep's traced heap peaks at
+# 0.35-1.8 kB a point (tracemalloc: 128 x 128 cw limit 350 B in JSON and in CSV;
+# 64 x 64 sk-rs rs on x in [-1, 1], t in [0.1, 2] 1 766 B in JSON and 1 190 B in
+# CSV, which its lockstep solve and one chunk of text set)
 _MAX_SWEEP_POINTS = 1 << 20
 
 
@@ -344,7 +359,11 @@ def _axis(lo: float, hi: float, count: int, name: str):
     if not math.isfinite(hi - lo):
         raise ValueError(f"{name} range spans more than the largest float")
     # Python floats: numpy scalars would turn an overflow downstream into a warning
-    return np.linspace(lo, hi, count).tolist()
+    values = np.linspace(lo, hi, count).tolist()
+    # linspace forms its first value as 0 * step + lo, which drops the sign of lo = -0.0;
+    # its last value is hi itself
+    values[0] = lo
+    return values
 
 
 def _cmd_sweep(args) -> int:

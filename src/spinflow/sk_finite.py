@@ -19,7 +19,7 @@ replica chains sit on subsets of at most two sites; from _FOLD_SITES
 sites up they are evaluated at every configuration in O(2^n), one site
 at a time, bitwise as the transform would give them, so a sample costs
 one full transform plus O(2^n) work.  Samples are processed in blocks
-of fixed size.
+of max(1, 2^15 >> n), in a workspace of five (block, 2^n) planes.
 Disorder is drawn from a counter-based generator keyed by (seed, sample
 index), and every per-sample result depends on that key alone, never on
 how the samples are batched.
@@ -48,13 +48,22 @@ def _check_site_count(n) -> None:
             f"site count must be in [1, {MAX_SITES}] (2^n enumeration), got {n}")
 
 
-# entries of the (block, 2^n) arrays the engine works on: one sample per
-# block from n = 13 up, 2^(13 - n) below.  Blocks of 2^14 entries ran a
-# few per cent faster on runs of many small samples (n = 4..8) but raised
-# their peak memory by about 1 %.
-_BLOCK_ENTRIES = 1 << 13
-# workspace planes: log-weights, transform partner, spare; series L and A, partners (2)
-_PLANES = 7
+# entries of the (block, 2^n) arrays the engine works on: 2^(15 - n) samples a
+# block.  Every block pays a fixed cost in numpy calls, so larger blocks pay
+# them less often.  Fastest time a sample (us, 2-vCPU host, one BLAS thread),
+# blocks of 2^13 entries in seven planes against these:
+#   n       1    2    3    4    5    6    7     8     9    10    11   12   13   14
+#   2^13  2.3  2.5  2.6  3.3  4.0  5.8  9.4  16.8  31.5  61.7   124  263  476  689
+#   2^15  2.3  2.4  2.7  3.1  3.7  5.0  7.6  13.2  24.9  48.1  94.6  165  301  556
+# A full block's five planes take 1.25 MiB: the traced heap of a call peaks at
+# 1.44 MiB for 200 samples at n = 8 and 1.45 MiB for 5 at n = 14 (0.52 and
+# 1.01 MiB with the old blocks).
+_BLOCK_ENTRIES = 1 << 15
+# workspace planes: the Gibbs weights, then the log-weights and their transform
+# partner, one of which ends up holding the correlators, then two more.  Once the
+# series coefficients are read out of the correlators, the series L and A and their
+# partner take the four planes after the weights.
+_PLANES = 5
 # site count from which _walsh_series folds instead of transforming.  Below it
 # the folds' extra numpy calls cost more than the transform stages they save:
 # over six runs of interleaved per-block timings of _sample_statistics on a
@@ -257,7 +266,8 @@ def _gibbs_states(couplings: np.ndarray, site_fields: np.ndarray, params: SkPara
     log-weights sqrt(t/n) sum_{i<j} J_ij s_i s_j + sum_i (beta_h +
     sqrt(x) J_i) s_i.  Row r of `correlators` holds <prod_{i in S} s_i>
     at index S (a bit mask of sites).  Both are planes of `planes`, a
-    C-contiguous (3, rows, 2^n) workspace overwritten whatever it holds.
+    C-contiguous (3, rows, 2^n) workspace overwritten whatever it holds:
+    `prob` is its first plane, `correlators` one of the other two.
     """
     rows, n = site_fields.shape
     # A row's log-weights, and every partial sum of their transform, are at
@@ -272,16 +282,15 @@ def _gibbs_states(couplings: np.ndarray, site_fields: np.ndarray, params: SkPara
     if not math.isfinite(2.0 * (1.0 + 2.0 ** -40) * bound):
         raise OverflowError(f"log-weights overflow at n={n}, x={params.x}, t={params.t}, "
                             f"beta_h={params.beta_h}, so the 2^n enumeration cannot be formed")
-    walsh, work, spare = planes
-    prob = _walsh_series(0.0, params.beta_h + math.sqrt(params.x) * site_fields,
-                         math.sqrt(params.t / n) * couplings, walsh, work)
-    prob -= prob.max(axis=1, keepdims=True)
-    np.exp(prob, out=prob)
-    prob /= prob.sum(axis=1, keepdims=True)
-    # the transform overwrites both buffers, so it runs on a copy in the plane left free
-    free = work if prob is walsh else walsh
-    np.copyto(free, prob)
-    return prob, _fwht(free, spare)
+    prob, walsh, work = planes
+    weights = _walsh_series(0.0, params.beta_h + math.sqrt(params.x) * site_fields,
+                            math.sqrt(params.t / n) * couplings, walsh, work)
+    weights -= weights.max(axis=1, keepdims=True)
+    np.exp(weights, out=weights)
+    weights /= weights.sum(axis=1, keepdims=True)
+    # the transform overwrites both of its buffers, so the weights keep a copy
+    np.copyto(prob, weights)
+    return prob, _fwht(weights, work if weights is walsh else walsh)
 
 
 class GibbsCorrelators:
@@ -344,8 +353,6 @@ def _sample_statistics(params: SkParams, n: int, draws: np.ndarray,
     with O the thermal average at fixed disorder.
     """
     rows, n_pairs = len(draws), n * (n - 1) // 2
-    # the rows of L, then those of A, so that both series take one evaluation
-    series, work = planes[3:5].reshape(2 * rows, -1), planes[5:].reshape(2 * rows, -1)
     prob, corr = _gibbs_states(draws[:, :n_pairs], draws[:, n_pairs:], params, planes[:3])
     sites, pairs, by_size = _walsh_masks(n)
     g0, g1, g2, g3, g4 = (np.square(np.take(corr, masks, axis=1)).sum(axis=1)
@@ -355,6 +362,10 @@ def _sample_statistics(params: SkParams, n: int, draws: np.ndarray,
     q3 = ((3 * n - 2) * g1 + 6.0 * g3) / n ** 3
     q4 = ((3 * n * n - 2 * n) * g0 + (12 * n - 16) * g2 + 24.0 * g4) / n ** 4
 
+    # the rows of L, then those of A, so that both series take one evaluation.  Their
+    # coefficients are copied out of the correlators first: the series and its
+    # partner then take the four planes after the weights, the correlators' among them.
+    series, work = planes[1:3].reshape(2 * rows, -1), planes[3:].reshape(2 * rows, -1)
     result = _walsh_series(
         np.concatenate((np.zeros(rows), n * corr[:, 0])),
         np.concatenate((np.take(corr, sites, axis=1), np.zeros((rows, n)))),
@@ -419,8 +430,8 @@ def quenched_overlap_moments(params: SkParams, n: int, n_samples: int,
     Each sample is keyed by (seed, index) and enumerated by the
     Walsh-Hadamard engine: one O(n 2^n) transform and O(2^n) series
     evaluations per sample from _FOLD_SITES sites up, four transforms
-    below; samples go through in blocks of
-    max(1, 2^13 >> n), all in one workspace.  A sample's statistics
+    below; samples go through in blocks of max(1, 2^15 >> n), all in one
+    five-plane workspace.  A sample's statistics
     depend on its key alone, not on the block it falls in or on
     n_samples, so every output bit is fixed by (params, n, n_samples, seed).
 

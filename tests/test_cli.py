@@ -716,6 +716,27 @@ def test_sweep_refuses_an_unwritable_out_before_any_row(where, tmp_path, monkeyp
     assert len(err.splitlines()) == 1 and err.startswith(f"error: cannot write --out {target}")
 
 
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("n_t", [cli._WRITE_ROWS, cli._WRITE_ROWS + 1])
+def test_sweep_out_file_holds_the_stdout_bytes_across_write_chunks(fmt, n_t, tmp_path):
+    argv = ["sweep", "--model", "cw", "--quantity", "shock", "--t-min", "1.5", "--t-max", "3",
+            "--n-t", str(n_t), "--format", fmt]
+    code, out, _ = run_cli(argv)
+    assert code == 0
+    # a separator lost or doubled where two chunks meet breaks the JSON or the row count
+    if fmt == "json":
+        rows = json.loads(out)
+        assert out == json.dumps(rows, indent=2) + "\n"
+    else:
+        header, rows = parse_csv(out)
+        assert out == "".join(",".join(line) + "\n" for line in [header, *map(dict.values, rows)])
+    assert len(rows) == n_t
+    target = tmp_path / f"sweep.{fmt}"
+    code, printed, _ = run_cli(argv + ["--out", str(target)])
+    assert (code, printed) == (0, "")
+    assert target.read_bytes() == out.encode()
+
+
 def test_sweep_degrades_per_row_and_signals_failure():
     code, out, _ = run_cli(["sweep", "--model", "cw", "--quantity", "critical-line",
                             "--t-min", "0.5", "--t-max", "2", "--n-t", "4",
@@ -1054,12 +1075,14 @@ def test_a_csv_row_without_a_value_stays_converged():
 # the axes of a grid whose cells repeat, or differ only in the sign of zero
 @pytest.mark.parametrize("x_range, t_range", [(("-0.0", "0.0"), ("0.5", "0.5")),
                                               (("0.0", "-0.0"), ("0.5", "0.5")),
-                                              (("0.0", "-0.0"), ("0.0", "-0.0"))])
+                                              (("0.0", "-0.0"), ("0.0", "-0.0")),
+                                              (("-0.0", "0.0"), ("-0.0", "0.0"))])
 @pytest.mark.parametrize("command, model, quantity", [("cw limit", "cw", "limit"),
                                                       ("sk rs", "sk-rs", "rs")])
 def test_signed_zeros_and_repeated_axis_values_keep_their_cells(command, model, quantity,
                                                                 x_range, t_range):
-    xs, ts = (np.linspace(float(lo), float(hi), 2).tolist() for lo, hi in (x_range, t_range))
+    # a two-point axis is its two end points as given, signed zeros included
+    xs, ts = ([float(lo), float(hi)] for lo, hi in (x_range, t_range))
     columns = cli._SWEEP_TABLE[(model, quantity)][1]
     rows = []
     for t in ts:
@@ -1073,9 +1096,11 @@ def test_signed_zeros_and_repeated_axis_values_keep_their_cells(command, model, 
             f"--t-max={t_range[1]}", "--n-t=2"]
     code, out, _ = run_cli(argv + ["--format", "json"])
     assert (code, out) == (0, json.dumps(rows, indent=2) + "\n")
-    if math.copysign(1.0, xs[1]) < 0:
-        assert [row["x"] for row in rows] == [0.0, -0.0] * 2
-        assert out.count('"x": -0.0,') == 2 and out.count('"x": 0.0,') == 2
+    assert out.count('"x": -0.0,') == 2 and out.count('"x": 0.0,') == 2
+    if model == "cw":
+        # the minimizer at x = 0 keeps the sign of that zero, at the start of the axis too
+        assert [math.copysign(1.0, row["y_star"]) for row in rows] == [
+            math.copysign(1.0, row["x"]) for row in rows]
     code, out, _ = run_cli(argv + ["--format", "csv"])
     assert (code, out) == (0, ",".join(columns) + "\n" + "".join(
         ",".join(csv_text(v) for v in row.values()) + "\n" for row in rows))

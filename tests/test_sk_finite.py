@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -435,12 +436,31 @@ def test_every_low_order_correlator_matches_the_enumeration():
 
 def test_block_size_does_not_change_results(monkeypatch):
     params = SkParams(0.05, 1.1, 0.0)
-    # 2^13 >> 7 = 64 samples per block runs all 24 in one block
-    one_block = quenched_overlap_moments(params, 7, 24, seed=4)
-    # 2^9 >> 7 = 4 per block; 2^6 >> 7 = 0 falls back to one per block
-    for entries in (1 << 9, 1 << 6):
-        monkeypatch.setattr(sk_finite, "_BLOCK_ENTRIES", entries)
-        assert quenched_overlap_moments(params, 7, 24, seed=4) == one_block
+    # 2^15 >> n samples per block: 256 at n = 7 run all 24 in one block; the 8, 4
+    # and 2 at n = 12, 13 and 14 (the fold sizes) leave one short block
+    for n, count in ((7, 24), (12, 9), (13, 5), (14, 3)):
+        default = quenched_overlap_moments(params, n, count, seed=4)
+        # 2^(n + 2) entries take 4 samples per block; 2^6 >> n = 0 falls back to one
+        for entries in (1 << (n + 2), 1 << 6):
+            with monkeypatch.context() as patch:
+                patch.setattr(sk_finite, "_BLOCK_ENTRIES", entries)
+                assert quenched_overlap_moments(params, n, count, seed=4) == default
+
+
+@pytest.mark.parametrize("n, count", [(8, 200), (14, 5)])
+def test_overlap_workspace_stays_within_its_memory(n, count):
+    # the traced heap of a call peaks at 1.44 MiB at n = 8 and 1.45 MiB at n = 14
+    # (numpy 2.4): the five-plane workspace of a full block of 2^15 entries is
+    # 1.25 MiB of it, and one more plane would add 0.25 MiB
+    params = SkParams(0.0, 0.36, 0.0)
+    quenched_overlap_moments(params, n, count, seed=3)  # caches filled outside the trace
+    tracemalloc.start()
+    try:
+        quenched_overlap_moments(params, n, count, seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.6 * 2 ** 20
 
 
 def test_boundary_overlap_matches_the_cavity_expectation():

@@ -1,8 +1,17 @@
-"""Checks on the test suite itself and on the imports of the library."""
+"""Checks on the test suite itself, on the imports of the library and on its tools."""
 
 import ast
+import contextlib
+import hashlib
+import io
+import json
+import subprocess
 import sys
 from pathlib import Path
+
+from spinflow import cli
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def imported_modules(path: Path) -> set:
@@ -31,3 +40,24 @@ def test_library_imports_only_numpy_and_the_standard_library():
     allowed = sys.stdlib_module_names | {"numpy"}
     offenders = {path.name: sorted(imported_modules(path) - allowed) for path in modules}
     assert {name: names for name, names in offenders.items() if names} == {}
+
+
+def test_step_digests_hash_every_step_of_a_workload_and_all_of_them(monkeypatch):
+    done = subprocess.run([sys.executable, str(ROOT / "tools" / "step_digests.py"),
+                           "--workload", "rs-critical", "--seed", "1"],
+                          capture_output=True, text=True, check=True, timeout=300)
+    *lines, combined = done.stdout.splitlines()
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    from workloads import plan
+
+    steps = plan("rs-critical", 1)
+    assert [line.rsplit(" ", 1)[0] for line in lines] == [f"rs-critical 1 {s.name}" for s in steps]
+    joined = "".join(line + "\n" for line in lines).encode()
+    assert combined == f"combined {hashlib.sha256(joined).hexdigest()}"
+    # a command step's digest is that of its exit code and output as JSON
+    (caustic,) = [step for step in steps if step.name == "caustic"]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(list(caustic.argv))
+    record = json.dumps({"exit": code, "stdout": out.getvalue(), "stderr": ""}, sort_keys=True)
+    assert f"rs-critical 1 caustic {hashlib.sha256(record.encode()).hexdigest()}" in lines
