@@ -53,7 +53,7 @@ def _check_site_count(n) -> None:
 # them less often.  Fastest time a sample (us, 2-vCPU host, one BLAS thread),
 # blocks of 2^13 entries in seven planes against these:
 #   n       1    2    3    4    5    6    7     8     9    10    11   12   13   14
-#   2^13  2.3  2.5  2.6  3.3  4.0  5.8  9.4  16.8  31.5  61.7   124  263  476  689
+#   2^13  2.3  2.5  2.7  3.3  4.0  5.8  9.4  16.8  31.5  61.7   124  263  476  689
 #   2^15  2.3  2.4  2.7  3.1  3.7  5.0  7.6  13.2  24.9  48.1  94.6  165  301  556
 # A full block's five planes take 1.25 MiB: the traced heap of a call peaks at
 # 1.44 MiB for 200 samples at n = 8 and 1.45 MiB for 5 at n = 14 (0.52 and
