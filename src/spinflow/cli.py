@@ -94,8 +94,9 @@ def _json_cell(value) -> str:
     return encode_basestring_ascii(value)
 
 
-# rows formatted and written at a time
-_WRITE_ROWS = 4096
+# rows formatted and written at a time: a chunk's text is held three times (the row
+# strings, their join and a file's encoding of it), so it stays small next to the rows
+_WRITE_ROWS = 256
 
 
 def _write_rows(stream, columns, axes, rows, fmt: str) -> None:
@@ -343,9 +344,9 @@ _SWEEP_FLAGS = (*_SWEEP_ECHO.values(), "branch")
 
 # points per sweep: its rows are Python objects held until they are written, then
 # go out _WRITE_ROWS at a time.  Written to a file, a sweep's traced heap peaks at
-# 0.35-1.8 kB a point (tracemalloc: 128 x 128 cw limit 350 B in JSON and in CSV;
-# 64 x 64 sk-rs rs on x in [-1, 1], t in [0.1, 2] 1 766 B in JSON and 1 190 B in
-# CSV, which its lockstep solve and one chunk of text set)
+# 0.34-1.3 kB a point (tracemalloc, 64 x 64 on x in [-1, 1], t in [0.1, 2]: cw limit
+# 339 B in JSON and in CSV, the rows themselves; sk-rs rs 1 190 B in JSON and 1 283 B
+# in CSV, which its lockstep solve sets)
 _MAX_SWEEP_POINTS = 1 << 20
 
 

@@ -11,25 +11,24 @@ k <= N/2.  A pair's heavier log-weight is b = log C(N, k) + N t a**2 / 2
 + N |x| a and its lighter one b - 2 N |x| a; the middle sector of even N is
 its own mirror and counts once.
 
-The weights are divided by the largest one, and a sector more than 746 below
-it in log-weight contributes exactly 0.0.  So the sum runs over a window of
-blocks of 32 pairs, picked by one coarse pass over the blocks' first sectors,
-whose log-binomials are Stirling anchors already.  A block is kept unless
-both its ends sit more than 746 + 16 (log N + 2|t| + 2|x|) below the largest
-anchor b.  b bounds both log-weights of its pair, its largest value is the
-largest log-weight of all sectors, and one sector step moves it by at most
-log N + 2|t| + 2|x|; so every pair left out is an exact zero, and each peak is
-kept, the minority one at t > 1 too.  A call costs O(window) time and memory;
-away from the critical point the window is O(sqrt N) sectors, and N = 1e7
-takes tens of milliseconds; near (0, 1) it is O(N^3/4) sectors.  The tables that depend on N alone (the blocks'
-first sectors, their Stirling anchors and |m| there) are built once per N: a
-one-entry, read-only memo keyed by N keeps the last size's, so a sweep at one N
-builds them once and a new N rebuilds them.  After a call the memo holds those
-three tables of N/64 doubles each until another size replaces them: 9 KB at
-N = 25 000, 400 MB at N = 2^30 (``_size_tables.cache_clear()`` frees them).
-The window's own rows share one work table per call.  Small N takes the same
-path, whose coarse pass there keeps every block; up to 1 000 spins a call takes
-50 to 70 us on a 2-vCPU Xeon guest (70 to 90 us at a new N), mostly numpy's
+The sum is anchored at its peak.  One step along the pairs changes b by
+
+    delta_k = b_(k+1) - b_k = log1p(c / (k + 1)) - 2 t c / N - 2 |x|,   c = N - 2k - 1,
+
+which is 2 (atanh(alpha) - t (N + 1) / N * alpha - |x|) with alpha = c / (N + 1).
+On the pairs it changes sign at most once, so b is unimodal: an integer
+bisection on the sign of delta finds the peak pair, and each log-weight is
+formed relative to it, b_k - b_peak, as a running sum of O(1) steps outward
+from the peak.  No term of size N is rounded, as b_k itself would be.  The
+window is every pair within 746 of the peak in log-weight, and a sector below
+that weighs exactly 0.0 once divided by the peak's weight; both ends are
+bisected on log-gamma log-weights.  The minority peak at t > 1 is a lighter
+weight of the window's pairs.  Only phi needs the absolute log-weight of the
+peak, one scalar Stirling series.  A call costs O(window) time and memory,
+and nothing is kept from one call to the next: the window is O(sqrt N)
+sectors away from the critical point (1.3e5 at N = 1e7, 5 ms) and
+4.9 N^(3/4) near (0, 1) (8.6e5 at N = 1e7, 45 ms; 4.9e6 at N = 1e8).  Up to
+1 000 spins a call takes 60 to 75 us on a 2-vCPU Xeon guest, mostly numpy's
 cost per call.
 
 Moments of ``m`` are weighted pair averages: even moments weigh a**j by a
@@ -38,20 +37,16 @@ in closed form without cancellation and signed by x.  So odd moments keep
 their relative accuracy as x -> 0 and vanish at x = 0 as +0.0 by
 construction, and x -> -x mirrors every field exactly.  Every derived
 quantity (velocity, potential, conservation residuals) is formed in closed
-form, never by numerical differentiation, and is exact up to roundoff but
-for one loss that grows with N: a log-weight, about N in size, is rounded
-before exp.  It costs the potential 2.4e-12 relative at (0.3, 0.5, 250 000)
-against a 50-digit sum over all sectors, while its first moment keeps
-8.2e-15; ``test_large_n_fields_match_an_fsum_over_every_sector`` sums the
-same log-weights and cannot see it.  The minus
-log-partition per spin plays the role of an action density: it satisfies a
-viscous Hamilton-Jacobi equation whose residual operations below check the
-identity with centered finite differences.
+form, never by numerical differentiation.  Against 50-digit sums over all
+sectors, every field at the 46 frozen test points up to N = 250 000 is within
+1.3e-15 relative.  The minus log-partition per spin plays the role of an
+action density: it satisfies a viscous Hamilton-Jacobi equation whose
+residual operations below check the identity with centered finite
+differences.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -59,19 +54,13 @@ import numpy as np
 
 from .plane import LOG2, PlanePoint, check_size
 
-# sectors per anchored run of the log-binomial sum, and per block of the window
-_BINOMIAL_BLOCK = 32
 # exp(v) is exactly 0.0 for v < -745.14
 _UNDERFLOW = 746.0
-# largest N.  Away from (0, 1) peak memory grows with the N/64 anchors and their
-# temporaries: one call at N = 1e8 and (0.3, 0.5) peaks at 119 MiB (tracemalloc), so
-# 2^30 spins take about 1.3 GB.  Near (0, 1) the window grows as O(N^3/4) sectors,
-# 5.3e6 at N = 1e8 with a 362 MiB peak at (0, 1), so 2^30 spins there take about 2 GB;
-# the memo keeps 400 MB on top
+# largest N.  A call's traced heap is about 48 bytes a window pair: one call at
+# N = 1e8 peaks at 19 MiB at (0.3, 0.5) and at 222 MiB at (0, 1), where the window
+# holds 4.9e6 pairs (tracemalloc).  2^30 spins take 63 MiB at (0.3, 0.5) and about
+# 1.3 GB next to (0, 1), whose window grows as N^(3/4)
 MAX_SPINS = 1 << 30
-# a sector's offset in its block
-_OFFSETS = np.arange(float(_BINOMIAL_BLOCK))
-_OFFSETS.setflags(write=False)
 
 
 @dataclass(frozen=True)
@@ -93,80 +82,11 @@ class ExactCwFields:
     moments: np.ndarray
 
 
-@functools.lru_cache(maxsize=1)
-def _size_tables(n: int) -> tuple:
-    # (starts, anchors, a) per block of k <= n/2: its first sector j, log C(n, j) and
-    # a = |m| there.  They depend on n alone, so the last size asked keeps them, read-only:
-    # N/64 doubles per table.  log C(n, j) is 0 at j = 0 and from j = 32 on Stirling's
-    # series without cancellation,
-    #   log C(n, j) = j log(n/j) + r log1p(j/r) + log(n / (2 pi j r)) / 2
-    #                 + c(n) - c(j) - c(r),   r = n - j >= j >= 32;
-    # math.lgamma differences are off by a few spacings of log n!, and their
-    # jumps between blocks moved the velocity by 6e-14 at n = 2.5e4.
-    starts = np.arange(0.0, n // 2 + 1, _BINOMIAL_BLOCK)
-    anchors = np.zeros(len(starts))
-    jr = np.empty((2, len(starts) - 1))
-    j, r = jr
-    j[:] = starts[1:]
-    np.subtract(n, j, out=r)
-    tail_j, tail_r = _stirling_tail(jr)
-    anchors[1:] = (j * np.log(n / j) + r * np.log1p(j / r)
-                   + 0.5 * np.log(n / (2.0 * math.pi * j * r))
-                   + (_stirling_tail(float(n)) - tail_j - tail_r))
-    tables = (starts, anchors, (n - 2.0 * starts) / n)
-    for table in tables:
-        table.setflags(write=False)
-    return tables
-
-
 def _check_spins(n) -> None:
-    # a positive integer, refused above MAX_SPINS before any table is allocated
+    # a positive integer, refused above MAX_SPINS before any window is allocated
     check_size(n)
     if n > MAX_SPINS:
         raise ValueError(f"system size n must be at most 2^30 for the sector sum, got {n}")
-
-
-def _window(x: float, t: float, n: int) -> np.ndarray:
-    # The blocks kept by the rule of the module docstring, as a mask over the blocks of
-    # k <= n/2.  Every sector of a block lies within half a block of one of its two
-    # anchors (its first sector and the next block's), hence the walk of 16 sector
-    # steps.  The middle block has no anchor at its far end and is always kept.
-    # |log-weight| <= n (|t|/2 + |x| + log 2); twice that bounds the spread that
-    # the max shift subtracts.  Python floats, so that a numpy scalar from a sweep
-    # axis cannot warn while the bounds are formed.
-    abs_t, abs_x = abs(float(t)), abs(float(x))
-    if not math.isfinite(2.0 * int(n) * (0.5 * abs_t + abs_x + 1.0)):
-        raise OverflowError(f"sector log-weights overflow at x={x}, t={t}, n={n}, "
-                            "so phi and its derivatives cannot be formed in double precision")
-    _, anchors, a = _size_tables(n)
-    ends = _pair_log_weights(x, t, n, a, anchors)
-    walk = 0.5 * _BINOMIAL_BLOCK * (math.log(n) + 2.0 * (abs_t + abs_x))
-    keep = np.empty(len(ends), dtype=bool)
-    keep[-1] = True
-    np.greater_equal(np.maximum(ends[:-1], ends[1:]), float(ends.max()) - _UNDERFLOW - walk,
-                     out=keep[:-1])
-    return keep
-
-
-def _log_binomials(n: int, blocks, out=None) -> tuple:
-    # Sectors k <= n/2 of the blocks (an index or mask over the blocks of _size_tables),
-    # in increasing order, with log C(n, k); the last block is the middle one.  Each
-    # block is a running sum of log((n - k + 1) / k) from its anchor, so rounding builds
-    # up over 32 terms only (unanchored, the sum drifts by 3e-9 at n = 2.5e5).  The
-    # middle block runs past k = n/2, and capping k at n keeps that junk, trimmed below,
-    # finite.  out, if given, is the (2, blocks, 32) table that k and log C(n, k) fill.
-    starts, anchors, _ = _size_tables(n)
-    first = starts[blocks]
-    k, table = np.empty((2, len(first), _BINOMIAL_BLOCK)) if out is None else out
-    np.add.outer(first, _OFFSETS, out=k)
-    np.minimum(k, n, out=k)
-    table[:, 0] = anchors[blocks]
-    steps = table[:, 1:]
-    np.divide(np.subtract(n + 1.0, k[:, 1:], out=steps), k[:, 1:], out=steps)
-    np.log(steps, out=steps)
-    np.cumsum(table, axis=1, out=table)
-    end = k.size - (_BINOMIAL_BLOCK * len(anchors) - n // 2 - 1)
-    return k.ravel()[:end], table.ravel()[:end]
 
 
 def _stirling_tail(m):
@@ -175,51 +95,115 @@ def _stirling_tail(m):
     return (1.0 / 12.0 - (1.0 / 360.0 - (1.0 / 1260.0 - inv2 / 1680.0) * inv2) * inv2) / m
 
 
-def _pair_log_weights(x: float, t: float, n: int, a: np.ndarray, log_binomials: np.ndarray,
-                      out=None):
-    # the log-weight of the heavier sector of each mirror pair with |m| = a,
-    # log_binomials + n (t a^2 / 2 + |x| a), formed in out (by default a new array)
-    b = np.multiply(0.5 * t, a, out=out)
-    b *= a
-    b += abs(x) * a
-    b *= n
-    b += log_binomials
-    return b
+def _log_binomial(n: int, k: int) -> float:
+    # log C(n, k).  With j = min(k, n - k): below 32 a sum of j logs, from 32 on Stirling's
+    # series without cancellation,
+    #   log C(n, j) = j log(n/j) + r log1p(j/r) + log(n / (2 pi j r)) / 2
+    #                 + c(n) - c(j) - c(r),   r = n - j;
+    # math.lgamma differences are off by a few spacings of log n!
+    j = min(k, n - k)
+    if j < 32:
+        return math.fsum(math.log((n - i) / (i + 1)) for i in range(j))
+    r = n - j
+    return (j * math.log(n / j) + r * math.log1p(j / r) + 0.5 * math.log(n / (2.0 * math.pi * j * r))
+            + (_stirling_tail(float(n)) - _stirling_tail(float(j)) - _stirling_tail(float(r))))
+
+
+def _first(lo: int, hi: int, test) -> int:
+    # the first k in [lo, hi) that passes test, or hi; test fails up to some k, then passes
+    while lo < hi:
+        k = (lo + hi) // 2
+        if test(k):
+            hi = k
+        else:
+            lo = k + 1
+    return lo
+
+
+def _window(x: float, t: float, n: int) -> tuple:
+    # (first, peak, last): the peak pair, where the step delta_k of the module docstring
+    # turns from positive to not, and the pairs first..last about it whose log-weight b_k
+    # is at least b_peak - 746.  The ends are bisected on log-gamma log-weights, off by a
+    # few spacings of log n! (1e-5 at n = 2^30), far less than the 0.87 between 746 and
+    # exp's underflow, so every pair left out weighs exactly 0.0.  |b_k| <= n (|t|/2 + |x|
+    # + log 2) and each step is at most log n + 2 |t| + 2 |x|, all finite where the check
+    # below lets n through.  Python floats, so that a numpy scalar from a sweep axis
+    # cannot warn.
+    t, abs_x = float(t), abs(float(x))
+    if not math.isfinite(2.0 * int(n) * (0.5 * abs(t) + abs_x + 1.0)):
+        raise OverflowError(f"sector log-weights overflow at x={x}, t={t}, n={n}, "
+                            "so phi and its derivatives cannot be formed in double precision")
+
+    def log_weight(k):
+        a = (n - 2 * k) / n
+        return n * (0.5 * t * a * a + abs_x * a) - math.lgamma(k + 1.0) - math.lgamma(n - k + 1.0)
+
+    def past_peak(k):
+        c = n - 2 * k - 1
+        return math.log1p(c / (k + 1)) - t * c / (0.5 * n) - 2.0 * abs_x <= 0.0
+
+    peak = _first(0, n // 2, past_peak)
+    floor = log_weight(peak) - _UNDERFLOW
+    first = _first(0, peak, lambda k: log_weight(k) >= floor)
+    return first, peak, _first(peak, n // 2, lambda k: log_weight(k + 1) < floor)
 
 
 def _pair_weights(x: float, t: float, n: int):
-    # The window's mirror pairs, weights divided by the largest one:
-    # (a, even, odd, light, tail, shift, spare) with a = |m|, w the heavier weight
-    # of a pair and light = w exp(gap) the lighter, even = w + light, and the odd
-    # weight w - light formed as w * -expm1(gap), without cancellation.
-    # gap = -2 n |x| a increases along the window, and before the index tail
-    # exp(gap) is exactly 0.0 and -expm1(gap) exactly 1.0; so both are formed
-    # from the tail on only, and light holds the tail's values.
-    # The window's rows share one work table, allocated once per call: k then a,
-    # log C(n, k) then gap, b then w, even, and two spare rows for the caller.  One
-    # allocation instead of one per row also keeps glibc from trimming the heap
-    # after each large window and faulting its pages back in on the next call
-    # (about 300 page faults per call at n = 2.5e5 with a new array per row).
-    blocks = _window(x, t, n)
-    table = np.empty((6, np.count_nonzero(blocks), _BINOMIAL_BLOCK))
-    k, log_binomials = _log_binomials(n, blocks, table[:2])
-    rows = table.reshape(6, -1)[:, :len(k)]
-    a = np.multiply(k, 2.0, out=k)
-    np.subtract(n, a, out=a)
+    # The window's mirror pairs, weights divided by the peak's:
+    # (a, even, odd, light, tail, shift, spare) with a = |m|, w = exp(b - b_peak) the
+    # heavier weight of a pair and light = w exp(gap) the lighter, even = w + light, and
+    # the odd weight w - light formed as w * -expm1(gap), without cancellation; shift is
+    # b_peak.  gap = -2 n |x| a increases along the window, and before the index tail
+    # exp(gap) is exactly 0.0 and -expm1(gap) exactly 1.0; so both are formed from the
+    # tail on only, and light holds the tail's values.
+    # The rows share one work table, allocated once per call: k then a, the steps then
+    # b - b_peak then w, gap then a spare, even, and a spare.  One allocation instead of
+    # one per row also keeps glibc from trimming the heap after each large window and
+    # faulting its pages back in on the next call.
+    first, peak, last = _window(x, t, n)
+    t, abs_x = float(t), abs(float(x))
+    table = np.empty((5, last - first + 1))
+    k, log_w, gap, even, spare = table
+    k[:] = np.arange(first, last + 1.0)
+    # b - b_peak as a running sum of the steps outward from the peak.  The step between
+    # pairs s - 1/2 and s + 1/2 is log1p((n - 2s) / (s + 1/2)) - 2 t (n - 2s) / n - 2 |x|;
+    # it is summed into the pair after it right of the peak, and into the one before it,
+    # negated, left of it
+    i = peak - first
+    s = np.subtract(k, 0.5, out=log_w)
+    s[:i + 1] += 1.0  # the peak's own step is never summed; k + 1 keeps it finite
+    c = np.multiply(s, -2.0, out=gap)
+    c += n
+    s += 0.5
+    ratio = np.divide(c, s, out=even)
+    np.log1p(ratio, out=ratio)
+    np.multiply(c, -t, out=log_w)  # rounded per pair: a rounded 2 t / n tilts the sum
+    log_w /= 0.5 * n
+    log_w += ratio
+    log_w -= 2.0 * abs_x
+    np.negative(log_w[:i], out=log_w[:i])
+    log_w[i] = 0.0
+    np.cumsum(log_w[i:], out=log_w[i:])
+    left = log_w[:i][::-1]
+    np.cumsum(left, out=left)
+    w = np.exp(log_w, out=log_w)
+    a = np.multiply(k, -2.0, out=k)
+    a += n
     a /= n
-    b = _pair_log_weights(x, t, n, a, log_binomials, out=rows[2])
-    shift = b.max()
-    w = np.exp(np.subtract(b, shift, out=b), out=b)
-    gap = np.multiply(-2.0 * n * abs(x), a, out=log_binomials)
+    a_peak = (n - 2.0 * peak) / n
+    shift = _log_binomial(n, peak) + n * (0.5 * t * a_peak * a_peak + abs_x * a_peak)
+    np.multiply(-2.0 * n * abs_x, a, out=gap)
     tail = int(np.searchsorted(gap, -_UNDERFLOW))
-    light = w[tail:] * np.exp(gap[tail:])
-    if n % 2 == 0:
+    light = np.exp(gap[tail:])
+    light *= w[tail:]
+    if n % 2 == 0 and last == n // 2:
         light[-1] = 0.0  # the middle sector k = n/2 is its own mirror
-    even = rows[3]
     even[:] = w
     even[tail:] += light
-    w[tail:] *= -np.expm1(gap[tail:])  # w is now the odd weight
-    return a, even, w, light, tail, shift, rows[4:]
+    odd = np.expm1(gap[tail:], out=gap[tail:])
+    np.negative(odd, out=odd)
+    w[tail:] *= odd  # w is now the odd weight
+    return a, even, w, light, tail, shift, (gap, spare)
 
 
 def log_partition(p: PlanePoint, n: int) -> float:
@@ -258,9 +242,13 @@ def exact_fields(p: PlanePoint, n: int, k_max: int = 4) -> ExactCwFields:
     # with c = |<m>|, a pair's heavier sector adds w (a - c)**2 to the variance
     # and its lighter one light (a + c)**2, together even (a - c)**2 + 4 c light a;
     # summed by numpy, not np.dot, which OpenBLAS splits over its threads above
-    # 10 000 entries, so that its bits would depend on the thread count
-    spread = np.square(np.subtract(a, moments[0], out=term), out=term)
-    variance = (np.multiply(even, spread, out=term).sum()
+    # 10 000 entries, so that its bits would depend on the thread count.  a - c is
+    # formed as (n a - n c) / n, with the integer n a = n - 2k that rint recovers
+    # exactly: a's own rounding cost the variance 1.2e-14 where a - c is 1e-4
+    spread = np.rint(np.multiply(a, n, out=term), out=term)
+    spread -= n * moments[0]
+    np.square(spread, out=spread)
+    variance = (np.multiply(even, spread, out=term).sum() / (float(n) * n)
                 + 4.0 * moments[0] * np.multiply(light, a[tail:], out=light).sum())
     moments[0::2] *= -1.0 if p.x < 0 else 1.0  # +0.0 at x = -0.0
 

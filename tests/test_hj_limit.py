@@ -36,7 +36,7 @@ def variational_objective(y: float, x: float, t: float) -> float:
 
 def test_spontaneous_magnetization_fixed_point():
     m = spontaneous_magnetization(2.0)
-    assert m == pytest.approx(0.9575040240772688, rel=1e-12)
+    assert m == pytest.approx(0.9575040240772688, rel=1e-12, abs=0)
     assert math.tanh(2.0 * m) == pytest.approx(m, abs=1e-13)
     assert m > 0.0
 
@@ -72,9 +72,9 @@ def test_spontaneous_magnetization_needs_supercritical_coupling():
 
 def test_action_on_shock_frozen_value():
     sol = lax_action(PlanePoint(0.0, 2.0), branch="plus")
-    assert sol.phi == pytest.approx(-1.0196710679868692, rel=1e-12)
+    assert sol.phi == pytest.approx(-1.0196710679868692, rel=1e-12, abs=0)
     assert sol.on_shock
-    assert sol.u == pytest.approx(-0.9575040240772688, rel=1e-12)
+    assert sol.u == pytest.approx(-0.9575040240772688, rel=1e-12, abs=0)
     minus = lax_action(PlanePoint(0.0, 2.0), branch="minus")
     assert minus.phi == sol.phi
     assert minus.u == -sol.u
@@ -157,7 +157,7 @@ def test_mirror_characteristics_collide_on_the_median():
     for launch in (a, -a):
         line = characteristic(launch, s_meet, n_points=11)
         x_final, s_final = line[-1]
-        assert s_final == pytest.approx(s_meet, rel=1e-15)
+        assert s_final == pytest.approx(s_meet, rel=1e-15, abs=0)
         assert x_final == pytest.approx(0.0, abs=1e-14)
 
 
@@ -165,7 +165,7 @@ def test_critical_line_closed_form_and_envelope():
     for t in (1.3, 2.0, 3.5):
         s = math.sqrt((t - 1.0) / t)
         closed = math.atanh(s) - t * s
-        assert critical_line(t) == pytest.approx(closed, rel=1e-13)
+        assert critical_line(t) == pytest.approx(closed, rel=1e-13, abs=0)
         # envelope property: x_c is the minimum of x0 - t tanh(x0) over x0 >= 0
         grid = np.linspace(0.0, 6.0, 300001)
         grid_min = np.min(grid - t * np.tanh(grid))

@@ -131,7 +131,7 @@ def test_gauss_rules_are_built_once_and_read_only(builder, order):
 def test_log_cosh_is_finite_to_the_end_of_the_double_range():
     values = log_cosh(np.array([0.0, -0.5, 400.0, -1e308]))
     assert values[0] == 0.0
-    assert values[1] == pytest.approx(math.log(math.cosh(0.5)), rel=1e-15)
+    assert values[1] == pytest.approx(math.log(math.cosh(0.5)), rel=1e-15, abs=0)
     assert values[2] == 400.0 - LOG2
     assert values[3] == 1e308
 

@@ -56,18 +56,18 @@ def test_gaussian_expectation_matches_adaptive_quadrature(kind, beta_h, v):
 
 def test_gaussian_expectation_frozen_values():
     assert gaussian_expectation("sech_sq", 0.0, 1.0) == pytest.approx(
-        0.6057055096021591, rel=1e-12)
+        0.6057055096021591, rel=1e-12, abs=0)
     assert gaussian_expectation("tanh_sq", 0.0, 1.0) == pytest.approx(
-        0.3942944903978412, rel=1e-12)
+        0.3942944903978412, rel=1e-12, abs=0)
     assert gaussian_expectation("tanh_sq", 0.2, 0.4) == pytest.approx(
-        0.25361551554018147, rel=1e-12)
+        0.25361551554018147, rel=1e-12, abs=0)
 
 
 def test_gaussian_expectation_degenerate_variance_collapses():
     assert gaussian_expectation("tanh_sq", 0.7, 0.0) == pytest.approx(
-        math.tanh(0.7) ** 2, rel=1e-14)
+        math.tanh(0.7) ** 2, rel=1e-14, abs=0)
     assert gaussian_expectation("log_cosh", 0.3, 0.0) == pytest.approx(
-        math.log(math.cosh(0.3)), rel=1e-14)
+        math.log(math.cosh(0.3)), rel=1e-14, abs=0)
 
 
 def _map_and_slope_from_public_kinds(params, q):
@@ -113,7 +113,7 @@ def test_solve_qbar_frozen_bisection_value():
 def test_solve_qbar_boundary_coupling_free():
     # t = 0 makes the fixed point explicit
     value = solve_qbar(SkParams(0.4, 0.0, 0.2))
-    assert value == pytest.approx(0.25361551554018147, rel=1e-12)
+    assert value == pytest.approx(0.25361551554018147, rel=1e-12, abs=0)
 
 
 def test_solve_qbar_symmetric_phase_is_exactly_zero():
@@ -166,7 +166,7 @@ def test_map_slope_matches_a_central_difference(x, t, beta_h, q):
     h = 1e-5
     difference = (gaussian_expectation("tanh_sq", beta_h, x + t * (q + h))
                   - gaussian_expectation("tanh_sq", beta_h, x + t * (q - h))) / (2.0 * h)
-    assert slope == pytest.approx(difference, rel=1e-7)
+    assert slope == pytest.approx(difference, rel=1e-7, abs=0)
 
 
 def _counted(monkeypatch, name):
@@ -309,8 +309,8 @@ def test_near_critical_root_follows_its_expansion(eps):
     # q = (t - 1)/2 + O((t - 1)^2) and margin = (t - 1)/3 + O((t - 1)^2): a residual
     # below 1e-12 alone is met as far out as q ~ 3e-7 at these t
     params = SkParams(0.0, 1.0 + eps, 0.0)
-    assert solve_qbar(params) == pytest.approx(eps / 2.0, rel=1e-4)
-    assert caustic_margin(params) == pytest.approx(eps / 3.0, rel=1e-4)
+    assert solve_qbar(params) == pytest.approx(eps / 2.0, rel=1e-4, abs=0)
+    assert caustic_margin(params) == pytest.approx(eps / 3.0, rel=1e-4, abs=0)
 
 
 # (t - 1, q_bar, margin) at x = beta_h = 0 and the float t = 1.0 + (t - 1), to 40
@@ -354,7 +354,7 @@ def test_rs_action_frozen_point():
     sol = rs_action(SkParams(0.3, 1.2, 0.2))
     assert sol.q_bar == pytest.approx(0.3432288310188045, abs=1e-10)
     assert sol.y_star == pytest.approx(0.7118745972225654, abs=1e-10)
-    assert sol.phi_rs == pytest.approx(1.337992909942583, rel=1e-10)
+    assert sol.phi_rs == pytest.approx(1.337992909942583, rel=1e-10, abs=0)
     assert sol.caustic_margin == pytest.approx(0.23947141090304236, abs=1e-10)
     assert sol.u == -sol.q_bar
     assert sol.pressure is None  # closed-form comparison only exists at x = 0
@@ -393,14 +393,14 @@ def test_margin_root_and_pressure_frozen_bits():
 def test_rs_action_free_case_is_pure_entropy():
     sol = rs_action(SkParams(0.0, 0.25, 0.0))
     assert sol.q_bar == 0.0
-    assert sol.phi_rs == pytest.approx(2.0 * LOG2, rel=1e-14)
+    assert sol.phi_rs == pytest.approx(2.0 * LOG2, rel=1e-14, abs=0)
     assert sol.y_star == 0.0
 
 
 def test_rs_action_zero_coupling_limit():
     sol = rs_action(SkParams(0.0, 0.0, 0.3))
     expected_phi = 2.0 * (LOG2 + math.log(math.cosh(0.3)))
-    assert sol.phi_rs == pytest.approx(expected_phi, rel=1e-12)
+    assert sol.phi_rs == pytest.approx(expected_phi, rel=1e-12, abs=0)
     assert sol.pressure == 0.5 * sol.phi_rs
 
 
@@ -421,7 +421,7 @@ def test_caustic_margin_assembled_from_public_pieces():
     expected = (1.0 / 3.0
                 + (2.0 / 3.0) * params.t * gaussian_expectation("sech_sq", params.beta_h, v)
                 - params.t * gaussian_expectation("sech_4", params.beta_h, v))
-    assert caustic_margin(params) == pytest.approx(expected, rel=1e-12)
+    assert caustic_margin(params) == pytest.approx(expected, rel=1e-12, abs=0)
 
 
 def test_caustic_root_sits_at_the_transition():
@@ -475,7 +475,7 @@ def test_pressure_refuses_where_the_node_sums_lose_the_envelope():
 
 
 def test_pressure_frozen_value_and_high_temperature_form():
-    assert rs_pressure(1.5, 0.1) == pytest.approx(1.246056068963174, rel=1e-9)
+    assert rs_pressure(1.5, 0.1) == pytest.approx(1.246056068963174, rel=1e-9, abs=0)
     # with no field and beta <= 1 the overlap vanishes and the pressure
     # collapses to log 2 + beta^2/4
     for beta in (0.4, 0.8, 1.0):
@@ -494,7 +494,7 @@ def test_glassy_characteristics_slope_and_vertical_line():
     slope = gaussian_expectation("tanh_sq", 0.0, 1.0)
     x_final, t_final = line[-1]
     assert t_final == 1.0
-    assert x_final == pytest.approx(1.0 - slope, rel=1e-12)
+    assert x_final == pytest.approx(1.0 - slope, rel=1e-12, abs=0)
     frozen = rs_characteristic(0.0, 2.0, n_points=9)
     assert np.all(frozen[:, 0] == 0.0)
 
