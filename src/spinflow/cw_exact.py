@@ -16,20 +16,37 @@ The sum is anchored at its peak.  One step along the pairs changes b by
     delta_k = b_(k+1) - b_k = log1p(c / (k + 1)) - 2 t c / N - 2 |x|,   c = N - 2k - 1,
 
 which is 2 (atanh(alpha) - t (N + 1) / N * alpha - |x|) with alpha = c / (N + 1).
-On the pairs it changes sign at most once, so b is unimodal: an integer
-bisection on the sign of delta finds the peak pair, and each log-weight is
-formed relative to it, b_k - b_peak, as a running sum of O(1) steps outward
-from the peak.  No term of size N is rounded, as b_k itself would be.  The
-window is every pair within 746 of the peak in log-weight, and a sector below
-that weighs exactly 0.0 once divided by the peak's weight; both ends are
-bisected on log-gamma log-weights.  The minority peak at t > 1 is a lighter
-weight of the window's pairs.  Only phi needs the absolute log-weight of the
-peak, one scalar Stirling series.  A call costs O(window) time and memory,
-and nothing is kept from one call to the next: the window is O(sqrt N)
-sectors away from the critical point (1.3e5 at N = 1e7, 5 ms) and
-4.9 N^(3/4) near (0, 1) (8.6e5 at N = 1e7, 45 ms; 4.9e6 at N = 1e8).  Up to
-1 000 spins a call takes 60 to 75 us on a 2-vCPU Xeon guest, mostly numpy's
-cost per call.
+On the pairs it changes sign at most once, so b is unimodal: the peak pair is
+where delta turns from positive to not, and each log-weight is formed relative
+to it, b_k - b_peak, as a running sum of O(1) steps outward from the peak.  No
+term of size N is rounded, as b_k itself would be.  Only phi needs the absolute
+log-weight of the peak, one scalar Stirling series.
+
+The window is every pair within C = 105 of the peak in log-weight, far below
+the last bit of every sum.  Relative to the peak's heavier weight, a pair left
+out weighs below 2 e^-C, its two sectors together, and at most N/2 pairs are
+left out: below N e^-C in all, while z >= 1.  By Griffiths' first inequality
+<s_i s_j> >= 0 at t >= 0, so <m^2> >= 1/N and <m^4> >= <m^2>^2 >= 1/N^2, and
+an even moment's sum z <m^j> is at least N^(-j/2).  An odd moment weighs a^j
+by w (1 - e^-y), y = 2 N |x| a, and (1 - 1/e) min(1, y) <= 1 - e^-y <= min(1, y)
+with min(1, y a) >= a min(1, y): the pairs left out add at most
+min(1, 2 N |x|) N e^-C / 2 to its sum, which is at least
+(1 - 1/e) min(1, 2 N |x|) z <m^(j+1)> / 2.  So what is left out weighs at most
+N^3 e^-C / (1 - 1/e) of z and of each of the four moment sums: below 2^-60.8 at
+N <= 2^30, with the 1e-5 by which the ends' log-gamma log-weights can be off.
+The potential, a centered sum, keeps that bound relative to <m^2> rather than
+to itself; it loses its relative accuracy only where the whole variance is of
+order e^-C, a window of the single pair k = 0 (2 |x| + 2 t above C + log N).
+The peak pair and the window's ends are found by searches that start from
+estimates (Newton's method on the mean-field equation for the peak, the peak's
+curvature and Newton's method on log-gamma log-weights for the ends) and
+confirm them with the predicate a bisection would use, in about two probes
+each.  The minority peak at t > 1 is a lighter weight of the window's pairs.
+A call costs O(window) time and memory, and nothing is kept from one call to
+the next: the window is O(sqrt N) pairs away from the critical point (5.0e4
+at N = 1e7, 1.4 ms) and 3.0 N^(3/4) near (0, 1) (5.3e5 at N = 1e7, 32 ms;
+3.0e6 at N = 1e8).  Up to 1 000 spins a call takes 40 to 70 us on a 2-vCPU
+Xeon guest, mostly numpy's cost per call.
 
 Moments of ``m`` are weighted pair averages: even moments weigh a**j by a
 pair's summed weight, odd ones by the difference of its two weights, formed
@@ -39,7 +56,7 @@ construction, and x -> -x mirrors every field exactly.  Every derived
 quantity (velocity, potential, conservation residuals) is formed in closed
 form, never by numerical differentiation.  Against 50-digit sums over all
 sectors, every field at the 46 frozen test points up to N = 250 000 is within
-1.3e-15 relative.  The minus log-partition per spin plays the role of an
+1.2e-15 relative.  The minus log-partition per spin plays the role of an
 action density: it satisfies a viscous Hamilton-Jacobi equation whose
 residual operations below check the identity with centered finite
 differences.
@@ -56,9 +73,11 @@ from .plane import LOG2, PlanePoint, check_size
 
 # exp(v) is exactly 0.0 for v < -745.14
 _UNDERFLOW = 746.0
-# largest N.  A call's traced heap is about 48 bytes a window pair: one call at
-# N = 1e8 peaks at 19 MiB at (0.3, 0.5) and at 222 MiB at (0, 1), where the window
-# holds 4.9e6 pairs (tracemalloc).  2^30 spins take 63 MiB at (0.3, 0.5) and about
+# the window's depth below the peak in log-weight; the module docstring bounds what it leaves out
+_CUT = 105.0
+# largest N.  A call's traced heap is about 72 bytes a window pair: one call at
+# N = 1e8 peaks at 11 MiB at (0.3, 0.5) and at 205 MiB at (0, 1), where the window
+# holds 3.0e6 pairs (tracemalloc).  2^30 spins take 36 MiB at (0.3, 0.5) and about
 # 1.3 GB next to (0, 1), whose window grows as N^(3/4)
 MAX_SPINS = 1 << 30
 
@@ -96,21 +115,38 @@ def _stirling_tail(m):
 
 
 def _log_binomial(n: int, k: int) -> float:
-    # log C(n, k).  With j = min(k, n - k): below 32 a sum of j logs, from 32 on Stirling's
-    # series without cancellation,
+    # log C(n, k).  With j = min(k, n - k): below 32 the log of the exact integer, rounded
+    # once to a double (below 2^818), from 32 on Stirling's series without cancellation,
     #   log C(n, j) = j log(n/j) + r log1p(j/r) + log(n / (2 pi j r)) / 2
     #                 + c(n) - c(j) - c(r),   r = n - j;
     # math.lgamma differences are off by a few spacings of log n!
     j = min(k, n - k)
     if j < 32:
-        return math.fsum(math.log((n - i) / (i + 1)) for i in range(j))
+        return math.log(math.comb(n, j))
     r = n - j
     return (j * math.log(n / j) + r * math.log1p(j / r) + 0.5 * math.log(n / (2.0 * math.pi * j * r))
             + (_stirling_tail(float(n)) - _stirling_tail(float(j)) - _stirling_tail(float(r))))
 
 
-def _first(lo: int, hi: int, test) -> int:
-    # the first k in [lo, hi) that passes test, or hi; test fails up to some k, then passes
+def _first(lo: int, hi: int, test, k: int) -> int:
+    # the first k in [lo, hi) that passes test, or hi; test fails up to some k, then passes.
+    # From the estimate k it steps 1, 2, 4, ... pairs on until the test turns, then bisects
+    # the last step, so an estimate at the answer or one short of it costs two probes
+    if lo < hi:
+        k = min(max(k, lo), hi - 1)
+        step = 1
+        if test(k):
+            hi = k
+            while k - step >= lo and test(k - step):
+                hi = k = k - step
+                step *= 2
+            lo = max(lo, k - step + 1)
+        else:
+            lo = k + 1
+            while lo + step <= hi and not test(lo + step - 1):
+                lo += step
+                step *= 2
+            hi = min(hi, lo + step - 1)
     while lo < hi:
         k = (lo + hi) // 2
         if test(k):
@@ -123,16 +159,17 @@ def _first(lo: int, hi: int, test) -> int:
 def _window(x: float, t: float, n: int) -> tuple:
     # (first, peak, last): the peak pair, where the step delta_k of the module docstring
     # turns from positive to not, and the pairs first..last about it whose log-weight b_k
-    # is at least b_peak - 746.  The ends are bisected on log-gamma log-weights, off by a
-    # few spacings of log n! (1e-5 at n = 2^30), far less than the 0.87 between 746 and
-    # exp's underflow, so every pair left out weighs exactly 0.0.  |b_k| <= n (|t|/2 + |x|
-    # + log 2) and each step is at most log n + 2 |t| + 2 |x|, all finite where the check
-    # below lets n through.  Python floats, so that a numpy scalar from a sweep axis
-    # cannot warn.
+    # is at least b_peak - _CUT.  The ends are found on log-gamma log-weights, off by a few
+    # spacings of log n! (1e-5 at n = 2^30), which the bound on _CUT allows for.  Each search
+    # starts from an estimate and confirms it with its own predicate (_first), so the
+    # estimates change the cost, never the answer.  |b_k| <= n (|t|/2 + |x| + log 2) and
+    # each step is at most log n + 2 |t| + 2 |x|, all finite where the check below lets n
+    # through.  Python floats, so that a numpy scalar from a sweep axis cannot warn.
     t, abs_x = float(t), abs(float(x))
     if not math.isfinite(2.0 * int(n) * (0.5 * abs(t) + abs_x + 1.0)):
         raise OverflowError(f"sector log-weights overflow at x={x}, t={t}, n={n}, "
                             "so phi and its derivatives cannot be formed in double precision")
+    half = n // 2
 
     def log_weight(k):
         a = (n - 2 * k) / n
@@ -142,40 +179,81 @@ def _window(x: float, t: float, n: int) -> tuple:
         c = n - 2 * k - 1
         return math.log1p(c / (k + 1)) - t * c / (0.5 * n) - 2.0 * abs_x <= 0.0
 
-    peak = _first(0, n // 2, past_peak)
-    floor = log_weight(peak) - _UNDERFLOW
-    first = _first(0, peak, lambda k: log_weight(k) >= floor)
-    return first, peak, _first(peak, n // 2, lambda k: log_weight(k + 1) < floor)
+    # delta_k <= 0 where alpha = c / (n + 1) <= tanh(y), y the root of y = |x| + tn tanh(y),
+    # tn = t (n + 1) / n; y - tn tanh(y) is convex for y >= 0, so Newton's method from
+    # y = |x| + tn, right of the root, falls to it without overshooting, until its step is
+    # below a pair or rounding flattens its slope next to the critical point
+    tn = t * (n + 1) / n
+    y = abs_x + tn
+    for _ in range(64):
+        th = math.tanh(y)
+        slope = 1.0 - tn + tn * th * th
+        if not slope > 0.0:
+            break
+        step = (y - tn * th - abs_x) / slope
+        y -= step
+        if not step * n >= 1.0:
+            break
+    peak = _first(0, half, past_peak, math.ceil(0.5 * ((n - 1) - (n + 1) * math.tanh(y))))
+    floor = log_weight(peak) - _CUT
+
+    # d pairs from the peak, b drops by about q d^2 / 2 + r d^4 (the curvature and quartic
+    # term of n times the binary entropy at a_peak, with u = (k + 1/2) (n - k + 1/2) for
+    # k (n - k) at k = peak, positive at k = 0);
+    # Newton's method on the log-weight, its slope that of log C(n, k) in digamma's
+    # log(k + 1/2) form, refines the two ends while it moves by more than a pair
+    u = (peak + 0.5) * (n - peak + 0.5)
+    q = max(n / u - 4.0 * t / n, 0.0)
+    r = (4.0 * n * n - 3.0 * (n - 2 * peak) ** 2) * n / (192.0 * u ** 3)
+    d = 2.0 * math.sqrt(_CUT / (q + math.sqrt(q * q + 16.0 * r * _CUT)))
+
+    def end(k, lo, hi):
+        for _ in range(3):
+            if not lo < k < hi:
+                break
+            slope = math.log((n - k + 0.5) / (k + 0.5)) - 2.0 * (t * (n - 2 * k) / n + abs_x)
+            if not slope:
+                break
+            step = (floor - log_weight(k)) / slope
+            k += step
+            if not abs(step) > 1.0:
+                break
+        return min(max(k, lo), hi)
+
+    first = _first(0, peak, lambda k: log_weight(k) >= floor, math.ceil(end(peak - d, 0, peak)))
+    last = _first(peak, half, lambda k: log_weight(k + 1) < floor, math.floor(end(peak + d, peak, half)))
+    return first, peak, last
 
 
-def _pair_weights(x: float, t: float, n: int):
+def _pair_weights(x: float, t: float, n: int, powers: int = 1):
     # The window's mirror pairs, weights divided by the peak's:
-    # (a, even, odd, light, tail, shift, spare) with a = |m|, w = exp(b - b_peak) the
+    # (d, even, odd, light, shift, table) with d = n - 2k = n |m|, w = exp(b - b_peak) the
     # heavier weight of a pair and light = w exp(gap) the lighter, even = w + light, and
     # the odd weight w - light formed as w * -expm1(gap), without cancellation; shift is
-    # b_peak.  gap = -2 n |x| a increases along the window, and before the index tail
+    # b_peak.  gap = -2 |x| d increases along the window, and before the index tail
     # exp(gap) is exactly 0.0 and -expm1(gap) exactly 1.0; so both are formed from the
-    # tail on only, and light holds the tail's values.
-    # The rows share one work table, allocated once per call: k then a, the steps then
-    # b - b_peak then w, gap then a spare, even, and a spare.  One allocation instead of
-    # one per row also keeps glibc from trimming the heap after each large window and
-    # faulting its pages back in on the next call.
+    # tail on only, and light is 0.0 before it.
+    # The rows share one work table, allocated once per call, powers + 4 rows: even, odd,
+    # powers - 1 spare rows, light, then d and gap, so that one row-wise sum over the first
+    # powers + 2 rows sums them all.  Before even, the even row holds the steps' ratios and
+    # the gap row the steps' c.  One allocation instead of one per row also keeps glibc
+    # from trimming the heap after each large window and faulting its pages back in on the
+    # next call.
     first, peak, last = _window(x, t, n)
     t, abs_x = float(t), abs(float(x))
-    table = np.empty((5, last - first + 1))
-    k, log_w, gap, even, spare = table
-    k[:] = np.arange(first, last + 1.0)
+    table = np.empty((powers + 4, last - first + 1))
+    even, log_w, light, d, gap = table[0], table[1], table[-3], table[-2], table[-1]
+    d[:] = np.arange(n - 2.0 * first, n - 2.0 * last - 1.0, -2.0)
     # b - b_peak as a running sum of the steps outward from the peak.  The step between
-    # pairs s - 1/2 and s + 1/2 is log1p((n - 2s) / (s + 1/2)) - 2 t (n - 2s) / n - 2 |x|;
-    # it is summed into the pair after it right of the peak, and into the one before it,
-    # negated, left of it
+    # pairs j and j + 1 is log1p(c / (j + 1)) - 2 t c / n - 2 |x| with c = n - 2j - 1 and
+    # j + 1 = (n + 1 - c) / 2; it is summed into pair j + 1 right of the peak, and into
+    # pair j, negated, left of it, so c = n - 2k + 1 right of the peak and n - 2k - 1 left
     i = peak - first
-    s = np.subtract(k, 0.5, out=log_w)
-    s[:i + 1] += 1.0  # the peak's own step is never summed; k + 1 keeps it finite
-    c = np.multiply(s, -2.0, out=gap)
-    c += n
-    s += 0.5
-    ratio = np.divide(c, s, out=even)
+    c = np.add(d, 1.0, out=gap)
+    c[:i + 1] -= 2.0  # the peak's own step is never summed; its c = n - 2k - 1 keeps it finite
+    ratio = np.subtract(n + 1.0, c, out=even)
+    ratio *= 0.5
+    np.divide(c, ratio, out=ratio)
     np.log1p(ratio, out=ratio)
     np.multiply(c, -t, out=log_w)  # rounded per pair: a rounded 2 t / n tilts the sum
     log_w /= 0.5 * n
@@ -183,33 +261,30 @@ def _pair_weights(x: float, t: float, n: int):
     log_w -= 2.0 * abs_x
     np.negative(log_w[:i], out=log_w[:i])
     log_w[i] = 0.0
-    np.cumsum(log_w[i:], out=log_w[i:])
+    np.add.accumulate(log_w[i:], out=log_w[i:])
     left = log_w[:i][::-1]
-    np.cumsum(left, out=left)
+    np.add.accumulate(left, out=left)
     w = np.exp(log_w, out=log_w)
-    a = np.multiply(k, -2.0, out=k)
-    a += n
-    a /= n
     a_peak = (n - 2.0 * peak) / n
     shift = _log_binomial(n, peak) + n * (0.5 * t * a_peak * a_peak + abs_x * a_peak)
-    np.multiply(-2.0 * n * abs_x, a, out=gap)
-    tail = int(np.searchsorted(gap, -_UNDERFLOW))
-    light = np.exp(gap[tail:])
-    light *= w[tail:]
+    np.multiply(d, -2.0 * abs_x, out=gap)
+    tail = int(gap.searchsorted(-_UNDERFLOW))
+    light[:tail] = 0.0
+    np.exp(gap[tail:], out=light[tail:])
+    light[tail:] *= w[tail:]
     if n % 2 == 0 and last == n // 2:
         light[-1] = 0.0  # the middle sector k = n/2 is its own mirror
-    even[:] = w
-    even[tail:] += light
+    np.add(w, light, out=even)
     odd = np.expm1(gap[tail:], out=gap[tail:])
     np.negative(odd, out=odd)
     w[tail:] *= odd  # w is now the odd weight
-    return a, even, w, light, tail, shift, (gap, spare)
+    return d, even, w, light, shift, table
 
 
 def log_partition(p: PlanePoint, n: int) -> float:
     """Log-partition per spin, (1/N) log Z(x, t), from the max-shifted sector sum."""
     _check_spins(n)
-    _, even, _, _, _, shift, _ = _pair_weights(p.x, p.t, n)
+    _, even, _, _, shift, _ = _pair_weights(p.x, p.t, n)
     return float(shift + math.log(even.sum())) / n
 
 
@@ -228,28 +303,29 @@ def exact_fields(p: PlanePoint, n: int, k_max: int = 4) -> ExactCwFields:
     _check_spins(n)
     if k_max < 4:
         raise ValueError(f"k_max must be >= 4 so conservation residuals are computable, got {k_max}")
-    a, even, odd, light, tail, shift, (power, term) = _pair_weights(p.x, p.t, n)
-    z = even.sum()
-
-    # |m|**j as a running product (numpy's a**3 and a**4 go through libm pow), weighted
-    # and summed one order at a time in the two spare rows, not k_max rows
-    moments = np.empty(k_max)
-    power.fill(1.0)
-    for j in range(k_max):
-        power *= a
-        moments[j] = np.multiply(power, even if j % 2 else odd, out=term).sum()
-    moments /= z
+    d, even, odd, light, shift, table = _pair_weights(p.x, p.t, n, k_max)
+    # the rows even, odd a, even a^2, odd a^3, ..., light a, with a = d / n and each power
+    # of a the one two orders down times a^2, summed at once: a row-wise sum adds each row
+    # as its own .sum() would, not as np.dot, which OpenBLAS splits over its threads above
+    # 10 000 entries, so that its bits would depend on the thread count
+    rows = table[:k_max + 2]
+    a = np.divide(d, n, out=rows[2])
+    odd *= a
+    light *= a
+    square = np.square(a, out=table[-1])
+    for j in range(2, k_max + 1):
+        np.multiply(rows[j - 2], square, out=rows[j])
+    sums = np.add.reduce(rows, axis=1)
+    z = sums[0]
+    moments = sums[1:k_max + 1] / z
     # with c = |<m>|, a pair's heavier sector adds w (a - c)**2 to the variance
-    # and its lighter one light (a + c)**2, together even (a - c)**2 + 4 c light a;
-    # summed by numpy, not np.dot, which OpenBLAS splits over its threads above
-    # 10 000 entries, so that its bits would depend on the thread count.  a - c is
-    # formed as (n a - n c) / n, with the integer n a = n - 2k that rint recovers
-    # exactly: a's own rounding cost the variance 1.2e-14 where a - c is 1e-4
-    spread = np.rint(np.multiply(a, n, out=term), out=term)
-    spread -= n * moments[0]
+    # and its lighter one light (a + c)**2, together even (a - c)**2 + 4 c light a.
+    # a - c is formed as (d - n c) / n from the integer d = n a: a's own rounding cost the
+    # variance 1.2e-14 where a - c is 1e-4
+    spread = np.subtract(d, n * moments[0], out=square)
     np.square(spread, out=spread)
-    variance = (np.multiply(even, spread, out=term).sum() / (float(n) * n)
-                + 4.0 * moments[0] * np.multiply(light, a[tail:], out=light).sum())
+    variance = (np.multiply(even, spread, out=table[1]).sum() / (float(n) * n)
+                + 4.0 * moments[0] * sums[-1])
     moments[0::2] *= -1.0 if p.x < 0 else 1.0  # +0.0 at x = -0.0
 
     phi = -(shift + math.log(z)) / n

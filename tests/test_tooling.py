@@ -100,3 +100,15 @@ def test_cw_references_prints_the_50_digit_sector_sums():
         "0.45582753737363193241261973380682872493479219967402"]
     z = 2.0 * math.exp(0.75) * math.cosh(0.75) + 6.0 * math.exp(0.5 / 6.0) * math.cosh(0.25)
     assert float(fields[0]) == pytest.approx(-math.log(z) / 3.0, rel=1e-15, abs=0)
+    # --errors: one line a field, the library's relative error next to the same reference;
+    # at x = 0 the odd moments' reference is 0 and the error the library's |value|
+    done = subprocess.run([sys.executable, str(ROOT / "tools" / "cw_references.py"), "--errors",
+                           "0.25", "0.5", "3", "0", "0.5", "3"], capture_output=True, text=True,
+                          check=True, timeout=60)
+    lines = [line.split() for line in done.stdout.splitlines()]
+    names = ["phi", "u", "potential", "m1", "m2", "m3", "m4"]
+    assert [line[:4] for line in lines] == [[x, t, n, name] for x in ("0.25", "0.0") for name in names]
+    assert [line[4] for line in lines[:7]] == fields
+    errors = [float(line[5]) for line in lines]
+    assert all(0.0 <= error < 1e-15 for error in errors)
+    assert [errors[i] for i in (8, 10, 12)] == [0.0, 0.0, 0.0]
