@@ -7,16 +7,17 @@ say they should die off as the size grows, and p4 does so only because
 the external field is off.
 """
 
-from spinflow import SkParams, quenched_overlap_moments
+from spinflow import SkParams, quenched_overlap_ladder
 
 
 def main():
     params = SkParams(0.0, 0.36, 0.0)
     samples = 400
+    sizes = (4, 6, 8, 10, 12)
     print(f"beta^2 = {params.t}, h = 0, {samples} disorder samples per size\n")
     print(f"{'n':>4} {'p1':>11} {'p2':>11} {'p3':>11} {'p4':>11} {'v_n':>9}")
-    for n in (4, 6, 8, 10, 12):
-        m = quenched_overlap_moments(params, n, samples, seed=17)
+    # one draw of each disorder sample serves every size
+    for n, m in zip(sizes, quenched_overlap_ladder(params, sizes, samples, seed=17)):
         se = m.std_errors
         print(f"{n:>4} "
               f"{m.poly_p1:>+11.5f} {m.poly_p2:>+11.5f} "

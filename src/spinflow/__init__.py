@@ -27,7 +27,7 @@ _EXPORTS = {
               "gaussian_expectation", "rs_action", "rs_actions", "rs_characteristic",
               "rs_pressure", "rs_pressure_detail", "solve_qbar"),
     "sk_finite": ("DisorderSample", "GibbsCorrelators", "OverlapMoments", "draw_disorder",
-                  "quenched_overlap_moments"),
+                  "quenched_overlap_ladder", "quenched_overlap_moments"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 

@@ -5,7 +5,9 @@ error per point``, around one library call.  A point query echoes its
 flags and adds the evaluator's fields at one plane point; a sweep hands
 the same evaluator its whole grid, one row per point, so that the
 replica-symmetric quantities solve the grid's fixed points in lockstep;
-a convergence report calls it at one point per size of a ladder.  Every
+a convergence report calls it at one point per size of a ladder, except
+that the SK identity ladder is one call that draws each disorder sample
+once for all sizes.  Every
 command emits a machine-readable record: JSON for point queries and
 convergence reports, JSON or CSV for sweeps.
 Output is deterministic byte for byte at fixed inputs, whatever the
@@ -447,11 +449,10 @@ def _parse_n_list(text: str):
 def _convergence(echo):
     x, t, sizes = echo["x"], echo["t"], echo["n_list"]
     if echo["model"] == "sk-identities":
-        entries = []
-        for n in sizes:
-            m = _at(_sk_finite, x, t, {**echo, "n": n})
-            entries.append({"n": n, "p4": m["poly_p4"], "p4_std_error": m["std_errors"][5],
-                            "error": abs(m["poly_p4"])})
+        ladder = sk_finite.quenched_overlap_ladder(SkParams(x, t, echo["beta_h"]), sizes,
+                                                   echo["samples"], echo["seed"])
+        entries = [{"n": n, "p4": m.poly_p4, "p4_std_error": m.std_errors[5],
+                    "error": abs(m.poly_p4)} for n, m in zip(sizes, ladder)]
     else:
         field = "phi" if echo["model"] == "cw-action" else "u"
         target = _at(_cw_limit, x, t, {"branch": "plus"})[field]

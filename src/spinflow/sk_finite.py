@@ -22,7 +22,10 @@ one full transform plus O(2^n) work.  Samples are processed in blocks
 of max(1, 2^15 >> n), in a workspace of five (block, 2^n) planes.
 Disorder is drawn from a counter-based generator keyed by (seed, sample
 index), and every per-sample result depends on that key alone, never on
-how the samples are batched.
+how the samples are batched.  A size's draws are the first n(n+1)/2
+standard normals of the sample's stream, so the draws of a smaller size
+are a prefix of a larger one's: a ladder of sizes draws each sample once,
+at its largest size, and runs every size in one workspace.
 """
 
 from __future__ import annotations
@@ -36,7 +39,8 @@ import numpy as np
 from .plane import SkParams
 
 MAX_SITES = 14
-# the per-sample statistics, 5 doubles a sample, are held at once: 42 MB at most
+# the per-sample statistics, 5 doubles a sample, are held at once, one table per size
+# of a ladder: 42 MB a size at most
 MAX_SAMPLES = 1 << 20
 
 
@@ -225,14 +229,16 @@ def _disorder_draws(bitgen: np.random.Philox, seed: int, indices, n: int) -> np.
     a fresh Philox with that key (counter 0, output buffer empty), which
     gives the same draws without building a generator per sample (a build
     costs about twice what rekeying and drawing an n = 14 sample do).
+    Normals are drawn in sequence, so the first m(m+1)/2 columns of the
+    draws at n > m are the draws at m.
     """
     rng = np.random.Generator(bitgen)
     draws = np.empty((len(indices), n * (n + 1) // 2))
-    zero = np.zeros(4, dtype=np.uint64)
-    key = np.array([seed, 0], dtype=np.uint64)
-    # the setter copies the key, so one state serves every row
-    state = {"bit_generator": "Philox", "state": {"counter": zero, "key": key},
-             "buffer": zero, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    key = [seed, 0]
+    # plain ints, which the setter reads element by element faster than uint64
+    # arrays; it copies them, so one state serves every row
+    state = {"bit_generator": "Philox", "state": {"counter": [0, 0, 0, 0], "key": key},
+             "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
     for row, index in zip(draws, indices):
         key[1] = index
         bitgen.state = state
@@ -274,8 +280,10 @@ def _gibbs_states(couplings: np.ndarray, site_fields: np.ndarray, params: SkPara
     # most its absolute coefficient sum in size, and the max shift below
     # subtracts up to twice that.  `bound` is at least that sum in every row
     # of the block; only beta_h can bring it near the largest double, since
-    # the terms in J stay below 1e157.  Python floats, so that forming the
-    # bound cannot warn; 2^-40 of slack covers rounding.
+    # the terms in J stay below 1e157, far under the last bit of any bound
+    # near it, so whether the check below raises depends on (params, n) and
+    # not on the draws.  Python floats, so that forming the bound cannot
+    # warn; 2^-40 of slack covers rounding.
     largest = max(float(np.abs(couplings).max(initial=0.0)), float(np.abs(site_fields).max()))
     bound = n * abs(params.beta_h) + largest * (
         couplings.shape[1] * math.sqrt(params.t / n) + n * math.sqrt(params.x))
@@ -329,7 +337,8 @@ def _sample_statistics(params: SkParams, n: int, draws: np.ndarray,
                        planes: np.ndarray) -> np.ndarray:
     """Replica-factorized overlap statistics, one row per disorder sample.
 
-    The samples, one row of `draws` each (from `_disorder_draws`), are
+    The samples, one row of `draws` each (from `_disorder_draws` at n, or
+    the first n(n+1)/2 columns of its draws at a larger size), are
     enumerated as one block in `planes`, a (_PLANES, rows, 2^n) workspace.
     With c(S) the correlators, the overlap power moments are sums of
     squared correlators weighted by the number of site walks whose
@@ -423,6 +432,70 @@ def _identity_polynomials(q1, q2, o1, e1, e2):
     return e1 - q1 * o1, e2 - q1 * e1, e2 - q1 * q1 * o1, 0.5 * (q2 - q1 * q1)
 
 
+def _overlap_moments(table: np.ndarray, n: int, seed: int) -> OverlapMoments:
+    # the disorder means of a size's statistics table, one row per sample
+    n_samples = len(table)
+    mean = table.mean(axis=0)
+    # leave-one-out means, one row per deleted sample
+    loo = (n_samples * mean[None, :] - table) / (n_samples - 1)
+    sem = table.std(axis=0, ddof=1) / math.sqrt(n_samples)
+    p1, p2, p3, v_n = _identity_polynomials(*mean)
+    p1_se, p2_se, p3_se, v_n_se = map(_jackknife, _identity_polynomials(*loo.T))
+
+    return OverlapMoments(
+        n=n, n_samples=n_samples, seed=int(seed),
+        q1=float(mean[0]), q2=float(mean[1]),
+        poly_p1=float(p1), poly_p2=float(p2), poly_p3=float(p3), poly_p4=float(mean[4]),
+        std_errors=(float(sem[0]), float(sem[1]), float(p1_se),
+                    float(p2_se), float(p3_se), float(sem[4])),
+        v_n=float(v_n), v_n_std_error=float(v_n_se))
+
+
+def quenched_overlap_ladder(params: SkParams, sizes, n_samples: int,
+                            seed: int) -> list[OverlapMoments]:
+    """`quenched_overlap_moments` at each of `sizes`, bitwise, from one draw per sample.
+
+    Returns one OverlapMoments per entry of `sizes`, in their order.  A
+    sample's draws at the largest size hold those of every smaller size n
+    as their first n(n+1)/2 columns, so each sample is drawn once, and each
+    size takes its prefix.  Samples are drawn in spans of a power of two
+    samples, at most one plane (2^15 doubles); within a span each size runs
+    its blocks of max(1, 2^15 >> n) samples in one five-plane workspace
+    that all sizes share.  Nothing is kept between calls.  Every argument
+    is checked before anything is computed; when log-weights overflow, the
+    OverflowError names the smallest size that overflows.
+    """
+    sizes = list(sizes)
+    if not sizes:
+        raise ValueError("need at least one site count")
+    for n in sizes:
+        _check_site_count(n)
+    _check_sample_count(n_samples)
+    _check_key("seed", seed)
+
+    ladder = sorted(set(sizes))
+    width = ladder[-1] * (ladder[-1] + 1) // 2
+    span = min(1 << (max(1, _BLOCK_ENTRIES // width).bit_length() - 1), n_samples)
+    # block lengths are powers of two, so a block shorter than the span divides it
+    blocks = {n: min(max(1, _BLOCK_ENTRIES >> n), span) for n in ladder}
+    space = np.empty(_PLANES * max(blocks[n] << n for n in ladder))
+    tables = {n: np.empty((n_samples, 5)) for n in ladder}
+    bitgen = np.random.Philox(0)
+    for first in range(0, n_samples, span):
+        draws = _disorder_draws(bitgen, seed, range(first, min(first + span, n_samples)),
+                                ladder[-1])
+        # whether log-weights overflow depends on (params, n) alone (_gibbs_states),
+        # so with the sizes in ascending order the first span raises for the
+        # smallest size that overflows
+        for n in ladder:
+            for start in range(first, first + len(draws), blocks[n]):
+                block = draws[start - first:start - first + blocks[n], :n * (n + 1) // 2]
+                planes = space[:_PLANES * len(block) << n].reshape(_PLANES, len(block), 1 << n)
+                tables[n][start:start + len(block)] = _sample_statistics(params, n, block,
+                                                                         planes)
+    return [_overlap_moments(tables[n], n, seed) for n in sizes]
+
+
 def quenched_overlap_moments(params: SkParams, n: int, n_samples: int,
                              seed: int) -> OverlapMoments:
     """Overlap moments and identity polynomials averaged over quenched disorder.
@@ -445,33 +518,6 @@ def quenched_overlap_moments(params: SkParams, n: int, n_samples: int,
     with no field, like n^-2; v_n is half the full overlap variance, the
     potential term whose vanishing defines the replica-symmetric regime.
     OverflowError, naming the point, is raised when the log-weights of a
-    sample could overflow.
+    sample could overflow.  This is the one-size `quenched_overlap_ladder`.
     """
-    _check_site_count(n)
-    _check_sample_count(n_samples)
-    _check_key("seed", seed)
-
-    block = min(max(1, _BLOCK_ENTRIES >> n), n_samples)
-    table = np.empty((n_samples, 5))
-    bitgen = np.random.Philox(0)
-    space = np.empty(_PLANES * block << n)
-    for first in range(0, n_samples, block):
-        last = min(first + block, n_samples)
-        draws = _disorder_draws(bitgen, seed, range(first, last), n)
-        planes = space[:_PLANES * (last - first) << n].reshape(_PLANES, last - first, 1 << n)
-        table[first:last] = _sample_statistics(params, n, draws, planes)
-
-    mean = table.mean(axis=0)
-    # leave-one-out means, one row per deleted sample
-    loo = (n_samples * mean[None, :] - table) / (n_samples - 1)
-    sem = table.std(axis=0, ddof=1) / math.sqrt(n_samples)
-    p1, p2, p3, v_n = _identity_polynomials(*mean)
-    p1_se, p2_se, p3_se, v_n_se = map(_jackknife, _identity_polynomials(*loo.T))
-
-    return OverlapMoments(
-        n=n, n_samples=int(n_samples), seed=int(seed),
-        q1=float(mean[0]), q2=float(mean[1]),
-        poly_p1=float(p1), poly_p2=float(p2), poly_p3=float(p3), poly_p4=float(mean[4]),
-        std_errors=(float(sem[0]), float(sem[1]), float(p1_se),
-                    float(p2_se), float(p3_se), float(sem[4])),
-        v_n=float(v_n), v_n_std_error=float(v_n_se))
+    return quenched_overlap_ladder(params, (n,), n_samples, seed)[0]

@@ -1148,6 +1148,56 @@ def test_convergence_report_identity_rate():
     assert errors[-1] < errors[0]
 
 
+_SK_LADDER = ["convergence", "--model", "sk-identities", "--x", "0", "--t", "0.36",
+              "--samples", "6", "--seed", "5"]
+
+
+def test_sk_identity_ladder_is_one_library_call(monkeypatch):
+    code, clean, _ = run_cli([*_SK_LADDER, "--n-list", "4,5,6,7"])
+    assert code == 0
+    ladder, calls = cli.sk_finite.quenched_overlap_ladder, []
+
+    def counted(*args):
+        calls.append(args)
+        return ladder(*args)
+
+    def untouched(*args, **kwargs):
+        raise AssertionError("a size was computed on its own")
+
+    monkeypatch.setattr(cli.sk_finite, "quenched_overlap_ladder", counted)
+    monkeypatch.setattr(cli.sk_finite, "quenched_overlap_moments", untouched)
+    assert run_cli([*_SK_LADDER, "--n-list", "4,5,6,7"]) == (0, clean, "")
+    assert [args[1] for args in calls] == [[4, 5, 6, 7]]
+
+
+def test_sk_identity_ladder_refuses_an_invalid_size_as_the_point_query_does(monkeypatch):
+    def untouched(*args):
+        raise AssertionError("a sample was enumerated")
+
+    point = run_cli(["sk", "finite", "--x", "0", "--t", "0.36", "--n", "15",
+                     "--samples", "6", "--seed", "5"])
+    assert point[:2] == (2, "")
+    assert point[2] == "error: site count must be in [1, 14] (2^n enumeration), got 15\n"
+    monkeypatch.setattr(cli.sk_finite, "_sample_statistics", untouched)
+    assert run_cli([*_SK_LADDER, "--n-list", "4,8,15"]) == point
+
+
+def test_overflowing_sk_identity_ladder_names_its_smallest_overflowing_size():
+    # beta_h = 3e307 overflows the log-weights from n = 3 up
+    point = ["sk", "finite", "--x", "0", "--t", "0", "--beta-h", "3e307", "--samples", "2",
+             "--seed", "0"]
+    assert run_cli([*point, "--n", "2"])[0] == 0
+    code, out, _ = run_cli([*point, "--n", "3"])
+    assert code == 3
+    error = strict_json(out)["error"]
+    assert "n=3," in error
+    code, out, err = run_cli(["convergence", "--model", "sk-identities", "--x", "0", "--t", "0",
+                              "--beta-h", "3e307", "--n-list", "2,3,4,5", "--samples", "2",
+                              "--seed", "0"])
+    assert (code, err) == (3, "")
+    assert strict_json(out)["error"] == error
+
+
 def test_version_flag():
     code, out, _ = run_cli(["--version"])
     assert code == 0

@@ -13,6 +13,7 @@ from spinflow import (
     draw_disorder,
     gaussian_expectation,
     GibbsCorrelators,
+    quenched_overlap_ladder,
     quenched_overlap_moments,
     solve_qbar,
 )
@@ -132,6 +133,35 @@ def test_overflowing_log_weights_raise_and_name_the_point(n, beta_h):
         assert part in str(err.value)
     with pytest.raises(OverflowError):
         GibbsCorrelators(draw_disorder(0, 0, n), params)
+
+
+def test_ladder_checks_every_argument_before_computing(monkeypatch):
+    def untouched(*args):
+        raise AssertionError("a sample was enumerated")
+
+    monkeypatch.setattr(sk_finite, "_sample_statistics", untouched)
+    params = SkParams(0.1, 0.1)
+    for sizes, count, seed, match in (((4, 8, 15), 4, 0, "got 15"), ((0, 4, 8), 4, 0, "got 0"),
+                                      ((4, 8.0), 4, 0, "must be an integer"),
+                                      ((), 4, 0, "at least one site count"),
+                                      ((4, 8), 1, 0, "disorder samples"),
+                                      ((4, 8), 4, -1, "seed")):
+        with pytest.raises(ValueError, match=match):
+            quenched_overlap_ladder(params, sizes, count, seed)
+
+
+def test_overflowing_ladder_names_its_smallest_overflowing_size():
+    # beta_h = 3e307 overflows from n = 3 up, whichever sample is drawn; the ladder's
+    # OverflowError is the one that size raises on its own
+    params = SkParams(0.0, 0.0, 3e307)
+    quenched_overlap_moments(params, 2, 2, seed=0)
+    with pytest.raises(OverflowError) as alone:
+        quenched_overlap_moments(params, 3, 2, seed=0)
+    for sizes in ((2, 3, 4), (9, 4, 3, 2)):
+        with pytest.raises(OverflowError) as err:
+            quenched_overlap_ladder(params, sizes, 2, seed=0)
+        assert str(err.value) == str(alone.value)
+        assert "n=3," in str(err.value)
 
 
 @pytest.mark.parametrize("n, params", [(1, SkParams(0.0, 0.0, 8.9e307)),
@@ -330,6 +360,12 @@ def test_series_evaluator_is_bitwise_the_transform_of_its_coefficients(n, fold_s
             assert np.array_equal(result.view(np.uint64), expected.view(np.uint64)), case
 
 
+def overlap_values(m):
+    # the order of the FROZEN_MOMENTS entries
+    return (m.q1, m.q2, m.poly_p1, m.poly_p2, m.poly_p3, m.poly_p4,
+            m.v_n, m.v_n_std_error, *m.std_errors)
+
+
 # quenched_overlap_moments at (x, t, beta_h) = (0.3, 0.8, 0.15), frozen as
 # float.hex: (q1, q2, poly_p1..p4, v_n, v_n_std_error, *std_errors); the n = 11
 # and n = 12 entries sit on either side of sk_finite._FOLD_SITES, and new
@@ -378,9 +414,7 @@ FROZEN_MOMENTS = {
 def test_overlap_moments_keep_their_frozen_bits(key):
     n, n_samples, seed = key
     m = quenched_overlap_moments(SkParams(0.3, 0.8, 0.15), n, n_samples, seed=seed)
-    values = (m.q1, m.q2, m.poly_p1, m.poly_p2, m.poly_p3, m.poly_p4,
-              m.v_n, m.v_n_std_error, *m.std_errors)
-    assert values == tuple(float.fromhex(h) for h in FROZEN_MOMENTS[key])
+    assert overlap_values(m) == tuple(float.fromhex(h) for h in FROZEN_MOMENTS[key])
 
 
 @pytest.mark.parametrize("seed", [0, 2 ** 64 - 1])
@@ -393,6 +427,51 @@ def test_block_draws_are_fresh_generator_draws(seed, n):
         assert np.array_equal(row, fresh.standard_normal(n * (n + 1) // 2))
         sample = draw_disorder(seed, index, n)
         assert np.array_equal(np.concatenate((sample.couplings, sample.site_fields)), row)
+
+
+@pytest.mark.parametrize("seed", [0, 2 ** 64 - 1])
+def test_smaller_draws_are_a_prefix_of_larger_ones(seed):
+    indices = [2, 2 ** 64 - 1, 0]
+    for index in indices:
+        key = np.array([seed, index], dtype=np.uint64)
+        larger = {m: np.random.Generator(np.random.Philox(key=key)).standard_normal(
+            m * (m + 1) // 2) for m in range(1, sk_finite.MAX_SITES + 1)}
+        for n in larger:
+            draws = sk_finite._disorder_draws(np.random.Philox(0), seed, [index], n)[0]
+            for m in range(n, sk_finite.MAX_SITES + 1):
+                assert np.array_equal(draws, larger[m][:n * (n + 1) // 2]), (n, m)
+
+
+# per ladder, a sample count that spans several draws: the draws at the largest size
+# m come 2^15 doubles at most, in 2^k >= 1 samples of m(m + 1)/2 doubles: 512 at
+# m = 8, 256 at m = 14 and 8192 at m = 2.  _BLOCK_ENTRIES patched to 2^6 or 2^9
+# shrinks spans and blocks alike, so that ladders up to n = 14 span several draws
+# with few samples.
+_LADDERS = [((4, 5, 6, 7, 8), 1100, None), ((3, 9, 14), 5, 1 << 9), ((1, 2), 8200, None),
+            ((11, 12, 13, 14), 3, 1 << 6), ((4, 5, 6, 7, 8), 40, 1 << 6),
+            ((1, 2), 70, 1 << 6)]
+
+
+@pytest.mark.parametrize("seed", [3, 2 ** 64 - 1])
+@pytest.mark.parametrize("sizes, count, entries", _LADDERS,
+                         ids=["4-8", "3-9-14-small-blocks", "1-2", "11-14-small-blocks",
+                              "4-8-small-blocks", "1-2-small-blocks"])
+def test_ladder_is_bitwise_the_per_size_moments(sizes, count, entries, seed, monkeypatch):
+    params = SkParams(0.3, 0.8, 0.15)
+    alone = [quenched_overlap_moments(params, n, count, seed) for n in sizes]
+    if entries is not None:
+        monkeypatch.setattr(sk_finite, "_BLOCK_ENTRIES", entries)
+    assert quenched_overlap_ladder(params, sizes, count, seed) == alone
+    # in any order, with a size repeated
+    assert quenched_overlap_ladder(params, (sizes[-1], *sizes), count, seed) == [
+        alone[-1], *alone]
+
+
+@pytest.mark.parametrize("key", list(FROZEN_MOMENTS))
+def test_ladder_entries_keep_their_frozen_bits(key):
+    n, n_samples, seed = key
+    ladder = quenched_overlap_ladder(SkParams(0.3, 0.8, 0.15), (1, n, 14), n_samples, seed)
+    assert overlap_values(ladder[1]) == tuple(float.fromhex(h) for h in FROZEN_MOMENTS[key])
 
 
 def test_repeat_runs_are_bit_identical():
@@ -447,16 +526,19 @@ def test_block_size_does_not_change_results(monkeypatch):
                 assert quenched_overlap_moments(params, n, count, seed=4) == default
 
 
-@pytest.mark.parametrize("n, count", [(8, 200), (14, 5)])
-def test_overlap_workspace_stays_within_its_memory(n, count):
-    # the traced heap of a call peaks at 1.44 MiB at n = 8 and 1.45 MiB at n = 14
-    # (numpy 2.4): the five-plane workspace of a full block of 2^15 entries is
-    # 1.25 MiB of it, and one more plane would add 0.25 MiB
+@pytest.mark.parametrize("sizes, count", [((8,), 200), ((14,), 5), (range(4, 9), 200),
+                                          (range(1, 15), 3)],
+                         ids=["8-200", "14-5", "ladder-4..8-200", "ladder-1..14-3"])
+def test_overlap_workspace_stays_within_its_memory(sizes, count):
+    # the traced heap of a call peaks at 1.46 MiB at n = 8 and at n = 14, 1.51 MiB
+    # for the ladder n = 4..8 and 1.46 MiB for n = 1..14 (numpy 2.4): the five-plane
+    # workspace of a full block of 2^15 entries, which every size of a ladder
+    # shares, is 1.25 MiB of it, and one more plane would add 0.25 MiB
     params = SkParams(0.0, 0.36, 0.0)
-    quenched_overlap_moments(params, n, count, seed=3)  # caches filled outside the trace
+    quenched_overlap_ladder(params, sizes, count, seed=3)  # caches filled outside the trace
     tracemalloc.start()
     try:
-        quenched_overlap_moments(params, n, count, seed=3)
+        quenched_overlap_ladder(params, sizes, count, seed=3)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
