@@ -96,11 +96,6 @@ def _json_cell(value) -> str:
     return encode_basestring_ascii(value)
 
 
-# rows formatted and written at a time: a chunk's text is held three times (the row
-# strings, their join and a file's encoding of it), so it stays small next to the rows
-_WRITE_ROWS = 256
-
-
 def _write_rows(stream, columns, axes, rows, fmt: str) -> None:
     """Write a grid's rows under `columns` as JSON or CSV.
 
@@ -111,8 +106,8 @@ def _write_rows(stream, columns, axes, rows, fmt: str) -> None:
     ``json.dumps`` of the rows as dicts with ``indent=2``, byte for byte,
     from one ``%`` template for the whole grid: with ``indent``, ``json``
     itself walks every row in pure Python.  The cells must hold finite
-    floats only.  The text goes out in chunks of _WRITE_ROWS rows, so that
-    no copy of the whole text is held, nor encoded again by a file.
+    floats only.  The text goes out a row at a time through ``writelines``,
+    so that no copy of the whole text is held, nor encoded again by a file.
     """
     cell = _csv_cell if fmt == "csv" else _json_cell
     grid = zip(itertools.product(*[list(map(cell, axis)) for axis in axes]), rows)
@@ -129,11 +124,8 @@ def _write_rows(stream, columns, axes, rows, fmt: str) -> None:
                  for point, row in grid)
         stream.write("[\n" if rows else "[]\n")
         separator, end = ",\n", "\n]\n" if rows else ""
-    # the separator goes before every chunk after the first
-    lead = ""
-    while chunk := list(itertools.islice(lines, _WRITE_ROWS)):
-        stream.write(lead + separator.join(chunk))
-        lead = separator
+    # the separator goes before every row after the first
+    stream.writelines(separator + line if i else line for i, line in enumerate(lines))
     stream.write(end)
 
 
@@ -345,7 +337,7 @@ _SWEEP_FLAGS = (*_SWEEP_ECHO.values(), "branch")
 
 
 # points per sweep: its rows are Python objects held until they are written, then
-# go out _WRITE_ROWS at a time.  Written to a file, a sweep's traced heap peaks at
+# go out one at a time.  Written to a file, a sweep's traced heap peaks at
 # 0.34-1.3 kB a point (tracemalloc, 64 x 64 on x in [-1, 1], t in [0.1, 2]: cw limit
 # 339 B in JSON and in CSV, the rows themselves; sk-rs rs 1 190 B in JSON and 1 283 B
 # in CSV, which its lockstep solve sets)

@@ -39,14 +39,16 @@ to itself; it loses its relative accuracy only where the whole variance is of
 order e^-C, a window of the single pair k = 0 (2 |x| + 2 t above C + log N).
 The peak pair and the window's ends are found by searches that start from
 estimates (Newton's method on the mean-field equation for the peak, the peak's
-curvature and Newton's method on log-gamma log-weights for the ends) and
-confirm them with the predicate a bisection would use, in about two probes
-each.  The minority peak at t > 1 is a lighter weight of the window's pairs.
-A call costs O(window) time and memory, and nothing is kept from one call to
-the next: the window is O(sqrt N) pairs away from the critical point (5.0e4
-at N = 1e7, 1.4 ms) and 3.0 N^(3/4) near (0, 1) (5.3e5 at N = 1e7, 32 ms;
-3.0e6 at N = 1e8).  Up to 1 000 spins a call takes 40 to 70 us on a 2-vCPU
-Xeon guest, mostly numpy's cost per call.
+curvature and Newton's method on log-gamma log-weights for the ends).  Each
+probes its estimate and the next pair toward the answer with the predicate a
+bisection would use, two probes where the estimate is at most a pair short,
+and ``bisect`` takes the rest of the range otherwise.  The minority peak at
+t > 1 is a lighter weight of the window's pairs.  A call costs O(window) time
+and memory, and nothing is kept from one call to the next: the window is
+O(sqrt N) pairs away from the critical point (5.0e4 at N = 1e7, 1.4 ms) and
+3.0 N^(3/4) near (0, 1) (5.3e5 at N = 1e7, 32 ms; 3.0e6 at N = 1e8).  Up to
+1 000 spins a call takes 40 to 70 us on a 2-vCPU Xeon guest, mostly numpy's
+cost per call.
 
 Moments of ``m`` are weighted pair averages: even moments weigh a**j by a
 pair's summed weight, odd ones by the difference of its two weights, formed
@@ -64,6 +66,7 @@ differences.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
@@ -130,30 +133,19 @@ def _log_binomial(n: int, k: int) -> float:
 
 def _first(lo: int, hi: int, test, k: int) -> int:
     # the first k in [lo, hi) that passes test, or hi; test fails up to some k, then passes.
-    # From the estimate k it steps 1, 2, 4, ... pairs on until the test turns, then bisects
-    # the last step, so an estimate at the answer or one short of it costs two probes
+    # It probes the estimate k and its neighbour toward the answer, so an estimate at the
+    # answer or one short of it costs two probes, and bisects what is left of the range
     if lo < hi:
         k = min(max(k, lo), hi - 1)
-        step = 1
         if test(k):
-            hi = k
-            while k - step >= lo and test(k - step):
-                hi = k = k - step
-                step *= 2
-            lo = max(lo, k - step + 1)
+            if k == lo or not test(k - 1):
+                return k
+            hi = k - 1
         else:
-            lo = k + 1
-            while lo + step <= hi and not test(lo + step - 1):
-                lo += step
-                step *= 2
-            hi = min(hi, lo + step - 1)
-    while lo < hi:
-        k = (lo + hi) // 2
-        if test(k):
-            hi = k
-        else:
-            lo = k + 1
-    return lo
+            if k + 1 == hi or test(k + 1):
+                return k + 1
+            lo = k + 2
+    return bisect.bisect_left(range(hi), True, lo, hi, key=test)
 
 
 def _window(x: float, t: float, n: int) -> tuple:
@@ -161,7 +153,7 @@ def _window(x: float, t: float, n: int) -> tuple:
     # turns from positive to not, and the pairs first..last about it whose log-weight b_k
     # is at least b_peak - _CUT.  The ends are found on log-gamma log-weights, off by a few
     # spacings of log n! (1e-5 at n = 2^30), which the bound on _CUT allows for.  Each search
-    # starts from an estimate and confirms it with its own predicate (_first), so the
+    # probes an estimate and its neighbour before it bisects the rest (_first), so the
     # estimates change the cost, never the answer.  |b_k| <= n (|t|/2 + |x| + log 2) and
     # each step is at most log n + 2 |t| + 2 |x|, all finite where the check below lets n
     # through.  Python floats, so that a numpy scalar from a sweep axis cannot warn.

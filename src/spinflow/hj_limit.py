@@ -158,7 +158,7 @@ def _root_pieces(x: float, t: float) -> tuple:
     if t <= 1.0:
         return hi, tol, [(-hi, hi, 1.0, x + t * math.tanh(x) if bound is None
                           else math.copysign(bound, x))]
-    yc = math.acosh(math.sqrt(t))
+    yc = math.asinh(math.sqrt(t - 1.0))  # acosh(sqrt(t)), which rounds to 0 at t = 1 + 2^-52
     low, high = (x - t, x + t) if bound is None else (-bound, bound)
     return hi, tol, [(-hi, -yc, 1.0, low), (-yc, yc, -1.0, 0.0), (yc, hi, 1.0, high)]
 

@@ -720,12 +720,11 @@ def test_sweep_refuses_an_unwritable_out_before_any_row(where, tmp_path, monkeyp
 @pytest.mark.parametrize("fmt", ["json", "csv"])
 @pytest.mark.parametrize("n_t", [4096, 4097])
 def test_sweep_out_file_holds_the_stdout_bytes_across_write_chunks(fmt, n_t, tmp_path):
-    assert 4096 % cli._WRITE_ROWS == 0  # whole chunks, and one row into the next
     argv = ["sweep", "--model", "cw", "--quantity", "shock", "--t-min", "1.5", "--t-max", "3",
             "--n-t", str(n_t), "--format", fmt]
     code, out, _ = run_cli(argv)
     assert code == 0
-    # a separator lost or doubled where two chunks meet breaks the JSON or the row count
+    # a separator lost or doubled between two rows breaks the JSON or the row count
     if fmt == "json":
         rows = json.loads(out)
         assert out == json.dumps(rows, indent=2) + "\n"
@@ -741,12 +740,11 @@ def test_sweep_out_file_holds_the_stdout_bytes_across_write_chunks(fmt, n_t, tmp
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])
 def test_sweep_into_a_file_holds_one_small_chunk_of_text(fmt, tmp_path):
-    # 64 x 64 rows, 16 chunks: the traced heap peaks at 339 B a row in JSON and in CSV,
-    # mostly the rows themselves; a single chunk of all 4 096 rows read 834 and 545 B
+    # 64 x 64 rows written one at a time: the traced heap peaks at 339 B a row in JSON and
+    # in CSV, mostly the rows themselves; a single write of all 4 096 rows read 834 and 545 B
     argv = ["sweep", "--model", "cw", "--quantity", "limit", "--x-min", "-1", "--x-max", "1",
             "--n-x", "64", "--t-min", "0.1", "--t-max", "2", "--n-t", "64", "--format", fmt,
             "--out", str(tmp_path / f"sweep.{fmt}")]
-    assert 64 * 64 >= 4 * cli._WRITE_ROWS
     assert run_cli(argv)[0] == 0  # imports and caches filled outside the trace
     tracemalloc.start()
     try:
@@ -756,6 +754,34 @@ def test_sweep_into_a_file_holds_one_small_chunk_of_text(fmt, tmp_path):
         tracemalloc.stop()
     assert code == 0
     assert peak < 450 * 64 * 64
+
+
+class WriteLog(io.StringIO):
+    """A text stream that keeps each text passed to `write`."""
+
+    def __init__(self):
+        super().__init__()
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+        return super().write(text)
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_sweep_writes_at_most_one_row_at_a_time(fmt, monkeypatch):
+    # no write holds the text of more than one row, and together the writes are the
+    # standard output's bytes
+    argv = ["sweep", "--model", "cw", "--quantity", "limit", "--x-min", "-1", "--x-max", "1",
+            "--n-x", "64", "--t-min", "0.1", "--t-max", "2", "--n-t", "64", "--format", fmt]
+    code, out, _ = run_cli(argv)
+    assert code == 0
+    stream = WriteLog()
+    monkeypatch.setattr(cli, "_output", lambda path: contextlib.nullcontext(stream))
+    assert run_cli(argv + ["--out", "unused"]) == (0, "", "")
+    assert "".join(stream.writes) == out
+    rows = [text.count("{") if fmt == "json" else text.count("\n") for text in stream.writes]
+    assert max(rows) == 1 and sum(rows) == 64 * 64 + (fmt == "csv")
 
 
 def test_sweep_degrades_per_row_and_signals_failure():

@@ -22,7 +22,7 @@ from spinflow import (
     viscous_action,
     viscous_velocity,
 )
-from spinflow.cw_exact import MAX_SPINS, _log_binomial, _pair_weights, _window
+from spinflow.cw_exact import MAX_SPINS, _first, _log_binomial, _pair_weights, _window
 
 
 def sector_log_weights(x: float, t: float, n: int):
@@ -200,6 +200,30 @@ def test_window_holds_every_pair_within_the_cut_of_the_peak(x, t, n):
     assert len(pairs) == pairs[-1] - pairs[0] + 1
     first, peak, last = _window(x, t, n)
     assert pairs[0] - 1 <= first <= pairs[0] <= peak <= pairs[-1] <= last <= pairs[-1] + 1
+
+
+def test_first_is_a_linear_scan_and_takes_two_probes_from_a_close_estimate():
+    # seeded monotone tests k >= answer on ranges [lo, hi), empty ones too, with the answer
+    # anywhere from lo to hi and the estimate anywhere, also outside the range; every probe
+    # stays in the range, and an estimate at the answer or one short of it takes two
+    rng = np.random.default_rng(34)
+    for _ in range(4000):
+        lo = int(rng.integers(0, 40))
+        hi = lo + int(rng.choice([0, 1, 2, rng.integers(3, 300)]))
+        answer = int(rng.choice([lo, hi, rng.integers(lo, hi + 1)]))
+        probes = []
+
+        def test(k):
+            assert lo <= k < hi
+            probes.append(k)
+            return k >= answer
+
+        for estimate in (int(rng.integers(lo - 10, hi + 11)), answer, answer - 1):
+            probes.clear()
+            found = _first(lo, hi, test, estimate)
+            assert found == next((k for k in range(lo, hi) if k >= answer), hi)
+            if estimate in (answer, answer - 1):
+                assert len(probes) <= 2, (lo, hi, answer, estimate, probes)
 
 
 def pair_sums(x: float, t: float, n: int) -> np.ndarray:

@@ -525,6 +525,17 @@ def test_tanh_gap_is_odd_and_within_two_ulp_of_its_references(z, gap):
         assert hj_limit._tanh_gap(-sign * z) == -hj_limit._tanh_gap(sign * z)
 
 
+@pytest.mark.parametrize("x", [0.0, 1e-300, 5e-324, -1e-300, -5e-324])
+def test_three_stationary_points_one_ulp_above_the_critical_coupling(x):
+    # at t = 1 + 2^-52 the pieces' boundary acosh(sqrt(t)) rounds to 0, which dropped the
+    # outer roots; they are +-sqrt(3 (t - 1)) to leading order, 50 digits
+    # 2.5809568279517849266e-8 (mpmath findroot of y = t tanh y)
+    roots = hj_limit._stationary_points(x, 1.0 + 2.0**-52)
+    assert len(roots) == 3
+    assert roots[0].hex() == "-0x1.bb67ae8584cabp-26"
+    assert roots[-1].hex() == "0x1.bb67ae8584cabp-26"
+
+
 def all_roots_minimizer(x: float, t: float) -> float:
     # the outer root on the side of x, selected from every stationary point
     roots = hj_limit._stationary_points(x, t)
