@@ -24,8 +24,8 @@ def main():
               f"{m.poly_p3:>+11.5f} {m.poly_p4:>+11.5f} {m.v_n:>9.5f}")
         print(f"{'':>4} {se[2]:>11.5f} {se[3]:>11.5f} {se[4]:>11.5f} {se[5]:>11.5f}")
     print("\nsecond line under each row: jackknife standard errors")
-    print("p1 vanishes identically at zero field (gauge symmetry);")
-    print("p2, p3, p4 decay like 1/n as the streaming relations promise")
+    print("p1 vanishes identically at zero field (gauge symmetry), and p2, p3, p4")
+    print("coincide; quartic in overlaps of order n^-1/2, they fall faster than 1/n")
 
 
 if __name__ == "__main__":

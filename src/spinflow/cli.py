@@ -175,7 +175,7 @@ def _at(evaluator, x, t, flags) -> dict:
 
 @_pointwise
 def _cw_exact(x, t, flags):
-    fields = cw_exact.exact_fields(PlanePoint(x, t), flags["n"], k_max=flags["k_max"])
+    fields = cw_exact.exact_fields(PlanePoint(x, t), flags["n"])
     return {"phi": fields.phi, "u": fields.u, "potential": fields.potential,
             "moments": list(fields.moments)}
 
@@ -259,7 +259,6 @@ _FLAGS = {
     "t": dict(type=float, help="interaction-strength coordinate"),
     "beta_h": dict(type=float, default=0.0, help="external field combination"),
     "n": dict(type=int, help="system size (<= 14 for sk finite)"),
-    "k_max": dict(type=int, default=4, help="number of moments (>= 4)"),
     "branch": dict(choices=["plus", "minus"], default="plus",
                    help="branch selector on the shock line"),
     "samples": dict(type=int, help="number of disorder samples"),
@@ -268,8 +267,7 @@ _FLAGS = {
 
 # point command -> (help, evaluator, flags in echo order)
 _POINTS = {
-    "cw exact": ("finite-size action, velocity and moments", _cw_exact,
-                 ("x", "t", "n", "k_max")),
+    "cw exact": ("finite-size action, velocity and moments", _cw_exact, ("x", "t", "n")),
     "cw limit": ("variational limit solution", _cw_limit, ("x", "t", "branch")),
     "cw shock": ("velocity jump across the shock line", _cw_shock, ("t",)),
     "cw critical-line": ("boundary of the characteristic-crossing region", _cw_critical_line,
@@ -448,8 +446,8 @@ def _convergence(echo):
     else:
         field = "phi" if echo["model"] == "cw-action" else "u"
         target = _at(_cw_limit, x, t, {"branch": "plus"})[field]
-        entries = [{"n": n, "error": abs(_at(_cw_exact, x, t, {"n": n, "k_max": 4})[field]
-                                         - target)} for n in sizes]
+        entries = [{"n": n, "error": abs(_at(_cw_exact, x, t, {"n": n})[field] - target)}
+                   for n in sizes]
     errors = [e["error"] for e in entries]
 
     if any(err == 0.0 for err in errors):
@@ -505,8 +503,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_flags(q, _SWEEP_FLAGS, optional=True)
     q.add_argument("--format", choices=["json", "csv"], default="json")
     q.add_argument("--out", default=None, help="output path (default: standard output)")
-    # no --k-max: exact rows carry the four moments the identities need
-    q.set_defaults(handler=_cmd_sweep, k_max=4)
+    q.set_defaults(handler=_cmd_sweep)
 
     q = top.add_parser("convergence", help="error decay against the limit solver")
     q.add_argument("--model", choices=["cw-action", "cw-velocity", "sk-identities"],

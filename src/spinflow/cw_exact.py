@@ -95,9 +95,6 @@ class ExactCwFields:
     magnetization variance.
     """
 
-    n: int
-    x: float
-    t: float
     phi: float
     u: float
     potential: float
@@ -217,7 +214,7 @@ def _window(x: float, t: float, n: int) -> tuple:
     return first, peak, last
 
 
-def _pair_weights(x: float, t: float, n: int, powers: int = 1):
+def _pair_weights(x: float, t: float, n: int):
     # The window's mirror pairs, weights divided by the peak's:
     # (d, even, odd, light, shift, table) with d = n - 2k = n |m|, w = exp(b - b_peak) the
     # heavier weight of a pair and light = w exp(gap) the lighter, even = w + light, and
@@ -225,16 +222,16 @@ def _pair_weights(x: float, t: float, n: int, powers: int = 1):
     # b_peak.  gap = -2 |x| d increases along the window, and before the index tail
     # exp(gap) is exactly 0.0 and -expm1(gap) exactly 1.0; so both are formed from the
     # tail on only, and light is 0.0 before it.
-    # The rows share one work table, allocated once per call, powers + 4 rows: even, odd,
-    # powers - 1 spare rows, light, then d and gap, so that one row-wise sum over the first
-    # powers + 2 rows sums them all.  Before even, the even row holds the steps' ratios and
-    # the gap row the steps' c.  One allocation instead of one per row also keeps glibc
-    # from trimming the heap after each large window and faulting its pages back in on the
-    # next call.
+    # The rows share one work table of eight rows, allocated once per call:
+    #   0 even, 1 odd, 2-4 spare (exact_fields' moment rows), 5 light, 6 d, 7 gap,
+    # so that one row-wise sum over rows 0-5 sums them all.  Before even, the even row
+    # holds the steps' ratios and the gap row the steps' c.  One allocation instead of one
+    # per row also keeps glibc from trimming the heap after each large window and faulting
+    # its pages back in on the next call.
     first, peak, last = _window(x, t, n)
     t, abs_x = float(t), abs(float(x))
-    table = np.empty((powers + 4, last - first + 1))
-    even, log_w, light, d, gap = table[0], table[1], table[-3], table[-2], table[-1]
+    table = np.empty((8, last - first + 1))
+    even, log_w, light, d, gap = table[0], table[1], table[5], table[6], table[7]
     d[:] = np.arange(n - 2.0 * first, n - 2.0 * last - 1.0, -2.0)
     # b - b_peak as a running sum of the steps outward from the peak.  The step between
     # pairs j and j + 1 is log1p(c / (j + 1)) - 2 t c / n - 2 |x| with c = n - 2j - 1 and
@@ -275,13 +272,11 @@ def _pair_weights(x: float, t: float, n: int, powers: int = 1):
 
 def log_partition(p: PlanePoint, n: int) -> float:
     """Log-partition per spin, (1/N) log Z(x, t), from the max-shifted sector sum."""
-    _check_spins(n)
-    _, even, _, _, shift, _ = _pair_weights(p.x, p.t, n)
-    return float(shift + math.log(even.sum())) / n
+    return -exact_fields(p, n).phi
 
 
-def exact_fields(p: PlanePoint, n: int, k_max: int = 4) -> ExactCwFields:
-    """Action, velocity, potential and magnetization moments at one point.
+def exact_fields(p: PlanePoint, n: int) -> ExactCwFields:
+    """Action, velocity, potential and the four magnetization moments at one point.
 
     Each sector k <= N/2 is summed together with its mirror N - k, whose
     magnetization is the opposite: even moments weigh |m|**j by the pair's
@@ -293,23 +288,21 @@ def exact_fields(p: PlanePoint, n: int, k_max: int = 4) -> ExactCwFields:
     non-negative terms, so it can never round below zero.
     """
     _check_spins(n)
-    if k_max < 4:
-        raise ValueError(f"k_max must be >= 4 so conservation residuals are computable, got {k_max}")
-    d, even, odd, light, shift, table = _pair_weights(p.x, p.t, n, k_max)
-    # the rows even, odd a, even a^2, odd a^3, ..., light a, with a = d / n and each power
-    # of a the one two orders down times a^2, summed at once: a row-wise sum adds each row
-    # as its own .sum() would, not as np.dot, which OpenBLAS splits over its threads above
-    # 10 000 entries, so that its bits would depend on the thread count
-    rows = table[:k_max + 2]
+    d, even, odd, light, shift, table = _pair_weights(p.x, p.t, n)
+    # the rows even, odd a, even a^2, odd a^3, even a^4, light a, with a = d / n and each
+    # power of a the one two orders down times a^2, summed at once: a row-wise sum adds
+    # each row as its own .sum() would, not as np.dot, which OpenBLAS splits over its
+    # threads above 10 000 entries, so that its bits would depend on the thread count
+    rows = table[:6]
     a = np.divide(d, n, out=rows[2])
     odd *= a
     light *= a
-    square = np.square(a, out=table[-1])
-    for j in range(2, k_max + 1):
+    square = np.square(a, out=table[7])
+    for j in range(2, 5):
         np.multiply(rows[j - 2], square, out=rows[j])
     sums = np.add.reduce(rows, axis=1)
     z = sums[0]
-    moments = sums[1:k_max + 1] / z
+    moments = sums[1:5] / z
     # with c = |<m>|, a pair's heavier sector adds w (a - c)**2 to the variance
     # and its lighter one light (a + c)**2, together even (a - c)**2 + 4 c light a.
     # a - c is formed as (d - n c) / n from the integer d = n a: a's own rounding cost the
@@ -323,11 +316,11 @@ def exact_fields(p: PlanePoint, n: int, k_max: int = 4) -> ExactCwFields:
     phi = -(shift + math.log(z)) / n
     u = 0.0 - moments[0]  # +0.0 where the first moment is 0.0, never -0.0
     potential = 0.5 * float(variance / z)
-    return ExactCwFields(n=n, x=p.x, t=p.t, phi=phi, u=u, potential=potential, moments=moments)
+    return ExactCwFields(phi=phi, u=u, potential=potential, moments=moments)
 
 
 def _phi(x: float, t: float, n: int) -> float:
-    return -log_partition(PlanePoint(x, t), n)
+    return exact_fields(PlanePoint(x, t), n).phi
 
 
 def _check_stencil(p: PlanePoint, n: int, step: float) -> None:
@@ -389,7 +382,7 @@ def conservation_residuals(p: PlanePoint, n: int) -> tuple[float, float, float]:
     shock line the leading coefficients are N^2 r1 -> mu_xx,
     N^2 r2 -> (mu^2)_xx = 2 (mu mu_xx + mu_x^2) and N r3 -> 4 mu^2 mu_x.
     """
-    f = exact_fields(p, n, k_max=4)
+    f = exact_fields(p, n)
     m1, m2, m3, m4 = (float(v) for v in f.moments)
     r1 = m3 - 3.0 * m1 * m2 + 2.0 * m1**3
     r2 = (m4 - m2 * m2) - 2.0 * m1 * m3 + 2.0 * m1 * m1 * m2

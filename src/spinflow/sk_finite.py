@@ -320,8 +320,6 @@ class GibbsCorrelators:
         prob, correlators = _gibbs_states(sample.couplings[None], sample.site_fields[None],
                                           params, np.empty((3, 1, 1 << n)))
         self.n = n
-        self.sample = sample
-        self.params = params
         self.prob, self.correlators = prob[0], correlators[0]
 
     def __call__(self, sites) -> float:
@@ -476,7 +474,7 @@ def quenched_overlap_ladder(params: SkParams, sizes, n_samples: int,
     ladder = sorted(set(sizes))
     width = ladder[-1] * (ladder[-1] + 1) // 2
     span = min(1 << (max(1, _BLOCK_ENTRIES // width).bit_length() - 1), n_samples)
-    # block lengths are powers of two, so a block shorter than the span divides it
+    # each block length is a power of two, so a block shorter than the span divides it
     blocks = {n: min(max(1, _BLOCK_ENTRIES >> n), span) for n in ladder}
     space = np.empty(_PLANES * max(blocks[n] << n for n in ladder))
     tables = {n: np.empty((n_samples, 5)) for n in ladder}

@@ -45,11 +45,12 @@ def test_point_record_for_the_exact_model():
     record = json.loads(out)
     assert record["command"] == "cw exact"
     assert record["version"] == spinflow.__version__
-    assert record["input"] == {"x": 0.2, "t": 0.5, "n": 10, "k_max": 4}
+    assert record["input"] == {"x": 0.2, "t": 0.5, "n": 10}
     assert record["converged"] is True
     fields = exact_fields(PlanePoint(0.2, 0.5), 10)
     assert record["phi"] == fields.phi
     assert record["u"] == fields.u
+    assert record["moments"] == list(fields.moments)
     assert len(record["moments"]) == 4
 
 
@@ -99,7 +100,7 @@ def test_finite_point_record_is_seed_stable():
 
 
 @pytest.mark.parametrize("argv, echo", [
-    ("cw exact --n 10 --t 0.5 --x 0.2", {"x": 0.2, "t": 0.5, "n": 10, "k_max": 4}),
+    ("cw exact --n 10 --t 0.5 --x 0.2", {"x": 0.2, "t": 0.5, "n": 10}),
     ("cw limit --branch minus --t 2 --x 0", {"x": 0.0, "t": 2.0, "branch": "minus"}),
     ("cw shock --t 1.5", {"t": 1.5}),
     ("cw critical-line --t 1.5", {"t": 1.5}),
@@ -224,8 +225,11 @@ _SWEEP_AXES = ["sweep", "--model", "cw", "--quantity", "limit", "--n-x", "2", "-
       "--seed", "1"], "requires --samples and --seed"),
     (["convergence", "--model", "sk-identities", "--x", "0", "--t", "0.5", "--n-list", "4,5,6",
       "--samples", "4"], "requires --samples and --seed"),
+    # a record always holds the four moments the identities need: there is no count to set
+    (["cw", "exact", "--x", "0.2", "--t", "0.5", "--n", "10", "--k-max", "5"],
+     "error: unrecognized arguments: --k-max 5\n"),
 ], ids=["x nan", "t inf", "x span", "n-list float", "n-list short", "zero error",
-        "no samples", "no seed"])
+        "no samples", "no seed", "no moment count"])
 def test_refusals_before_computation_name_what_is_wrong(argv, message):
     code, out, err = run_cli(argv)
     assert (code, out) == (2, "")
@@ -256,7 +260,7 @@ def test_non_finite_point_result_is_a_numerical_failure():
     assert code == 3
     record = strict_json(out)
     assert record["converged"] is False
-    assert record["input"] == {"x": 0.3, "t": 1e308, "n": 10, "k_max": 4}
+    assert record["input"] == {"x": 0.3, "t": 1e308, "n": 10}
     assert "phi" in record["error"]
     assert "phi" not in record
 
@@ -573,14 +577,17 @@ def point_commands(draw):
     if command not in ("cw shock", "cw critical-line"):
         argv.append(f"--x={draw(_FLOATS)!r}")
     argv.append(f"--t={draw(_FLOATS)!r}")
+    # each integer flag also takes the first value past its largest accepted one, and the
+    # seed its largest accepted one too: refusals that a narrow range never reaches
     if command in ("cw exact", "cw identities"):
-        argv.append(f"--n={draw(st.integers(-2, 3000))}")
+        argv.append(f"--n={draw(st.integers(-2, 3000) | st.just(2**30 + 1))}")
     if command.startswith("sk"):
         argv.append(f"--beta-h={draw(_FLOATS)!r}")
     if command == "sk finite":
         # small sizes keep the 2^n enumeration cheap
-        argv += [f"--n={draw(st.integers(-1, 8))}", f"--samples={draw(st.integers(-1, 4))}",
-                 f"--seed={draw(st.integers(-1, 3))}"]
+        argv += [f"--n={draw(st.integers(-1, 8) | st.just(15))}",
+                 f"--samples={draw(st.integers(-1, 4) | st.just(2**20 + 1))}",
+                 f"--seed={draw(st.integers(-1, 3) | st.sampled_from([2**64 - 1, 2**64]))}"]
     return argv
 
 

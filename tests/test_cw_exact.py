@@ -771,8 +771,6 @@ def test_domain_validation():
             route(PlanePoint(0.1, 0.5), MAX_SPINS + 1)
     with pytest.raises(ValueError):
         hj_residual(PlanePoint(0.1, 0.5), 10, step=0.0)
-    with pytest.raises(ValueError, match="k_max must be >= 4"):
-        exact_fields(PlanePoint(0.1, 0.5), 10, k_max=3)
     # the backward stencil would leave the half-plane
     for route in (hj_residual, continuity_residual):
         with pytest.raises(ValueError, match=r"need t - step >= 0, got t=0\.0005"):

@@ -277,6 +277,16 @@ def test_tilted_line_limits_recover_the_shock_values():
         assert symmetry_breaking_limit(t, "minus") == pytest.approx(m, abs=1e-7)
 
 
+def test_tilted_line_limit_refuses_a_drifting_ladder(monkeypatch):
+    # the reads at eps = 1e-10 and 1e-11 (x = 1e-10 and 1e-11 at t = 2) differ by 1e-6
+    monkeypatch.setattr(hj_limit, "self_consistent_magnetization",
+                        lambda p: 1e-6 if p.x > 5e-11 else 0.0)
+    message = r"^velocity failed to stabilize along the eps ladder at t=2\.0$"
+    with pytest.raises(hj_limit.ConvergenceError, match=message) as err:
+        symmetry_breaking_limit(2.0, "plus")
+    assert err.value.residual == 1e-6
+
+
 def test_on_shock_branch_handling():
     with pytest.raises(ValueError):
         lax_action(PlanePoint(0.0, 2.0))

@@ -468,6 +468,15 @@ def test_pressure_envelope_check_catches_a_wrong_log_cosh(monkeypatch):
     assert excinfo.value.residual > 1e-4
 
 
+def test_pressure_refuses_a_reconstruction_mismatch(monkeypatch):
+    # a gap of 1e-9 between the closed form and the half-action, with the envelope exact
+    monkeypatch.setattr(sk_rs, "_pressure_checks", lambda beta, h: (1.0, 1e-9, 0.0))
+    message = r"^pressure reconstruction mismatch 1\.000e-09 at beta=1\.5, h=0\.1$"
+    with pytest.raises(ConvergenceError, match=message) as err:
+        rs_pressure(1.5, 0.1)
+    assert err.value.residual == 1e-9
+
+
 def test_pressure_refuses_where_the_node_sums_lose_the_envelope():
     # at beta = 5 the 240-node sums put qbar about 2e-4 off; the envelope gap shows it
     with pytest.raises(ConvergenceError, match="envelope"):
