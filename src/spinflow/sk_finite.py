@@ -197,10 +197,8 @@ class DisorderSample:
 
     couplings holds the upper-triangular pair couplings J_ij (i < j,
     row-major), site_fields the per-site cavity variables J_i; both are
-    standard normal and reproducible from (seed, index) alone.
+    standard normal, drawn by ``draw_disorder`` from (seed, index) alone.
     """
-    seed: int
-    index: int
     couplings: np.ndarray
     site_fields: np.ndarray
 
@@ -258,8 +256,7 @@ def draw_disorder(seed: int, index: int, n: int) -> DisorderSample:
     _check_key("index", index)
     draws = _disorder_draws(np.random.Philox(0), seed, [index], n)[0]
     n_pairs = n * (n - 1) // 2
-    return DisorderSample(seed=int(seed), index=int(index),
-                          couplings=draws[:n_pairs], site_fields=draws[n_pairs:])
+    return DisorderSample(couplings=draws[:n_pairs], site_fields=draws[n_pairs:])
 
 
 def _gibbs_states(couplings: np.ndarray, site_fields: np.ndarray, params: SkParams,
@@ -399,14 +396,11 @@ class OverlapMoments:
     """Disorder-averaged overlap moments and identity polynomials.
 
     std_errors line up with (q1, q2, poly_p1, poly_p2, poly_p3,
-    poly_p4).  Plain means carry the sample standard deviation over
-    sqrt(n_samples); the polynomial combinations involve products of
-    disorder means, so their errors come from leave-one-out
+    poly_p4).  Plain means carry the sample standard deviation over the
+    square root of the sample count; the polynomial combinations involve
+    products of disorder means, so their errors come from leave-one-out
     (jackknife) propagation over the same samples.
     """
-    n: int
-    n_samples: int
-    seed: int
     q1: float
     q2: float
     poly_p1: float
@@ -430,7 +424,7 @@ def _identity_polynomials(q1, q2, o1, e1, e2):
     return e1 - q1 * o1, e2 - q1 * e1, e2 - q1 * q1 * o1, 0.5 * (q2 - q1 * q1)
 
 
-def _overlap_moments(table: np.ndarray, n: int, seed: int) -> OverlapMoments:
+def _overlap_moments(table: np.ndarray) -> OverlapMoments:
     # the disorder means of a size's statistics table, one row per sample
     n_samples = len(table)
     mean = table.mean(axis=0)
@@ -441,7 +435,6 @@ def _overlap_moments(table: np.ndarray, n: int, seed: int) -> OverlapMoments:
     p1_se, p2_se, p3_se, v_n_se = map(_jackknife, _identity_polynomials(*loo.T))
 
     return OverlapMoments(
-        n=n, n_samples=n_samples, seed=int(seed),
         q1=float(mean[0]), q2=float(mean[1]),
         poly_p1=float(p1), poly_p2=float(p2), poly_p3=float(p3), poly_p4=float(mean[4]),
         std_errors=(float(sem[0]), float(sem[1]), float(p1_se),
@@ -491,7 +484,7 @@ def quenched_overlap_ladder(params: SkParams, sizes, n_samples: int,
                 planes = space[:_PLANES * len(block) << n].reshape(_PLANES, len(block), 1 << n)
                 tables[n][start:start + len(block)] = _sample_statistics(params, n, block,
                                                                          planes)
-    return [_overlap_moments(tables[n], n, seed) for n in sizes]
+    return [_overlap_moments(tables[n]) for n in sizes]
 
 
 def quenched_overlap_moments(params: SkParams, n: int, n_samples: int,

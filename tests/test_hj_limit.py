@@ -546,6 +546,16 @@ def test_three_stationary_points_one_ulp_above_the_critical_coupling(x):
     assert roots[-1].hex() == "0x1.bb67ae8584cabp-26"
 
 
+def test_stationary_points_count_a_double_root_split_by_rounding_once():
+    # at x = -x_c(t), up to rounding, the double root at -yc falls on the first and the
+    # middle piece as two roots 8.9e-16 apart, which the dedupe merges
+    x, t = 63.87888078725317, 67.17380181330084
+    pieces = hj_limit._piece_roots(x, t, *hj_limit._root_pieces(x, t))
+    roots = hj_limit._stationary_points(x, t)
+    assert len(pieces) == 3 and 0.0 < pieces[1] - pieces[0] < 1e-15
+    assert roots == [pieces[0], pieces[2]]
+
+
 def all_roots_minimizer(x: float, t: float) -> float:
     # the outer root on the side of x, selected from every stationary point
     roots = hj_limit._stationary_points(x, t)
@@ -560,16 +570,40 @@ def outcome(route, *args):
         return type(err).__name__, str(err)
 
 
+def extreme_points(count: int = 400, seed: int = 36) -> list:
+    # |x| log-uniform over the whole double range, 5e-324 to 1.7e308, of either sign, or
+    # subnormal; t = 1 +- k 2^-52, log-uniform |t - 1| in [1e-15, 0.5], log-uniform in
+    # [1e-300, 1e300], and every tenth point a spinodal x = +-x_c(t) moved by 0-2 ulps.
+    # These are the inputs where a root guard, now a comment, would fire if any could
+    rng = random.Random(seed)
+    points = []
+    for i in range(count):
+        x = math.ldexp(rng.randrange(1, 1 << 20), -1074) if i % 7 == 0 else min(
+            10.0 ** rng.uniform(-323.3, 308.23), 1.7e308)
+        kind = i % 3
+        if kind == 0:
+            t = 1.0 + rng.choice((-1, 1)) * rng.randrange(1, 65) * 2.0 ** -52
+        elif kind == 1:
+            t = 1.0 + rng.choice((-1, 1)) * 10.0 ** rng.uniform(-15.0, math.log10(0.5))
+        else:
+            t = 10.0 ** rng.uniform(-300.0, 300.0)
+        if i % 10 == 0 and 1.0 < t < 1e300:
+            x = critical_line(t) * (1.0 + rng.randrange(-2, 3) * 2.0 ** -52)
+        points.append((rng.choice((-1.0, 1.0)) * x, t))
+    return points
+
+
 def branch_points():
-    # the cw limit sweep's 41 x 25 grid, both spinodal points x = +-x_c(t) at a few t, and
-    # extremes of x and t, off the shock half-line
+    # the cw limit sweep's 41 x 25 grid, both spinodal points x = +-x_c(t) at a few t,
+    # extremes of x and t, and the seeded extremes above, off the shock half-line
     grid = [(float(x), float(t)) for t in np.linspace(0.0, 2.0, 25)
             for x in np.linspace(-1.0, 1.0, 41)]
     spinodal = [(s * critical_line(t), t) for t in (1.0 + 1e-9, 1.05, 1.5, 2.0, 3.0)
                 for s in (1.0, -1.0)]
     extremes = [(s * x, t) for x in (1e300, 5e-324, 1e-16) for s in (1.0, -1.0)
                 for t in (1e-300, 1.0, 1.0 + 1e-15, 2.0, 1e300)]
-    return [(x, t) for x, t in grid + spinodal + extremes if not (x == 0.0 and t > 1.0)]
+    return [(x, t) for x, t in grid + spinodal + extremes + extreme_points()
+            if not (x == 0.0 and t > 1.0)]
 
 
 def test_one_branch_solves_return_the_all_roots_selection():
@@ -589,14 +623,17 @@ def test_one_newton_root_per_point_above_the_critical_point(monkeypatch):
         return counted(*args)
 
     monkeypatch.setattr(hj_limit, "bracketed_newton", counting)
-    # at |x| = 1e300 the root is the bracket's end, where the residual rounds to zero
-    points = [(x, t) for x, t in branch_points() if 1.0 < t < 1e300 and 1e-16 <= abs(x) < 1e300]
+    # where tanh y* rounds to +-1 and x + t tanh y* to the bracket's end |x| + t + 1 (at
+    # |x| = 1e300, and wherever t or |x| is far above the other), the residual is exactly
+    # zero there and the end is the root, with no Newton step
+    points = [(x, t) for x, t in branch_points() if 1.0 < t < 1e300 and 1e-16 <= abs(x)
+              and abs(hj_limit._minimizer(x, t)) < hj_limit._root_pieces(x, t)[0]]
     for x, t in points:
         calls.clear()
         lax_action(PlanePoint(x, t))
         assert len(calls) == 1, (x, t)
     # the all-roots selection solves the middle and far pieces too, where they hold a root:
-    # 722 roots for these 494 points
+    # 733 roots for these 505 points
     calls.clear()
     for x, t in points:
         all_roots_minimizer(x, t)

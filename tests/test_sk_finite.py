@@ -104,7 +104,7 @@ def test_correlators_match_a_hand_rolled_enumeration():
     (lambda: draw_disorder(0, 0, 4.0), "site count must be an integer"),
     (lambda: quenched_overlap_moments(SkParams(0.1, 0.1), 4.5, 4, seed=0),
      "site count must be an integer"),
-    (lambda: GibbsCorrelators(DisorderSample(0, 0, np.zeros(5), np.zeros(4)), SkParams(0.1, 0.1)),
+    (lambda: GibbsCorrelators(DisorderSample(np.zeros(5), np.zeros(4)), SkParams(0.1, 0.1)),
      "couplings length"),
     (lambda: GibbsCorrelators(draw_disorder(0, 0, 4), SkParams(0.1, 0.1))((0, 4)),
      r"site index 4 outside \[0, 4\)"),

@@ -112,3 +112,24 @@ def test_cw_references_prints_the_50_digit_sector_sums():
     errors = [float(line[5]) for line in lines]
     assert all(0.0 <= error < 1e-15 for error in errors)
     assert [errors[i] for i in (8, 10, 12)] == [0.0, 0.0, 0.0]
+
+
+def test_coverage_lists_the_statement_a_run_does_not_reach(tmp_path):
+    spec = importlib.util.spec_from_file_location("coverage_tool", ROOT / "tools" / "coverage.py")
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    source = tmp_path / "branchy.py"
+    source.write_text('"""Module docstring."""\n\n\ndef sign(x):\n    """Docstring."""\n'
+                      "    if x > 0:\n        return 1\n    return -1\n")
+
+    def run():
+        # imported under the tracer, so that the module's own statements count
+        module_spec = importlib.util.spec_from_file_location("branchy", source)
+        module = importlib.util.module_from_spec(module_spec)
+        module_spec.loader.exec_module(module)
+        return module.sign(2.0)
+
+    result, hit = tool.traced_lines([source], run)
+    assert result == 1
+    # the branch not taken is listed; the docstrings, the def and the taken branch are not
+    assert tool.missed_statements([source], hit) == [(str(source), 8)]
