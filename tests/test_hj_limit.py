@@ -593,17 +593,21 @@ def extreme_points(count: int = 400, seed: int = 36) -> list:
     return points
 
 
-def branch_points():
-    # the cw limit sweep's 41 x 25 grid, both spinodal points x = +-x_c(t) at a few t,
-    # extremes of x and t, and the seeded extremes above, off the shock half-line
+def fixed_points():
+    # the cw limit sweep's 41 x 25 grid, both spinodal points x = +-x_c(t) at a few t, and
+    # extremes of x and t, off the shock half-line
     grid = [(float(x), float(t)) for t in np.linspace(0.0, 2.0, 25)
             for x in np.linspace(-1.0, 1.0, 41)]
     spinodal = [(s * critical_line(t), t) for t in (1.0 + 1e-9, 1.05, 1.5, 2.0, 3.0)
                 for s in (1.0, -1.0)]
     extremes = [(s * x, t) for x in (1e300, 5e-324, 1e-16) for s in (1.0, -1.0)
                 for t in (1e-300, 1.0, 1.0 + 1e-15, 2.0, 1e300)]
-    return [(x, t) for x, t in grid + spinodal + extremes + extreme_points()
-            if not (x == 0.0 and t > 1.0)]
+    return [(x, t) for x, t in grid + spinodal + extremes if not (x == 0.0 and t > 1.0)]
+
+
+def branch_points():
+    # the fixed points and the seeded extremes, which are never on the shock half-line
+    return fixed_points() + extreme_points()
 
 
 def test_one_branch_solves_return_the_all_roots_selection():
@@ -625,9 +629,12 @@ def test_one_newton_root_per_point_above_the_critical_point(monkeypatch):
     monkeypatch.setattr(hj_limit, "bracketed_newton", counting)
     # where tanh y* rounds to +-1 and x + t tanh y* to the bracket's end |x| + t + 1 (at
     # |x| = 1e300, and wherever t or |x| is far above the other), the residual is exactly
-    # zero there and the end is the root, with no Newton step
-    points = [(x, t) for x, t in branch_points() if 1.0 < t < 1e300 and 1e-16 <= abs(x)
-              and abs(hj_limit._minimizer(x, t)) < hj_limit._root_pieces(x, t)[0]]
+    # zero there and the end is the root, with no Newton step.  The fixed points are picked
+    # by their inputs; of the seeded extremes, those whose root lies inside the bracket
+    points = [(x, t) for x, t in fixed_points() if 1.0 < t < 1e300 and 1e-16 <= abs(x) < 1e300]
+    points += [(x, t) for x, t in extreme_points() if 1.0 < t < 1e300 and 1e-16 <= abs(x)
+               and abs(hj_limit._minimizer(x, t)) < hj_limit._root_pieces(x, t)[0]]
+    assert len(points) == 505
     for x, t in points:
         calls.clear()
         lax_action(PlanePoint(x, t))

@@ -114,8 +114,8 @@ def test_cw_references_prints_the_50_digit_sector_sums():
     assert [errors[i] for i in (8, 10, 12)] == [0.0, 0.0, 0.0]
 
 
-def test_coverage_lists_the_statement_a_run_does_not_reach(tmp_path):
-    spec = importlib.util.spec_from_file_location("coverage_tool", ROOT / "tools" / "coverage.py")
+def test_unexecuted_lists_the_statement_a_run_does_not_reach(tmp_path):
+    spec = importlib.util.spec_from_file_location("unexecuted", ROOT / "tools" / "unexecuted.py")
     tool = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tool)
     source = tmp_path / "branchy.py"

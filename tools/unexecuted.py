@@ -1,11 +1,10 @@
 """Library statements that no Tier-1 test executes.
 
-    python3 tools/coverage.py [PYTEST_ARG ...]
+    python3 tools/unexecuted.py
 
-Runs the Tier-1 suite once in this process through ``pytest.main`` (extra
-arguments are passed on), with a line tracer on the files of
-``src/spinflow`` (``sys.settrace``, and ``threading.settrace`` for the
-threads the tests start), then prints ``<file>:<line>`` for every statement
+Runs the Tier-1 suite once in this process through ``pytest.main``, with a
+line tracer on the files of ``src/spinflow`` (``sys.settrace``, and
+``threading.settrace`` for the threads the tests start), then prints ``<file>:<line>`` for every statement
 that no test executed, docstrings left out, and a last line with the count.
 Only this process is traced: a statement that only a test's subprocess
 reaches is listed too.  Those tests are the cold-start checks, the
@@ -99,15 +98,14 @@ def missed_statements(files, hit) -> list[tuple[str, int]]:
     return missed
 
 
-def main(argv=None) -> int:
+def main() -> int:
     import pytest
 
     files = sorted(LIBRARY.glob("*.py"))
     # pytest imports the library (from src, by pyproject.toml) under the tracer, so its
     # module-level statements count
     os.chdir(ROOT)
-    args = ["-q", "-p", "no:cacheprovider", "--continue-on-collection-errors", *(argv or [])]
-    code, hit = traced_lines(files, lambda: pytest.main(args))
+    code, hit = traced_lines(files, lambda: pytest.main(["-q", "-p", "no:cacheprovider"]))
     missed = missed_statements(files, hit)
     for path, line in missed:
         print(f"{Path(path).relative_to(ROOT)}:{line}")
@@ -116,7 +114,4 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
-    # this file's directory leads sys.path, where it would shadow the coverage package
-    # for a pytest plugin that imports it
-    del sys.path[0]
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())
