@@ -7,11 +7,11 @@ the limiting variational (Lax-Oleinik) and self-consistent solutions on
 the other, plus the finite-size identity polynomials that measure the
 distance between the two.
 Importing the package executes only ``plane``: each of the four library
-modules executes on its first attribute access, from the package or its own.
+modules is imported by the package's ``__getattr__`` on its first access,
+under the import system's lock for that module, and then bound here.
 """
 
-import importlib.util
-import sys
+import importlib
 
 from .plane import ConvergenceError, PlanePoint, QuadratureError, SkParams
 
@@ -32,29 +32,19 @@ _EXPORTS = {
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 
 
-def _lazy(name: str):
-    """Register ``spinflow.<name>`` to execute on its first attribute access."""
-    spec = importlib.util.find_spec(f"{__name__}.{name}")
-    spec.loader = importlib.util.LazyLoader(spec.loader)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module
-    spec.loader.exec_module(module)
-    return module
-
-
-cw_exact, hj_limit, sk_rs, sk_finite = map(_lazy, _EXPORTS)
-
-
 def __getattr__(name: str):
-    # a re-export is bound here on first access, so the next one is a plain lookup
+    # a library module is imported once, under its module lock, and bound on the package
+    # by the import system; a re-export is bound here, so the next access is a plain lookup
+    if name in _EXPORTS:
+        return importlib.import_module(f"{__name__}.{name}")
     if name not in _HOME:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = globals()[name] = getattr(globals()[_HOME[name]], name)
+    value = globals()[name] = getattr(__getattr__(_HOME[name]), name)
     return value
 
 
 def __dir__():
-    return sorted({*globals(), *_HOME})
+    return sorted({*globals(), *_EXPORTS, *_HOME})
 
 
 __version__ = "0.1.0"

@@ -24,8 +24,8 @@ encoder would walk every row.  Point records and reports nest, and go
 through ``json.dumps`` with ``allow_nan=False`` after a recursive finite
 check.
 
-Importing this module loads none of the four library modules: each loads
-on a command's first call into it, so a command runs only its own route.
+Importing this module executes no library module: a command reaches each
+through the package at call time, so it runs only its own route.
 
 Exit codes: 0 success, 2 validation failure (one-line diagnostic on
 stderr), 3 numerical non-convergence (partial record still emitted,
@@ -49,9 +49,8 @@ from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
-from . import __version__
+import spinflow
 from .plane import ConvergenceError, PlanePoint, QuadratureError, SkParams
-from . import cw_exact, hj_limit, sk_finite, sk_rs
 
 _NUMERICAL_ERRORS = (ConvergenceError, QuadratureError, FloatingPointError, OverflowError)
 
@@ -175,32 +174,32 @@ def _at(evaluator, x, t, flags) -> dict:
 
 @_pointwise
 def _cw_exact(x, t, flags):
-    fields = cw_exact.exact_fields(PlanePoint(x, t), flags["n"])
+    fields = spinflow.cw_exact.exact_fields(PlanePoint(x, t), flags["n"])
     return {"phi": fields.phi, "u": fields.u, "potential": fields.potential,
             "moments": list(fields.moments)}
 
 
 @_pointwise
 def _cw_limit(x, t, flags):
-    sol = hj_limit.lax_action(PlanePoint(x, t), branch=flags["branch"])
+    sol = spinflow.hj_limit.lax_action(PlanePoint(x, t), branch=flags["branch"])
     return {"phi": sol.phi, "u": sol.u, "y_star": sol.y_star, "on_shock": sol.on_shock,
             "branch": sol.branch}
 
 
 @_pointwise
 def _cw_shock(x, t, flags):
-    u_minus, u_plus = hj_limit.shock_jump(t)
+    u_minus, u_plus = spinflow.hj_limit.shock_jump(t)
     return {"u_minus": u_minus, "u_plus": u_plus}
 
 
 @_pointwise
 def _cw_critical_line(x, t, flags):
-    return {"x_c": hj_limit.critical_line(t)}
+    return {"x_c": spinflow.hj_limit.critical_line(t)}
 
 
 @_pointwise
 def _cw_identities(x, t, flags):
-    r1, r2, r3 = cw_exact.conservation_residuals(PlanePoint(x, t), flags["n"])
+    r1, r2, r3 = spinflow.cw_exact.conservation_residuals(PlanePoint(x, t), flags["n"])
     return {"r1": r1, "r2": r2, "r3": r3}
 
 
@@ -215,12 +214,12 @@ def _sk_rs(points, flags):
     return [sol if isinstance(sol, Exception) else
             {"q_bar": sol.q_bar, "u": sol.u, "phi_rs": sol.phi_rs, "pressure": sol.pressure,
              "caustic_margin": sol.caustic_margin, "y_star": sol.y_star}
-            for sol in _sk_lockstep(sk_rs.rs_actions, points, flags)]
+            for sol in _sk_lockstep(spinflow.sk_rs.rs_actions, points, flags)]
 
 
 def _sk_caustic(points, flags):
     return [margin if isinstance(margin, Exception) else {"margin": margin}
-            for margin in _sk_lockstep(sk_rs.caustic_margins, points, flags)]
+            for margin in _sk_lockstep(spinflow.sk_rs.caustic_margins, points, flags)]
 
 
 _OVERLAP_NAMES = ("q1", "q2", "p1", "p2", "p3", "p4")
@@ -228,8 +227,8 @@ _OVERLAP_NAMES = ("q1", "q2", "p1", "p2", "p3", "p4")
 
 @_pointwise
 def _sk_finite(x, t, flags):
-    m = sk_finite.quenched_overlap_moments(SkParams(x, t, flags["beta_h"]),
-                                           flags["n"], flags["samples"], flags["seed"])
+    m = spinflow.sk_finite.quenched_overlap_moments(SkParams(x, t, flags["beta_h"]),
+                                                    flags["n"], flags["samples"], flags["seed"])
     return {"q1": m.q1, "q2": m.q2, "poly_p1": m.poly_p1, "poly_p2": m.poly_p2,
             "poly_p3": m.poly_p3, "poly_p4": m.poly_p4, "std_errors": list(m.std_errors),
             "v_n": m.v_n, "v_n_std_error": m.v_n_std_error}
@@ -288,7 +287,7 @@ def _report(command: str, echo: dict, evaluate) -> int:
     On a numerical failure the record keeps its echo, is marked
     converged: false with the error, and the exit code is 3.
     """
-    record = {"command": command, "version": __version__, "input": echo}
+    record = {"command": command, "version": spinflow.__version__, "input": echo}
     try:
         result = {**record, "converged": True, **evaluate()}
         _require_finite(result)
@@ -373,10 +372,11 @@ def _cmd_sweep(args) -> int:
     # row would fail them alike
     check = {}
     if args.model == "cw" and "n" in columns:
-        check = {"n": cw_exact._check_spins}
+        check = {"n": spinflow.cw_exact._check_spins}
     elif args.model == "sk-finite":
-        check = {"n": sk_finite._check_site_count, "n_samples": sk_finite._check_sample_count,
-                 "seed": functools.partial(sk_finite._check_key, "seed")}
+        check = {"n": spinflow.sk_finite._check_site_count,
+                 "n_samples": spinflow.sk_finite._check_sample_count,
+                 "seed": functools.partial(spinflow.sk_finite._check_key, "seed")}
     for column, flag in _SWEEP_ECHO.items():
         value = echo[column]
         if column not in columns:
@@ -439,8 +439,8 @@ def _parse_n_list(text: str):
 def _convergence(echo):
     x, t, sizes = echo["x"], echo["t"], echo["n_list"]
     if echo["model"] == "sk-identities":
-        ladder = sk_finite.quenched_overlap_ladder(SkParams(x, t, echo["beta_h"]), sizes,
-                                                   echo["samples"], echo["seed"])
+        ladder = spinflow.sk_finite.quenched_overlap_ladder(SkParams(x, t, echo["beta_h"]),
+                                                            sizes, echo["samples"], echo["seed"])
         entries = [{"n": n, "p4": m.poly_p4, "p4_std_error": m.std_errors[5],
                     "error": abs(m.poly_p4)} for n, m in zip(sizes, ladder)]
     else:
@@ -479,7 +479,7 @@ def _add_flags(parser, names, optional=False):
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="spinflow",
                      description="mean-field spin thermodynamics as plane mechanics")
-    parser.add_argument("--version", action="version", version=__version__)
+    parser.add_argument("--version", action="version", version=spinflow.__version__)
     top = parser.add_subparsers(dest="command", required=True)
 
     groups = {group: top.add_parser(group, help=text).add_subparsers(dest="subcommand",

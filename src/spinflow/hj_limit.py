@@ -509,8 +509,9 @@ def critical_line(t: float) -> float:
 def critical_launch_point(t: float) -> float:
     """Marginal launch point x0_c(t) = arctanh(sqrt((t-1)/t)) whose characteristic touches the caustic at time t.
 
-    Evaluated as log(t) / 2 + log1p(sqrt((t-1)/t)), which stays finite
-    where sqrt((t-1)/t) rounds to 1 and arctanh would hit its pole.
+    Evaluated as log1p(t - 1) / 2 + log1p(sqrt((t-1)/t)), which keeps its
+    digits next to t = 1, and stays finite where sqrt((t-1)/t) rounds to 1
+    and arctanh would hit its pole.
     """
     if not math.isfinite(t) or t <= 1.0:
         raise ValueError(f"critical launch point is defined for t > 1, got {t}")

@@ -162,8 +162,9 @@ def test_sweep_refuses_an_invalid_flag_as_its_point_query_does(argv, point, monk
     def untouched(*args, **kwargs):
         raise AssertionError("a row was evaluated")
 
-    for module, name in ((cli.cw_exact, "exact_fields"), (cli.cw_exact, "conservation_residuals"),
-                         (cli.sk_finite, "quenched_overlap_moments")):
+    for module, name in ((spinflow.cw_exact, "exact_fields"),
+                         (spinflow.cw_exact, "conservation_residuals"),
+                         (spinflow.sk_finite, "quenched_overlap_moments")):
         monkeypatch.setattr(module, name, untouched)
     for fmt in ("json", "csv"):
         assert run_cli([*argv, "--format", fmt]) == point_refusal
@@ -240,7 +241,7 @@ def test_numerical_failure_exits_3_with_partial_record(monkeypatch):
     def explode(points):
         raise spinflow.ConvergenceError("fixed point stalled", residual=0.5)
 
-    monkeypatch.setattr(cli.sk_rs, "rs_actions", explode)
+    monkeypatch.setattr(spinflow.sk_rs, "rs_actions", explode)
     code, out, err = run_cli(["sk", "rs", "--x", "0.3", "--t", "1.2", "--beta-h", "0.2"])
     assert code == 3
     record = json.loads(out)
@@ -565,6 +566,118 @@ def test_library_modules_load_on_first_access_and_take_patches(monkeypatch):
     assert passes == len(calls) > 0
 
 
+# A fresh interpreter: threads started together behind a barrier each touch every
+# library module through the package, and one re-export, each first touching its own
+_THREADED_FIRST_ACCESS = """
+import json, os, sys, threading
+executed = []
+sys.addaudithook(lambda event, args: event == "exec" and executed.append(args[0].co_filename))
+import spinflow
+package = os.path.dirname(spinflow.__file__)
+library = ("cw_exact.py", "hj_limit.py", "sk_rs.py", "sk_finite.py")
+
+def library_modules():
+    return sorted(os.path.basename(f) for f in executed
+                  if os.path.dirname(f) == package and os.path.basename(f) in library)
+
+listed = sorted(name + ".py" for name in dir(spinflow) if name + ".py" in library)
+before = library_modules()
+touches = [lambda: spinflow.cw_exact.exact_fields, lambda: spinflow.hj_limit.lax_action,
+           lambda: spinflow.sk_rs.rs_action, lambda: spinflow.sk_finite.quenched_overlap_moments,
+           lambda: spinflow.exact_fields]
+barrier = threading.Barrier(len(touches))
+errors = []
+
+def touch(first):
+    barrier.wait()
+    try:
+        for get in touches[first:] + touches[:first]:
+            get()
+    except Exception as err:
+        errors.append(f"{type(err).__name__}: {err}")
+
+threads = [threading.Thread(target=touch, args=(first,)) for first in range(len(touches))]
+for thread in threads:
+    thread.start()
+for thread in threads:
+    thread.join()
+print(json.dumps([listed, before, errors, library_modules()]))
+"""
+
+
+def test_threads_touching_the_library_modules_first_together_see_them_whole():
+    listed, before, errors, executed = run_fresh(_THREADED_FIRST_ACCESS)
+    # dir() lists the modules without executing any
+    assert (listed, before) == (["cw_exact.py", "hj_limit.py", "sk_finite.py", "sk_rs.py"], [])
+    assert errors == []
+    # each module executes once, whichever thread imports it
+    assert executed == ["cw_exact.py", "hj_limit.py", "sk_finite.py", "sk_rs.py"]
+
+
+# A fresh interpreter, so that the shared caches (the Gauss rules, the panel layouts, the
+# kernel levels, the Walsh masks) start empty.  Threads started together behind a barrier
+# take the points one at a time, each running the point's calls in its own shuffled order,
+# and every result is compared bit for bit with the same call run alone afterwards
+_CONCURRENT_CALLS = """
+import dataclasses, json, random, threading
+import spinflow
+from spinflow import PlanePoint, SkParams
+
+# the kernel quadrature of the last four forms levels past its first pass, up to 2**7 panels
+sized = [(PlanePoint(0.5460136817639336, 0.4106859985829969), 40),
+         (PlanePoint(0.35344904658420706, 2.1364157804671993), 300),
+         (PlanePoint(-0.04107335698416699, 1.0329533773438815), 10),
+         (PlanePoint(-0.004780632499158131, 2.916983076834214), 3000),
+         (PlanePoint(0.0354568775207563, 3.6538007073966443), 30000),
+         (PlanePoint(-7.053286098194361e-05, 2.1210488131116194), 30000)]
+ladder = [SkParams(0.3, t, 0.1) for t in (0.5, 0.9, 1.2, 1.6)]
+groups = [[(f"{name}{p}, {n}", lambda f=getattr(spinflow, name), p=p, n=n: f(p, n))
+           for name in ("viscous_action", "viscous_velocity", "exact_fields")]
+          + [(f"{name}{p}", lambda f=getattr(spinflow, name), p=p: f(p))
+             for name in ("lax_action", "self_consistent_magnetization")]
+          for p, n in sized]
+groups.append([("rs_actions", lambda f=spinflow.rs_actions: f(ladder)),
+               ("quenched_overlap_moments", lambda f=spinflow.quenched_overlap_moments:
+                f(SkParams(0.2, 0.5, 0.1), 6, 8, 3))])
+
+def bits(value):
+    # the hex of every float, so that equal lists mean equal bits
+    if isinstance(value, float):
+        return value.hex()
+    if dataclasses.is_dataclass(value):
+        value = dataclasses.astuple(value)
+    if isinstance(value, (tuple, list)) or hasattr(value, "tolist"):
+        return [bits(item) for item in value]
+    return repr(value)
+
+THREADS, ROUNDS = 6, 3
+barrier = threading.Barrier(THREADS)
+seen = []
+
+def run(seed):
+    shuffle = random.Random(seed).shuffle
+    for group in groups:
+        order = group * ROUNDS
+        shuffle(order)
+        barrier.wait()
+        seen.extend((label, bits(call())) for label, call in order)
+
+threads = [threading.Thread(target=run, args=(seed,)) for seed in range(THREADS)]
+for thread in threads:
+    thread.start()
+for thread in threads:
+    thread.join()
+alone = {label: bits(call()) for group in groups for label, call in group}
+print(json.dumps([len(seen), len(alone), sorted({label for label, b in seen if b != alone[label]})]))
+"""
+
+
+def test_concurrent_callers_get_the_bits_of_a_serial_caller():
+    results, calls, mismatched = run_fresh(_CONCURRENT_CALLS)
+    assert (results, calls) == (6 * 3 * 32, 32)
+    assert mismatched == []
+
+
 _FLOATS = st.one_of(st.floats(-3.0, 3.0), st.floats(allow_nan=False, allow_infinity=False))
 
 
@@ -714,7 +827,7 @@ def test_sweep_refuses_an_unwritable_out_before_any_row(where, tmp_path, monkeyp
     def untouched(*args, **kwargs):
         raise AssertionError("a row was evaluated")
 
-    monkeypatch.setattr(cli.hj_limit, "critical_line", untouched)
+    monkeypatch.setattr(spinflow.hj_limit, "critical_line", untouched)
     target = tmp_path / "missing" / "x.json" if where == "missing directory" else tmp_path
     code, out, err = run_cli(["sweep", "--model", "cw", "--quantity", "critical-line",
                               "--t-min", "1.5", "--t-max", "2", "--n-t", "2",
@@ -1087,7 +1200,7 @@ def test_a_non_finite_field_fails_its_own_sweep_row(model, quantity, flags, modu
             "--format", fmt]
     code, clean, _ = run_cli(argv)
     assert code == 0
-    library = getattr(cli, module)
+    library = getattr(spinflow, module)
     monkeypatch.setattr(library, call, corrupting(getattr(library, call), corrupt, bad))
     code, out, _ = run_cli(argv)
     assert code == 3
@@ -1188,7 +1301,7 @@ _SK_LADDER = ["convergence", "--model", "sk-identities", "--x", "0", "--t", "0.3
 def test_sk_identity_ladder_is_one_library_call(monkeypatch):
     code, clean, _ = run_cli([*_SK_LADDER, "--n-list", "4,5,6,7"])
     assert code == 0
-    ladder, calls = cli.sk_finite.quenched_overlap_ladder, []
+    ladder, calls = spinflow.sk_finite.quenched_overlap_ladder, []
 
     def counted(*args):
         calls.append(args)
@@ -1197,8 +1310,8 @@ def test_sk_identity_ladder_is_one_library_call(monkeypatch):
     def untouched(*args, **kwargs):
         raise AssertionError("a size was computed on its own")
 
-    monkeypatch.setattr(cli.sk_finite, "quenched_overlap_ladder", counted)
-    monkeypatch.setattr(cli.sk_finite, "quenched_overlap_moments", untouched)
+    monkeypatch.setattr(spinflow.sk_finite, "quenched_overlap_ladder", counted)
+    monkeypatch.setattr(spinflow.sk_finite, "quenched_overlap_moments", untouched)
     assert run_cli([*_SK_LADDER, "--n-list", "4,5,6,7"]) == (0, clean, "")
     assert [args[1] for args in calls] == [[4, 5, 6, 7]]
 
@@ -1211,7 +1324,7 @@ def test_sk_identity_ladder_refuses_an_invalid_size_as_the_point_query_does(monk
                      "--samples", "6", "--seed", "5"])
     assert point[:2] == (2, "")
     assert point[2] == "error: site count must be in [1, 14] (2^n enumeration), got 15\n"
-    monkeypatch.setattr(cli.sk_finite, "_sample_statistics", untouched)
+    monkeypatch.setattr(spinflow.sk_finite, "_sample_statistics", untouched)
     assert run_cli([*_SK_LADDER, "--n-list", "4,8,15"]) == point
 
 
